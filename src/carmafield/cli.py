@@ -18,6 +18,7 @@ import hashlib
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
@@ -249,7 +250,7 @@ def _cmd_fit(cfg):
     if cfg.get("from_variogram"):
         delta = None
         if cfg.get("delta") is not None:
-            delta = [cfg.get_float("delta")] * 2
+            delta = cfg.get_float("delta")
         emp = estimate.EmpiricalVariogram.from_csv(
             cfg.get("from_variogram"), delta=delta
         )
@@ -340,17 +341,12 @@ def _cmd_recover(cfg):
         )
     spec = identify.recover_spec(ordinates, p, q, kappa2)
     report = identify.check_identifiability(spec, ordinates[0].delta)
-    lines = [f"b{i} = {v:.17g}" for i, v in enumerate(spec.b[: spec.q + 1])]
-    for i, axis in enumerate(spec.eigenvalues, start=1):
-        for k, lam in enumerate(axis, start=1):
-            if lam.imag == 0:
-                lines.append(f"lambda{i}{k} = {lam.real:.17g}")
-            else:
-                lines.append(f"lambda{i}{k} = {lam.real:.17g}{lam.imag:+.17g}j")
-    lines.append(f"verdict = {report.verdict}")
-    lines.append(f"dstar_nonzero = {list(report.dstar_nonzero)}")
-    lines.append(f"imag_in_band = {list(report.imag_in_band)}")
-    lines.append(f"product_condition = {report.product_condition}")
+    lines = estimate.parameter_lines(spec) + [
+        f"verdict = {report.verdict}",
+        f"dstar_nonzero = {list(report.dstar_nonzero)}",
+        f"imag_in_band = {list(report.imag_in_band)}",
+        f"product_condition = {report.product_condition}",
+    ]
     (out / "recovered.txt").write_text("\n".join(lines) + "\n")
     _write_manifest(cfg, out, ["recovered.txt"])
     return 0
@@ -371,25 +367,17 @@ def _cmd_select(cfg):
             if not line.strip():
                 continue
             cells = line.strip().split(",")
-            rows.append(
-                (
-                    cells[0],
-                    float(cells[1]),
-                    int(cells[2]),
-                    int(cells[3]),
-                )
-            )
-    if not rows:
-        raise ValidationError("no models to select from")
-    if len({r[3] for r in rows}) > 1:
-        raise ValidationError("all rows must share one lag count")
-    scored = [
-        (name, wss, p_params, k, estimate.aic_value(wss, p_params, k))
-        for name, wss, p_params, k in rows
-    ]
-    scored.sort(key=lambda r: (r[4], r[2]))
-    _write_csv(out / "selection.csv",
-               ["model", "wss", "p_params", "k_lags", "aic"], scored)
+            wss, p_params, k_lags = float(cells[1]), int(cells[2]), int(cells[3])
+            rows.append(SimpleNamespace(
+                model=cells[0], wss=wss, p_params=p_params, k_lags=k_lags,
+                aic=estimate.aic_value(wss, p_params, k_lags),
+            ))
+    ranked = estimate.model_select(rows)
+    _write_csv(
+        out / "selection.csv",
+        ["model", "wss", "p_params", "k_lags", "aic"],
+        [(r.model, r.wss, r.p_params, r.k_lags, r.aic) for r in ranked],
+    )
     _write_manifest(cfg, out, ["selection.csv"])
     return 0
 
@@ -463,7 +451,7 @@ def _cmd_study(cfg):
     )
     results = workflows.run_simulation_study(study)
     outputs = []
-    names = workflows.parameter_names(spec)
+    names = estimate.parameter_names(spec)
     for case, data in results.items():
         fname = f"study_case{case}.csv"
         _write_csv(

@@ -13,7 +13,7 @@ asymptotic covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
@@ -34,6 +34,8 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "ThetaCodec",
+    "parameter_names",
+    "parameter_lines",
     "axis_lag_set",
     "empirical_variogram",
     "weights_quadratic",
@@ -50,6 +52,22 @@ __all__ = [
 
 DESIGN_COND_MAX = 1e12
 LAG_INTEGER_TOL = 1e-6
+
+# Fit search box [0, B_MAX] x [-B_MAX, B_MAX]^q x [EIG_MIN, 0]^{dp}, with
+# imaginary parts of complex eigenvalue blocks in [0, IM_MAX].
+B_MAX = 10.0
+EIG_MIN = -10.0
+IM_MAX = 10.0
+# differential evolution and its Nelder-Mead polish
+DE_CROSSOVER = 0.9
+DE_DIFFERENTIAL_WEIGHT = 0.8
+DE_TOL = 0.01
+POLISH_TOL = 1e-10
+# relative step of the central-difference Jacobian in theta
+JACOBIAN_REL_STEP = 1e-5
+# lattice sums of the estimator covariance stop where the
+# autocovariance factors fall below this fraction of the variance
+LATTICE_CUTOFF_TOL = 1e-12
 
 
 # -- empirical variogram --------------------------------------------------------
@@ -119,7 +137,7 @@ class EmpiricalVariogram:
             lags=lags,
             ordinates=np.asarray(ords),
             pair_counts=np.asarray(counts),
-            delta=tuple(delta),
+            delta=(float(delta),) * d if np.isscalar(delta) else tuple(delta),
             n=tuple(n) if n is not None else (0,) * d,
         )
 
@@ -319,25 +337,44 @@ class ThetaCodec:
                     theta.append(abs(lam.imag))
         return np.asarray(theta)
 
-    def default_bounds(self, b_max=10.0, eig_min=-10.0, im_max=10.0):
-        bounds = [(0.0, b_max)]
-        bounds += [(-b_max, b_max)] * self.q
+    def default_bounds(self):
+        """The fit's search box, one (low, high) pair per coordinate."""
+        bounds = [(0.0, B_MAX)]
+        bounds += [(-B_MAX, B_MAX)] * self.q
         for axis_blocks in self.blocks:
             for kind in axis_blocks:
                 if kind == "r":
-                    bounds.append((eig_min, 0.0))
+                    bounds.append((EIG_MIN, 0.0))
                 else:
-                    bounds.append((eig_min, 0.0))
-                    bounds.append((0.0, im_max))
+                    bounds.append((EIG_MIN, 0.0))
+                    bounds.append((0.0, IM_MAX))
         return bounds
 
 
-def _canonical_spec(spec):
-    eigenvalues = tuple(
-        tuple(sorted(axis, key=lambda e: (-e.real, -e.imag)))
-        for axis in spec.eigenvalues
-    )
-    return model.CarmaSpec(b=spec.b, eigenvalues=eigenvalues, kappa2=spec.kappa2)
+def parameter_names(spec):
+    """Names b0..b_q, then lambda<axis><k> per eigenvalue, 1-based."""
+    names = [f"b{i}" for i in range(spec.q + 1)]
+    for i in range(1, spec.d + 1):
+        for k in range(1, spec.p + 1):
+            names.append(f"lambda{i}{k}")
+    return names
+
+
+def parameter_lines(spec):
+    """``name = value`` lines of a parameter file, in ``parameter_names`` order.
+
+    Values print with 17 significant digits; a complex eigenvalue as
+    ``re+imj``.
+    """
+    values = list(spec.b[: spec.q + 1])
+    values += [lam for axis in spec.eigenvalues for lam in axis]
+    lines = []
+    for name, value in zip(parameter_names(spec), map(complex, values)):
+        text = f"{value.real:.17g}"
+        if value.imag != 0:
+            text += f"{value.imag:+.17g}j"
+        lines.append(f"{name} = {text}")
+    return lines
 
 
 # -- objective and fit --------------------------------------------------------------
@@ -396,10 +433,9 @@ class FitConfig:
     """Options for the two-stage WLS fit.
 
     The defaults reproduce the reference setup: quadratic lag weights,
-    parameter box [0, 10] x [-10, 10]^q x [-10, 0]^{dp}, population of
-    10 per parameter, 300 generations, crossover 0.9 and differential
-    weight 0.8, followed by a simplex polish at relative tolerance
-    1e-10.
+    population of 10 per parameter and 300 generations.  The parameter
+    box and the remaining search settings are module constants
+    (``B_MAX``, ``EIG_MIN``, ``IM_MAX``, ``DE_*``, ``POLISH_TOL``).
     """
 
     p: int
@@ -407,16 +443,8 @@ class FitConfig:
     kappa2: float = 1.0
     weights: object = "quadratic"
     blocks: tuple = None
-    bounds: list = None
-    b_max: float = 10.0
-    eig_min: float = -10.0
-    im_max: float = 10.0
     population_factor: int = 10
     generations: int = 300
-    crossover: float = 0.9
-    differential_weight: float = 0.8
-    de_tol: float = 0.01
-    polish_tol: float = 1e-10
     seed: int = 0
     require_identifiable_lags: bool = True
 
@@ -470,15 +498,7 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_kv(self, path):
-        lines = [f"b{i} = {v:.17g}" for i, v in
-                 enumerate(self.spec.b[: self.spec.q + 1])]
-        for i, axis in enumerate(self.spec.eigenvalues, start=1):
-            for k, lam in enumerate(axis, start=1):
-                if lam.imag == 0:
-                    lines.append(f"lambda{i}{k} = {lam.real:.17g}")
-                else:
-                    lines.append(f"lambda{i}{k} = {lam.real:.17g}{lam.imag:+.17g}j")
-        lines += [
+        lines = parameter_lines(self.spec) + [
             f"wss = {self.wss:.17g}",
             f"aic = {self.aic:.17g}",
             f"p_params = {self.p_params}",
@@ -517,19 +537,15 @@ def fit(emp, config):
                                  config.require_identifiable_lags)
     weights = resolve_weights(emp, config.weights)
     problem = _WlsProblem(emp, weights, codec)
-    bounds = config.bounds or codec.default_bounds(
-        b_max=config.b_max, eig_min=config.eig_min, im_max=config.im_max
-    )
-    if len(bounds) != codec.dim:
-        raise ValidationError(f"bounds must have {codec.dim} entries")
+    bounds = codec.default_bounds()
     de = optimize.differential_evolution(
         problem.objective,
         bounds=bounds,
         maxiter=config.generations,
         popsize=config.population_factor,
-        mutation=config.differential_weight,
-        recombination=config.crossover,
-        tol=config.de_tol,
+        mutation=DE_DIFFERENTIAL_WEIGHT,
+        recombination=DE_CROSSOVER,
+        tol=DE_TOL,
         seed=config.seed,
         init="latinhypercube",
         polish=False,
@@ -540,14 +556,14 @@ def fit(emp, config):
         method="Nelder-Mead",
         bounds=bounds,
         options={
-            "xatol": config.polish_tol,
-            "fatol": config.polish_tol * max(1.0, abs(de.fun)),
+            "xatol": POLISH_TOL,
+            "fatol": POLISH_TOL * max(1.0, abs(de.fun)),
             "maxiter": 20000,
             "maxfev": 20000,
         },
     )
     theta, value = (polish.x, polish.fun) if polish.fun <= de.fun else (de.x, de.fun)
-    spec = _canonical_spec(codec.to_spec(theta))
+    spec = codec.to_spec(theta).canonical()
     theta = codec.from_spec(spec)
     p_params = codec.dim
     result = FitResult(
@@ -570,7 +586,7 @@ def fit(emp, config):
 
 # -- asymptotic covariance ------------------------------------------------------------
 
-def _variogram_jacobian(codec, theta0, lags, rel_step=1e-5):
+def _variogram_jacobian(codec, theta0, lags):
     """Central finite differences of the model ordinates in theta."""
     theta0 = np.asarray(theta0, dtype=float)
     k = lags.shape[0]
@@ -581,7 +597,7 @@ def _variogram_jacobian(codec, theta0, lags, rel_step=1e-5):
         return np.asarray([model.variogram(spec, lag) for lag in lags])
 
     for i in range(theta0.size):
-        h = rel_step * max(abs(theta0[i]), 1.0)
+        h = JACOBIAN_REL_STEP * max(abs(theta0[i]), 1.0)
         up = theta0.copy()
         dn = theta0.copy()
         up[i] += h
@@ -612,15 +628,15 @@ def _quartic_axis_sums(spec, ti, tj, ell_values):
     return tensors
 
 
-def covariance_v_matrix(spec, tlist, basis, lattice_delta, cutoff_tol=1e-12):
+def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     """Lattice-sum covariance matrix V of the autocovariance estimator.
 
     Entry (i, j) sums, over the integer lattice, the two shifted
     autocovariance products plus (for non-Gaussian noise) the
     fourth-order kernel-product integral weighted by the excess
     kappa4 - 3 kappa2^2.  The lattice sum is truncated at the radius
-    where the autocovariance factors drop below ``cutoff_tol`` relative
-    to the field variance.
+    where the autocovariance factors drop below ``LATTICE_CUTOFF_TOL``
+    relative to the field variance.
     """
     tlist = np.atleast_2d(np.asarray(tlist, dtype=float))
     k = tlist.shape[0] - 1
@@ -632,7 +648,7 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta, cutoff_tol=1e-12):
     delta = (lattice_delta,) * d if np.isscalar(lattice_delta) else tuple(lattice_delta)
     decay = abs(spec.max_real_part())
     max_lag = float(np.max(np.abs(tlist))) if tlist.size else 0.0
-    radius = max_lag + math.log(1.0 / cutoff_tol) / decay
+    radius = max_lag + math.log(1.0 / LATTICE_CUTOFF_TOL) / decay
     steps = [int(math.ceil(radius / dl)) for dl in delta]
     axes_sum = [dl * np.arange(-s, s + 1) for dl, s in zip(delta, steps)]
     # gamma on a grid wide enough for every shifted factor
@@ -657,12 +673,6 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta, cutoff_tol=1e-12):
     if abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2):
         # the quartic integral uses the bare kernel (no kappa2 factor)
         coeff = model._coeff_tensor(spec)
-        letters = "abcdefgh"
-        sub_c = [letters[i * d : (i + 1) * d] for i in range(4)]
-        sub_t = [
-            "".join(sub_c[f][i] for f in range(4)) for i in range(d)
-        ]
-        quartic_subs = ",".join(sub_c + sub_t) + "->"
     vmat = np.empty((k + 1, k + 1))
     gamma0_view = gamma_view([0] * d)
     for i in range(k + 1):
@@ -677,16 +687,13 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta, cutoff_tol=1e-12):
             )
             if abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2):
                 tensors = _quartic_axis_sums(spec, ti, tj, axes_sum)
-                quartic = np.einsum(
-                    quartic_subs, coeff, coeff, coeff, coeff, *tensors
-                )
+                quartic = model._contract(coeff, tensors, copies=4)
                 total += excess * float(np.real(quartic))
             vmat[i, j] = vmat[j, i] = total
     return vmat
 
 
-def variogram_estimator_covariance(spec, lags, basis, lattice_delta,
-                                   cutoff_tol=1e-12):
+def variogram_estimator_covariance(spec, lags, basis, lattice_delta):
     """Asymptotic covariance F V F' of the variogram estimator.
 
     F is the delta-method Jacobian of (g_0, ..., g_K) -> (2 (g_0 - g_i)),
@@ -696,8 +703,7 @@ def variogram_estimator_covariance(spec, lags, basis, lattice_delta,
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     k = lags.shape[0]
     tlist = np.vstack([np.zeros((1, lags.shape[1])), lags])
-    vmat = covariance_v_matrix(spec, tlist, basis, lattice_delta,
-                               cutoff_tol=cutoff_tol)
+    vmat = covariance_v_matrix(spec, tlist, basis, lattice_delta)
     fmat = np.zeros((k, k + 1))
     fmat[:, 0] = 2.0
     fmat[:, 1:] = -2.0 * np.eye(k)
@@ -705,7 +711,7 @@ def variogram_estimator_covariance(spec, lags, basis, lattice_delta,
 
 
 def asymptotic_covariance(spec, lags, weights, basis, lattice_delta,
-                          blocks=None, rel_step=1e-5):
+                          blocks=None):
     """Sandwich covariance of the WLS parameter estimator at the truth.
 
     Combines the variogram estimator's covariance with the weighted
@@ -722,7 +728,7 @@ def asymptotic_covariance(spec, lags, weights, basis, lattice_delta,
     codec = ThetaCodec(p=spec.p, q=spec.q, d=spec.d, kappa2=spec.kappa2,
                        blocks=blocks)
     theta0 = codec.from_spec(spec)
-    jac = _variogram_jacobian(codec, theta0, lags, rel_step=rel_step)
+    jac = _variogram_jacobian(codec, theta0, lags)
     wmat = np.diag(weights)
     normal = jac.T @ wmat @ jac
     cond = np.linalg.cond(normal)

@@ -95,12 +95,6 @@ class IdentifiabilityReport:
     verdict: str
 
 
-def _canonical_order(eigs):
-    return tuple(
-        sorted(eigs, key=lambda e: (-e.real, -e.imag))
-    )
-
-
 def _symmetrize_conjugates(eigs):
     """Zero small imaginary parts and enforce exact conjugate pairing."""
     out = []
@@ -199,7 +193,7 @@ def recover_axis_eigenvalues(ordinates, p):
     band = np.pi / ordinates.delta
     if np.any(lam.imag < -band - 1e-9) or np.any(lam.imag >= band + 1e-9):
         raise RootOutsideBand("recovered eigenvalue outside the aliasing band")
-    return _canonical_order(_symmetrize_conjugates(lam))
+    return model.canonical_order(_symmetrize_conjugates(lam))
 
 
 def recover_axis_weights(ordinates, eigenvalues, kappa2):

@@ -18,6 +18,7 @@ module is safe for concurrent use without locking.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,12 +29,14 @@ from .errors import (
     IllConditionedVandermonde,
     InvalidSpec,
     NonConjugateSet,
+    ValidationError,
 )
 
 __all__ = [
     "CarmaSpec",
     "CompanionMatrix",
     "KernelCoefficients",
+    "canonical_order",
     "companion_from_eigenvalues",
     "kernel_eval",
     "kernel_coefficients",
@@ -55,6 +58,10 @@ CONJUGATE_TOL = 1e-9
 DUPLICATE_TOL = 1e-12
 MIN_EIGENVALUE_GAP = 1e-6
 VANDERMONDE_COND_MAX = 1e12
+
+# einsum labels in ascending character order: a label's rank is its
+# index, which fixes the order in which einsum sums over labels
+_LABELS = string.ascii_uppercase + string.ascii_lowercase
 
 
 def _check_conjugate_closed(eigs, tol=CONJUGATE_TOL):
@@ -84,13 +91,29 @@ def _check_distinct(eigs, gap):
                 )
 
 
-def _real_strip(value, tol=IMAG_TOL, what="result"):
-    value = complex(value)
-    if abs(value.imag) > tol * max(1.0, abs(value.real)):
+def _real(values, what):
+    """Real part of a closed-form result that must be real.
+
+    Conjugate index tuples make every closed form real up to rounding;
+    an imaginary residue above ``IMAG_TOL`` times the largest real
+    magnitude (at least 1) means the eigen-expansion is unreliable.
+    Scalars come back as float, arrays as their real part.
+    """
+    values = np.asarray(values)
+    resid = scale = 0.0
+    if values.size:
+        resid = float(np.max(np.abs(values.imag)))
+        scale = float(np.max(np.abs(values.real)))
+    if resid > IMAG_TOL * max(1.0, scale):
         raise IllConditionedVandermonde(
-            f"{what} has imaginary residue {value.imag:.3e} above {tol:.0e}"
+            f"{what} has imaginary residue {resid:.3e} above {IMAG_TOL:.0e}"
         )
-    return value.real
+    return values.real if values.ndim else float(values.real)
+
+
+def canonical_order(eigs):
+    """Eigenvalues by descending real part, then descending imaginary part."""
+    return tuple(sorted(eigs, key=lambda e: (-e.real, -e.imag)))
 
 
 @dataclass(frozen=True)
@@ -153,8 +176,13 @@ class CarmaSpec:
     def q(self):
         return max(i for i, v in enumerate(self.b) if v != 0.0)
 
-    def with_b(self, b):
-        return CarmaSpec(b=tuple(b), eigenvalues=self.eigenvalues, kappa2=self.kappa2)
+    def canonical(self):
+        """The same spec with every axis in ``canonical_order``."""
+        return CarmaSpec(
+            b=self.b,
+            eigenvalues=tuple(canonical_order(axis) for axis in self.eigenvalues),
+            kappa2=self.kappa2,
+        )
 
     def max_real_part(self):
         """Slowest decay rate, max over all eigenvalues of Re(lambda) (< 0)."""
@@ -252,10 +280,10 @@ class KernelCoefficients:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s < 0):
             return 0.0
-        val = self.tensor
-        for axis, si in zip(self.axis_eigenvalues, s):
-            val = np.tensordot(val, np.exp(np.asarray(axis) * si), axes=([0], [0]))
-        return _real_strip(val, what="kernel reconstruction")
+        factors = [
+            np.exp(np.asarray(axis) * si) for axis, si in zip(self.axis_eigenvalues, s)
+        ]
+        return _real(_contract(self.tensor, factors), "kernel reconstruction")
 
 
 @lru_cache(maxsize=128)
@@ -268,22 +296,52 @@ def _coeff_tensor(spec):
     outer product of a column of V_i and a row of V_i^{-1}, the d-fold
     product collapses to a chain of scalar couplings.
     """
-    b = np.asarray(spec.b, dtype=complex)
-    axes = [np.asarray(a, dtype=complex) for a in spec.eigenvalues]
     decomps = [_axis_decomposition(a) for a in spec.eigenvalues]
-    d = len(axes)
-    letters = "abcdefghijklm"
-    operands = [b @ decomps[0][0]]
-    subs = [letters[0]]
-    for i in range(1, d):
-        operands.append(decomps[i - 1][1] @ decomps[i][0])
-        subs.append(letters[i - 1] + letters[i])
+    d = spec.d
     ep = np.zeros(spec.p, dtype=complex)
     ep[-1] = 1.0
-    operands.append(decomps[-1][1] @ ep)
-    subs.append(letters[d - 1])
-    tensor = np.einsum(",".join(subs) + "->" + letters[:d], *operands)
-    return tensor
+    operands = [np.asarray(spec.b, dtype=complex) @ decomps[0][0], [0]]
+    for i in range(1, d):
+        operands += [decomps[i - 1][1] @ decomps[i][0], [i - 1, i]]
+    operands += [decomps[-1][1] @ ep, [d - 1], list(range(d))]
+    return np.einsum(*operands)
+
+
+@lru_cache(maxsize=None)
+def _subscripts(copies, ndims, keep_axis, pointwise):
+    """einsum subscripts for ``_contract`` (see there for the layout).
+
+    Copy c's index on axis i is label c * d + i; free labels follow.
+    """
+    d = len(ndims)
+    subs = [_LABELS[c * d:(c + 1) * d] for c in range(copies)]
+    out = "" if keep_axis is None else _LABELS[(copies - 1) * d + keep_axis]
+    free = copies * d
+    if pointwise:
+        out += _LABELS[free:free + ndims[0] - copies]
+    for i, ndim in enumerate(ndims):
+        trailing = _LABELS[free:free + ndim - copies]
+        subs.append(_LABELS[i:copies * d:d] + trailing)
+        if not pointwise:
+            out += trailing
+            free += len(trailing)
+    return ",".join(subs) + "->" + out
+
+
+def _contract(tensor, factors, copies=1, keep_axis=None, pointwise=False):
+    """Contract copies of a coefficient tensor C with one factor per axis.
+
+    Returns sum over K^1, ..., K^copies of C[K^1] ... C[K^copies] times
+    prod_i factors[i][K^1_i, ..., K^copies_i, ...]: the leading
+    ``copies`` dimensions of ``factors[i]`` index the eigenvalues of
+    axis i.  Trailing dimensions stay free, one set per axis in axis
+    order (a tensor-product grid) or, with ``pointwise``, one set
+    shared by every axis (scattered points).  ``keep_axis`` also leaves
+    the last copy's index on that axis free, ahead of the trailing
+    dimensions.
+    """
+    subs = _subscripts(copies, tuple(f.ndim for f in factors), keep_axis, pointwise)
+    return np.einsum(subs, *(tensor,) * copies, *factors)
 
 
 def kernel_coefficients(spec):
@@ -317,7 +375,7 @@ def kernel_eval(spec, s):
     for axis, si in zip(spec.eigenvalues, s):
         vmat, vinv = _axis_decomposition(axis)
         w = (w @ vmat) * np.exp(np.asarray(axis, dtype=complex) * si) @ vinv
-    return _real_strip(w[-1], what="kernel value")
+    return _real(w[-1], "kernel value")
 
 
 def kernel_on_grid(spec, axes_points):
@@ -335,54 +393,13 @@ def kernel_on_grid(spec, axes_points):
     """
     if len(axes_points) != spec.d:
         raise InvalidSpec("one coordinate array per axis required")
-    tensor = _coeff_tensor(spec)
-    letters = "abcdefghijklm"
-    grid_letters = "nopqrstuvw"
-    operands = [tensor]
-    subs = [letters[: spec.d]]
-    for i, pts in enumerate(axes_points):
+    factors = []
+    for axis, pts in zip(spec.eigenvalues, axes_points):
         pts = np.asarray(pts, dtype=float)
-        lam = np.asarray(spec.eigenvalues[i], dtype=complex)
-        emat = np.exp(np.outer(lam, pts))
+        emat = np.exp(np.outer(np.asarray(axis, dtype=complex), pts))
         emat[:, pts < 0] = 0.0
-        operands.append(emat)
-        subs.append(letters[i] + grid_letters[i])
-    out = grid_letters[: spec.d]
-    vals = np.einsum(",".join(subs) + "->" + out, *operands)
-    resid = np.max(np.abs(vals.imag)) if vals.size else 0.0
-    if resid > IMAG_TOL * max(1.0, float(np.max(np.abs(vals.real))) if vals.size else 1.0):
-        raise IllConditionedVandermonde(
-            f"kernel grid has imaginary residue {resid:.3e}"
-        )
-    return vals.real
-
-
-def _pair_axis_contract(spec, axis_matrices, keep_axis=None):
-    """Contract sum_{K,K'} C[K] C[K'] prod_i M_i[K_i, K'_i].
-
-    ``axis_matrices[i]`` may have a trailing grid dimension, in which
-    case the result keeps one grid axis per such matrix.  With
-    ``keep_axis = i`` the K'_i index is left free instead of summed.
-    """
-    tensor = _coeff_tensor(spec)
-    d = spec.d
-    letters = "abcdefghijklm"
-    grid_letters = "nopqrstuvw"
-    sub_k = letters[:d]
-    sub_kp = letters[d:2 * d]
-    operands = [tensor, tensor]
-    subs = [sub_k, sub_kp]
-    out = ""
-    for i, mat in enumerate(axis_matrices):
-        s = sub_k[i] + sub_kp[i]
-        if mat.ndim == 3:
-            s += grid_letters[i]
-            out += grid_letters[i]
-        operands.append(mat)
-        subs.append(s)
-    if keep_axis is not None:
-        out = sub_kp[keep_axis] + out
-    return np.einsum(",".join(subs) + "->" + out, *operands)
+        factors.append(emat)
+    return _real(_contract(_coeff_tensor(spec), factors), "kernel grid")
 
 
 def _pair_sums(axis):
@@ -405,16 +422,7 @@ def autocovariance(spec, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.size != spec.d:
         raise InvalidSpec(f"lag has {t.size} coordinates, spec has d = {spec.d}")
-    mats = []
-    for axis, ti in zip(spec.eigenvalues, t):
-        lam = np.asarray(axis, dtype=complex)
-        denom = -_pair_sums(axis)
-        if ti >= 0:
-            mats.append(np.exp(lam[None, :] * ti) / denom)
-        else:
-            mats.append(np.exp(-lam[:, None] * ti) / denom)
-    val = spec.kappa2 * _pair_axis_contract(spec, mats)
-    return _real_strip(val, what="autocovariance")
+    return autocovariance_grid(spec, t[:, None]).item()
 
 
 def autocovariance_grid(spec, axes_points):
@@ -429,13 +437,8 @@ def autocovariance_grid(spec, axes_points):
         pos = np.exp(lam[None, :, None] * np.where(pts >= 0, pts, 0.0)[None, None, :])
         neg = np.exp(-lam[:, None, None] * np.where(pts < 0, pts, 0.0)[None, None, :])
         mats.append(np.where(pts[None, None, :] >= 0, pos, neg) / denom[:, :, None])
-    vals = spec.kappa2 * _pair_axis_contract(spec, mats)
-    resid = np.max(np.abs(vals.imag)) if vals.size else 0.0
-    if resid > IMAG_TOL * max(1.0, float(np.max(np.abs(vals.real))) if vals.size else 1.0):
-        raise IllConditionedVandermonde(
-            f"autocovariance grid has imaginary residue {resid:.3e}"
-        )
-    return vals.real
+    vals = spec.kappa2 * _contract(_coeff_tensor(spec), mats, copies=2)
+    return _real(vals, "autocovariance")
 
 
 def variogram(spec, t):
@@ -465,7 +468,7 @@ def axis_variogram_coefficients(spec, axis):
     if not 0 <= axis < spec.d:
         raise InvalidSpec(f"axis {axis} out of range for d = {spec.d}")
     mats = [1.0 / (-_pair_sums(a)) for a in spec.eigenvalues]
-    dstar = _pair_axis_contract(spec, mats, keep_axis=axis)
+    dstar = _contract(_coeff_tensor(spec), mats, copies=2, keep_axis=axis)
     return list(zip(spec.eigenvalues[axis], dstar))
 
 
@@ -476,12 +479,7 @@ def axis_variogram(spec, axis, taus):
     dstar = np.asarray([p[1] for p in pairs], dtype=complex)
     taus = np.abs(np.atleast_1d(np.asarray(taus, dtype=float)))
     vals = 2.0 * spec.kappa2 * ((1.0 - np.exp(np.outer(taus, lam))) @ dstar)
-    resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if resid > IMAG_TOL * max(1.0, float(np.max(np.abs(vals.real))) if vals.size else 1.0):
-        raise IllConditionedVandermonde(
-            f"axis variogram has imaginary residue {resid:.3e}"
-        )
-    return vals.real
+    return _real(vals, "axis variogram")
 
 
 def _axis_poly_coeffs(spec):
@@ -531,10 +529,12 @@ def spectral_density(spec, omega):
     between b and e_p.  Accepts a single frequency vector or an array
     of shape (..., d).
 
-    Strictly negative eigenvalue real parts keep P free of real zeros;
-    this is asserted, not handled.
+    Strictly negative eigenvalue real parts keep P free of zeros at
+    every finite frequency; non-finite frequencies are rejected.
     """
     omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise ValidationError("frequencies must be finite")
     scalar = omega.ndim == 1
     omega = np.atleast_2d(omega)
     if omega.shape[-1] != spec.d:
@@ -544,7 +544,6 @@ def spectral_density(spec, omega):
     pval = np.ones(omega.shape[:-1], dtype=complex)
     for i in range(spec.d):
         pval = pval * np.polyval(acoeffs[i], z[..., i])
-    assert np.all(np.abs(pval) > 0), "pole on the real frequency axis"
     vec = np.broadcast_to(
         np.asarray(spec.b, dtype=complex), omega.shape[:-1] + (spec.p,)
     )

@@ -25,7 +25,6 @@ from scipy import fft as sfft
 from . import model
 from .errors import (
     GridOutsideTruncation,
-    InvalidSpec,
     KernelArrayOverflow,
     NonFiniteValue,
     ValidationError,
@@ -40,7 +39,6 @@ __all__ = [
     "UniformJumps",
     "LatticeField",
     "substream",
-    "sample_increment",
     "sample_increments",
     "simulate_compound_poisson",
     "simulate_compound_poisson_at",
@@ -52,7 +50,9 @@ __all__ = [
 # Kernel values below this relative size are treated as zero when
 # bucketing compound-Poisson jumps by decay radius.
 JUMP_CUTOFF = 1e-14
-DEFAULT_MAX_KERNEL_CELLS = 1 << 26
+# cells of the truncated-discretized kernel array; the noise array may
+# hold four times as many
+MAX_KERNEL_CELLS = 1 << 26
 
 
 def substream(seed, stream=0):
@@ -213,19 +213,11 @@ class VarianceGammaBasis:
         return rng.normal(0.0, 1.0, size=shape) * np.sqrt(self.variance * subord)
 
 
-LevyBasisSpec = (GaussianBasis, CompoundPoissonBasis, VarianceGammaBasis)
-
-
 def sample_increments(basis, cell_volume, shape, rng):
     """i.i.d. cell increments with characteristics scaled by the volume."""
     if not cell_volume > 0:
         raise ValidationError("cell_volume must be positive")
     return basis.sample_increments(cell_volume, shape, rng)
-
-
-def sample_increment(basis, cell_volume, rng):
-    """One cell increment (see ``sample_increments``)."""
-    return float(sample_increments(basis, cell_volume, (1,), rng)[0])
 
 
 # -- lattice container ---------------------------------------------------------
@@ -357,12 +349,8 @@ def simulate_compound_poisson_at(spec, basis, m_radius, points, seed, stream=0):
         raise GridOutsideTruncation("evaluation points exceed the truncation box")
     rng = substream(seed, stream)
     sites, heights = _draw_jumps(basis, m_radius, spec.d, rng)
-    tensor = model.kernel_coefficients(spec).tensor
+    tensor = model._coeff_tensor(spec)
     r_cut = _decay_radius(spec)
-    letters = "abcdefgh"
-    subs = [letters[: spec.d]] + [
-        "j" + letters[i] for i in range(spec.d)
-    ]
     out = np.zeros(points.shape[0])
     if sites.shape[0] == 0:
         return out
@@ -373,10 +361,10 @@ def simulate_compound_poisson_at(spec, basis, m_radius, points, seed, stream=0):
             continue
         dm = diffs[mask]
         mats = [
-            np.exp(np.outer(dm[:, i], np.asarray(spec.eigenvalues[i])))
+            np.exp(np.outer(dm[:, i], np.asarray(spec.eigenvalues[i]))).T
             for i in range(spec.d)
         ]
-        gvals = np.einsum(",".join(subs) + "->j", tensor, *mats).real
+        gvals = model._contract(tensor, mats, pointwise=True).real
         out[ipt] = float(gvals @ heights[mask])
     return out
 
@@ -391,7 +379,6 @@ def simulate_truncated_discretized(
     delta,
     seed,
     stream=0,
-    max_kernel_cells=DEFAULT_MAX_KERNEL_CELLS,
 ):
     """Truncated, discretized moving average driven by cell increments.
 
@@ -417,12 +404,12 @@ def simulate_truncated_discretized(
         raise ValidationError("m_steps must be at least 1")
     n = tuple(int(v) for v in _per_axis(n, d, "n"))
     delta = tuple(float(v) for v in _per_axis(delta, d, "delta"))
-    if (m_steps + 1) ** d > max_kernel_cells:
+    if (m_steps + 1) ** d > MAX_KERNEL_CELLS:
         raise KernelArrayOverflow(
             f"kernel array of {(m_steps + 1) ** d} cells exceeds the budget "
-            f"of {max_kernel_cells}"
+            f"of {MAX_KERNEL_CELLS}"
         )
-    if int(np.prod([ni + m_steps for ni in n])) > 4 * max_kernel_cells:
+    if int(np.prod([ni + m_steps for ni in n])) > 4 * MAX_KERNEL_CELLS:
         raise KernelArrayOverflow("noise array exceeds the memory budget")
     kernel = model.kernel_on_grid(
         spec, [di * np.arange(m_steps + 1) for di in delta]
@@ -448,66 +435,43 @@ def simulate_truncated_discretized(
 
 # -- mean squared errors ---------------------------------------------------------
 
-def _pairwise(spec, factory):
-    """kappa2 * sum_{K,K'} C[K] C[K'] prod_i factory(axis_i)[K_i, K'_i]."""
-    mats = [factory(np.asarray(axis, dtype=complex)) for axis in spec.eigenvalues]
-    tensor = model._coeff_tensor(spec)
-    d = spec.d
-    letters = "abcdefghijkl"
-    subs = [letters[:d], letters[d:2 * d]] + [
-        letters[i] + letters[d + i] for i in range(d)
-    ]
-    val = np.einsum(",".join(subs) + "->", tensor, tensor, *mats)
-    return spec.kappa2 * complex(val)
-
-
 def mse_truncation_cp(spec, m_radius):
     """Mean squared error of the compound Poisson truncation at radius M.
 
     Exact double eigen-sum: the error is the noise variance times the
     squared-kernel mass outside [0, M]^d, which is O(exp(-2 |l_max| M)).
     """
-
-    def full(lam):
-        return 1.0 / (-(lam[:, None] + lam[None, :]))
-
-    def boxed(lam):
+    full, boxed = [], []
+    for axis in spec.eigenvalues:
+        lam = np.asarray(axis, dtype=complex)
         s = lam[:, None] + lam[None, :]
-        return -np.expm1(s * m_radius) / (-s)
-
-    total = _pairwise(spec, full) - _pairwise(spec, boxed)
-    val = complex(total)
-    if abs(val.imag) > model.IMAG_TOL * max(1.0, abs(val.real)):
-        raise InvalidSpec("truncation error came out complex")
-    return max(val.real, 0.0)
+        full.append(1.0 / (-s))
+        boxed.append(-np.expm1(s * m_radius) / (-s))
+    tensor = model._coeff_tensor(spec)
+    full_mass, boxed_mass = (
+        spec.kappa2 * complex(model._contract(tensor, mats, copies=2))
+        for mats in (full, boxed)
+    )
+    return max(model._real(full_mass - boxed_mass, "truncation error"), 0.0)
 
 
 def _mse_discretization_closed(spec, delta, m_steps):
-    d = spec.d
-
-    def term_a(lam):
-        return 1.0 / (-(lam[:, None] + lam[None, :]))
-
-    def geom(lam):
-        s = (lam[:, None] + lam[None, :]) * delta
-        return np.expm1((m_steps + 1) * s) / np.expm1(s)
-
-    def term_b(lam):
+    term_a, term_b, term_c = [], [], []
+    for axis in spec.eigenvalues:
+        lam = np.asarray(axis, dtype=complex)
+        pair = lam[:, None] + lam[None, :]
+        s = pair * delta
+        geom = np.expm1((m_steps + 1) * s) / np.expm1(s)
+        term_a.append(1.0 / (-pair))
         # lam rows: kernel factor; columns: step-function factor
-        return geom(lam) * (np.expm1(lam[:, None] * delta) / lam[:, None])
-
-    def term_c(lam):
-        return delta * geom(lam)
-
-    val = (
-        _pairwise(spec, term_a)
-        - 2.0 * _pairwise(spec, term_b)
-        + _pairwise(spec, term_c)
+        term_b.append(geom * (np.expm1(lam[:, None] * delta) / lam[:, None]))
+        term_c.append(delta * geom)
+    tensor = model._coeff_tensor(spec)
+    a, b, c = (
+        spec.kappa2 * complex(model._contract(tensor, mats, copies=2))
+        for mats in (term_a, term_b, term_c)
     )
-    val = complex(val)
-    if abs(val.imag) > model.IMAG_TOL * max(1.0, abs(val.real)):
-        raise InvalidSpec("discretization error came out complex")
-    return max(val.real, 0.0)
+    return max(model._real(a - 2.0 * b + c, "discretization error"), 0.0)
 
 
 def _gauss_panels(breaks, order):

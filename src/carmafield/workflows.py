@@ -43,7 +43,12 @@ MODEL_MENU = {
 def worker_count(n_tasks):
     """Worker pool size, capped by the CARMA_FIELD_THREADS variable."""
     cap = os.environ.get("CARMA_FIELD_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigError(
+            f"CARMA_FIELD_THREADS must be an integer, got {cap!r}"
+        ) from None
     return max(1, min(limit, n_tasks))
 
 
@@ -276,14 +281,6 @@ def _study_replication(args):
     return rep, thetas, errors
 
 
-def parameter_names(spec):
-    names = [f"b{i}" for i in range(spec.q + 1)]
-    for i in range(1, spec.d + 1):
-        for k in range(1, spec.p + 1):
-            names.append(f"lambda{i}{k}")
-    return names
-
-
 def run_simulation_study(cfg, log=None):
     """Run the replicated study and tabulate estimator quality per case.
 
@@ -301,16 +298,7 @@ def run_simulation_study(cfg, log=None):
     codec = estimate.ThetaCodec(
         p=cfg.spec.p, q=cfg.spec.q, d=cfg.spec.d, kappa2=cfg.kappa2
     )
-    truth = codec.from_spec(
-        model.CarmaSpec(
-            b=cfg.spec.b,
-            eigenvalues=tuple(
-                tuple(sorted(ax, key=lambda e: (-e.real, -e.imag)))
-                for ax in cfg.spec.eigenvalues
-            ),
-            kappa2=cfg.spec.kappa2,
-        )
-    )
+    truth = codec.from_spec(cfg.spec.canonical())
     tasks = [(cfg, rep) for rep in range(cfg.replications)]
     workers = worker_count(len(tasks))
     results = {}
@@ -323,7 +311,7 @@ def run_simulation_study(cfg, log=None):
     for rep, _, errors in collected:
         for err in errors:
             log(f"replication {rep}: {err}")
-    names = parameter_names(cfg.spec)
+    names = estimate.parameter_names(cfg.spec)
     for case in cfg.cases:
         thetas = [thetas_by_case[case] for _, thetas_by_case, _ in collected]
         good = np.asarray([t for t in thetas if t is not None])

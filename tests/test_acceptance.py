@@ -276,7 +276,7 @@ def test_criterion_07_desk_scale_study():
     )
     est_g = results["gaussian"]["estimates"]
     mean_gap = np.abs(est_g.mean(axis=0) - TABLE2_MEAN)
-    names = workflows.parameter_names(spec)
+    names = estimate.parameter_names(spec)
     print("\n[acceptance 7] desk-scale study, Gaussian case 1:")
     print(f"  {'param':<9}{'mean':>9}{'ref mean':>10}{'band half':>11}"
           f"{'gap/band':>10}{'rmse gap':>10}")

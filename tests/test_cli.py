@@ -227,6 +227,18 @@ class TestCliCommands:
         assert float(values["lambda11"]) == pytest.approx(-1.7776, abs=1e-6)
         assert values["verdict"] == "identifiable"
 
+    def test_fit_from_variogram_with_delta_1d(self, tmp_path):
+        # the spacing flag applies to every axis of the CSV, whatever d is
+        spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.2,),))
+        vario = tmp_path / "exact.csv"
+        oracles.synthetic_variogram(spec, 0.05, 8).to_csv(vario)
+        out = tmp_path / "fit"
+        assert run_cli(
+            ["fit", "--from-variogram", vario, "--delta", 0.05, "--output-dir", out,
+             "--models", "car1", "--generations", 10, "--population", 5]
+        ) == 0
+        assert (out / "params_car1.txt").exists()
+
     def test_select_reproduces_reference_ranking(self, tmp_path):
         table = tmp_path / "models.csv"
         table.write_text(
@@ -277,7 +289,7 @@ class TestCliCommands:
         manifest = (out / "manifest.txt").read_text()
         assert "seed = 2" in manifest  # flag wins over file
 
-    def test_exit_codes(self, tmp_path):
+    def test_exit_codes(self, tmp_path, monkeypatch):
         # missing input file -> I/O failure
         assert run_cli(["diagnose", "--input", tmp_path / "none.carf",
                         "--output-dir", tmp_path]) == 3
@@ -285,6 +297,11 @@ class TestCliCommands:
         assert run_cli(["simulate", "--output-dir", tmp_path]) == 1
         # unknown flag -> validation
         assert run_cli(["simulate", "--nope", 3]) == 1
+        # non-integer worker cap -> validation
+        with monkeypatch.context() as env:
+            env.setenv("CARMA_FIELD_THREADS", "two")
+            assert run_cli(["study", "--output-dir", tmp_path / "s",
+                            "--replications", 1] + self.MODEL_FLAGS) == 1
         # numeric failure -> 2: recovery from ordinates of a model whose
         # axis weight vanishes (singular Hankel system)
         l11, l12 = -1.0, -2.0

@@ -331,6 +331,37 @@ class TestEstimatorCovariance:
             excess * quartic(0.0, delta), rel=1e-8
         )
 
+    def test_v_matrix_quartic_term_3d_car1_factorises(self):
+        # a CAR(1) kernel is b0 prod_i exp(lam_i s_i), so the quartic
+        # lattice sum over Z^3 is b0^4 times a product of 1-D sums
+        b0, lams, delta = 1.3, (-1.0, -1.5, -2.0), 0.5
+        spec = model.CarmaSpec(b=(b0,), eigenvalues=tuple((lam,) for lam in lams))
+        vg = simulate.VarianceGammaBasis()
+        excess = vg.kappa4 - 3.0 * vg.kappa2 ** 2
+        tlist = np.array([[0.0, 0.0, 0.0], [delta, 0.0, 0.0]])
+        v_vg = estimate.covariance_v_matrix(spec, tlist, vg, delta)
+        v_g = estimate.covariance_v_matrix(spec, tlist, simulate.GaussianBasis(), delta)
+        ells = delta * np.arange(-80, 81)
+
+        def axis_sum(lam, ti, tj):
+            total = 0.0
+            for ell in ells:
+                lo = max(0.0, -ti, -ell, -ell - tj)
+                val, _ = integrate.quad(
+                    lambda s: np.exp(lam * (4.0 * s + ti + 2.0 * ell + tj)),
+                    lo,
+                    lo + 40.0,
+                    epsabs=1e-14,
+                )
+                total += val
+            return total
+
+        for i, j in [(0, 0), (0, 1), (1, 1)]:
+            quartic = b0 ** 4 * np.prod(
+                [axis_sum(lam, tlist[i, a], tlist[j, a]) for a, lam in enumerate(lams)]
+            )
+            assert v_vg[i, j] - v_g[i, j] == pytest.approx(excess * quartic, rel=1e-8)
+
     def test_sigma_shape_and_symmetry(self):
         # two lags: the weighted design needs K >= number of parameters
         # for its normal matrix to be invertible

@@ -8,6 +8,7 @@ from carmafield.errors import (
     DuplicateEigenvalue,
     InvalidSpec,
     NonConjugateSet,
+    ValidationError,
 )
 
 import oracles
@@ -305,6 +306,11 @@ class TestSpectralDensity:
             omegas = rng.uniform(-8, 8, size=(20, spec.d))
             dens = model.spectral_density(spec, omegas)
             assert np.all(dens >= 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frequency_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            model.spectral_density(ref_spec(), [bad, 0.0])
 
     def test_fourier_pair_recovers_autocovariance(self):
         # trapezoid over a graded frequency box: dense core, geometric

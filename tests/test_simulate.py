@@ -145,9 +145,10 @@ class TestTruncatedDiscretized:
     def test_kernel_budget_guard(self):
         spec = car1_2d()
         with pytest.raises(KernelArrayOverflow):
+            # 8193^2 kernel cells exceed the 2^26 budget; the guard
+            # raises before anything is allocated
             simulate.simulate_truncated_discretized(
-                spec, simulate.GaussianBasis(), 4000, 8, 0.1, seed=0,
-                max_kernel_cells=1_000_000,
+                spec, simulate.GaussianBasis(), 8192, 8, 0.1, seed=0
             )
 
     def test_empirical_variogram_matches_discrete_truth(self):
