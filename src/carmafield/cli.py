@@ -340,7 +340,7 @@ def _cmd_recover(cfg):
             )
         )
     spec = identify.recover_spec(ordinates, p, q, kappa2)
-    report = identify.check_identifiability(spec, ordinates[0].delta)
+    report = identify.check_identifiability(spec, [o.delta for o in ordinates])
     lines = estimate.parameter_lines(spec) + [
         f"verdict = {report.verdict}",
         f"dstar_nonzero = {list(report.dstar_nonzero)}",
@@ -363,11 +363,22 @@ def _cmd_select(cfg):
             raise ValidationError(
                 f"selection input must start with columns {needed}"
             )
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             cells = line.strip().split(",")
-            wss, p_params, k_lags = float(cells[1]), int(cells[2]), int(cells[3])
+            try:
+                wss, p_params, k_lags = float(cells[1]), int(cells[2]), int(cells[3])
+            except (IndexError, ValueError):
+                raise ValidationError(
+                    f"{path} line {lineno}: need a model name, a number and "
+                    "two integers"
+                ) from None
+            if not (np.isfinite(wss) and wss >= 0 and p_params >= 0 and k_lags >= 1):
+                raise ValidationError(
+                    f"{path} line {lineno}: need wss >= 0, p_params >= 0 "
+                    "and k_lags >= 1"
+                )
             rows.append(SimpleNamespace(
                 model=cells[0], wss=wss, p_params=p_params, k_lags=k_lags,
                 aic=estimate.aic_value(wss, p_params, k_lags),

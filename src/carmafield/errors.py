@@ -80,15 +80,11 @@ class UnstableRoot(NumericError):
 
 
 class NegativeVarianceEstimate(NumericError):
-    """An intermediate variance ratio came out negative."""
-
-
-class ConditionViolated(NumericError):
-    """The eigenvalue product condition for MA recovery fails."""
+    """The recovered monomial matrix b_i b_j has no positive eigenvalue."""
 
 
 class InconsistentMonomials(NumericError):
-    """The recovered monomials b0^2, b0*b1, b1^2 are mutually inconsistent."""
+    """The recovered monomials b_i b_j are not those of one vector b."""
 
 
 class RankDeficient(NumericError):

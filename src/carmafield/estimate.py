@@ -117,13 +117,23 @@ class EmpiricalVariogram:
                 raise ValidationError(f"unexpected variogram header in {path}")
             d = len(header) - 2
             lags, ords, counts = [], [], []
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 cells = line.strip().split(",")
-                lags.append([float(v) for v in cells[:d]])
-                ords.append(float(cells[d]))
-                counts.append(int(cells[d + 1]))
+                try:
+                    lag = [float(v) for v in cells[:d]]
+                    ordinate, count = float(cells[d]), int(cells[d + 1])
+                except (IndexError, ValueError):
+                    raise ValidationError(
+                        f"{path} line {lineno}: need {d} lags, an ordinate "
+                        "and an integer pair count"
+                    ) from None
+                lags.append(lag)
+                ords.append(ordinate)
+                counts.append(count)
+        if not lags:
+            raise ValidationError(f"variogram CSV {path} has no rows")
         lags = np.asarray(lags)
         if delta is None:
             # infer the spacing as the smallest nonzero lag per axis
@@ -449,21 +459,17 @@ class FitConfig:
     require_identifiable_lags: bool = True
 
 
-REQUIRED_AXIS_LAGS = {"car": lambda p: 2 * p + 1, (2, 1): 5, (3, 1): 7}
-
-
 def _check_lag_menu(emp, p, q, strict):
-    """Identifiability status of the lag set for the chosen order."""
+    """Identifiability status of the lag set for the chosen order.
+
+    Every order needs the axis lags j = 1..2p+1 that
+    ``identify.recover_axis_eigenvalues`` needs.
+    """
     classes = _axis_structure(emp)
     d = emp.lags.shape[1]
     if any(c is None for c in classes):
         return "unverified (non-axis lags present)"
-    if q == 0:
-        needed = REQUIRED_AXIS_LAGS["car"](p)
-    elif (p, q) in REQUIRED_AXIS_LAGS and d == 2:
-        needed = REQUIRED_AXIS_LAGS[(p, q)]
-    else:
-        return "unverified (order outside the identifiability menu)"
+    needed = 2 * p + 1
     by_axis = {}
     for axis, j in classes:
         by_axis.setdefault(axis, set()).add(j)

@@ -6,7 +6,9 @@ whose characteristic roots are exp(lambda * delta).  Solving the
 associated Hankel system (a Prony-type step, with an artificial root at
 1 carrying the variogram's limit value) recovers the eigenvalues of the
 companion matrices; the moving-average vector then follows from the
-exponential-sum weights, which are quadratic forms in b.
+exponential-sum weights, which are linear in the monomials b_i b_j.
+The rank of that monomial system decides whether b is identifiable,
+for every order (p, q) and dimension d.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import numpy as np
 
 from . import model
 from .errors import (
-    ConditionViolated,
     InconsistentMonomials,
-    InvalidSpec,
     NegativeVarianceEstimate,
     RankDeficient,
     RootOutsideBand,
@@ -33,9 +33,7 @@ __all__ = [
     "IdentifiabilityReport",
     "recover_axis_eigenvalues",
     "recover_axis_weights",
-    "recover_b_car",
-    "recover_b_carma21",
-    "recover_b_carma31",
+    "recover_b",
     "recover_spec",
     "check_identifiability",
     "exact_axis_ordinates",
@@ -48,9 +46,11 @@ HANKEL_COND_MAX = 1e12
 ARTIFACT_ROOT_TOL = 1e-3
 IMAG_ZERO_TOL = 1e-9
 DSTAR_NONZERO_TOL = 1e-10
-PRODUCT_CONDITION_RTOL = 1e-10
-MONOMIAL_RTOL = 1e-8
-SYSTEM_RESIDUAL_RTOL = 1e-6
+# singular values of the monomial system below this share of its
+# largest entry count as zero in the rank test
+RANK_RTOL = 1e-10
+# relative tolerance of both consistency checks in ``recover_b``
+MONOMIAL_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,17 @@ class AxisOrdinates:
 
 @dataclass(frozen=True)
 class IdentifiabilityReport:
-    """Outcome of the closed-form identifiability checks.
+    """Outcome of the identifiability checks.
 
-    ``product_condition`` is None when the order menu does not require
-    it.  The verdict is one of "identifiable", "not identifiable",
-    "unknown-order".
+    ``product_condition`` is True when the monomial system of
+    ``recover_b`` has full column rank (for CARMA(2,1) on R^2, when the
+    eigenvalue products of the two axes differ).  The verdict is
+    "identifiable" or "not identifiable".
     """
 
     dstar_nonzero: tuple
     imag_in_band: tuple
-    product_condition: bool | None
+    product_condition: bool
     verdict: str
 
 
@@ -200,9 +201,8 @@ def recover_axis_weights(ordinates, eigenvalues, kappa2):
     """Exponential-sum weights dstar for known eigenvalues.
 
     Solves the (overdetermined) generation system over all available
-    ordinates, with the unit root included.  Returns ``(dstar, limit)``
-    where ``limit`` is the recovered large-lag variogram value (twice
-    the field variance).
+    ordinates, with the unit root included; its coefficient is the
+    large-lag variogram value, which must come out real.
     """
     values = np.asarray(ordinates.values, dtype=float)
     lam = np.asarray(eigenvalues, dtype=complex)
@@ -213,172 +213,123 @@ def recover_axis_weights(ordinates, eigenvalues, kappa2):
     limit = coeffs[0]
     if abs(limit.imag) > 1e-8 * max(1.0, abs(limit.real)):
         raise UnstableRoot("variogram limit came out complex")
-    dstar = -coeffs[1:] / (2.0 * kappa2)
-    return dstar, limit.real
+    return -coeffs[1:] / (2.0 * kappa2)
 
 
-def recover_b_car(ordinates_per_axis, eigenvalues_per_axis, kappa2):
-    """Recover b_0 of a CAR(p) field from axis ordinates.
-
-    The variogram limit equals twice the field variance, and the
-    variance scales with b_0^2, so b_0 is the square root of the ratio
-    against the unit-b_0 model (sign fixed by the b_0 >= 0 convention).
-    """
-    limits = []
-    for ords, eigs in zip(ordinates_per_axis, eigenvalues_per_axis):
-        _, limit = recover_axis_weights(ords, eigs, kappa2)
-        limits.append(limit)
-    gamma0 = 0.5 * float(np.mean(limits))
-    p = len(eigenvalues_per_axis[0])
-    unit = model.CarmaSpec(
-        b=(1.0,) + (0.0,) * (p - 1),
-        eigenvalues=tuple(tuple(e) for e in eigenvalues_per_axis),
-        kappa2=kappa2,
-    )
-    gamma0_unit = model.autocovariance(unit, np.zeros(unit.d))
-    ratio = gamma0 / gamma0_unit
-    if not ratio > 0:
-        raise NegativeVarianceEstimate(
-            f"variance ratio {ratio:.3e} is not positive"
-        )
-    return float(np.sqrt(ratio))
+def _monomials(q):
+    """Index pairs (i, j), i <= j, of the monomials b_i b_j for order q."""
+    return [(i, j) for i in range(q + 1) for j in range(i, q + 1)]
 
 
-def _quadratic_form_rows(eigenvalues_per_axis, kappa2):
-    """Rows (alpha, beta, delta) with dstar = alpha b0^2 + beta b0 b1 + delta b1^2.
+def _quadratic_form_rows(eigenvalues_per_axis, kappa2, q):
+    """Real system mapping the monomials b_i b_j (i <= j) to the axis weights.
 
-    The axis weights are quadratic forms in b; their coefficients are
-    probed with the unit vectors (1,0), (0,1) and their sum.
+    The axis weights are quadratic forms in b.  Column (i, i) is probed
+    with the unit vector e_i, column (i, j) with e_i + e_j less both
+    unit probes.  Real and imaginary parts of the d * p complex weights
+    are stacked, so the monomials solve a real least-squares problem.
     """
     eigs = tuple(tuple(e) for e in eigenvalues_per_axis)
     p = len(eigs[0])
-    pad = (0.0,) * (p - 2)
+    if not 0 <= q < p:
+        raise ValidationError(f"need 0 <= q < p, got q = {q} for p = {p}")
 
-    def weights(bvec):
-        spec = model.CarmaSpec(b=bvec + pad, eigenvalues=eigs, kappa2=kappa2)
-        per_axis = []
-        for axis in range(spec.d):
-            per_axis.append(
-                np.asarray(
-                    [w for _, w in model.axis_variogram_coefficients(spec, axis)]
-                )
-            )
-        return np.concatenate(per_axis)
+    def weights(*idx):
+        b = np.zeros(p)
+        b[list(idx)] = 1.0
+        spec = model.CarmaSpec(b=b, eigenvalues=eigs, kappa2=kappa2)
+        return np.concatenate([
+            [w for _, w in model.axis_variogram_coefficients(spec, axis)]
+            for axis in range(spec.d)
+        ])
 
-    alpha = weights((1.0, 0.0))
-    delta = weights((0.0, 1.0))
-    beta = weights((1.0, 1.0)) - alpha - delta
-    return np.stack([alpha, beta, delta], axis=1)
-
-
-def _extract_b_from_monomials(u, scale, rtol=MONOMIAL_RTOL):
-    """Map (b0^2, b0 b1, b1^2) back to (b0, b1) with consistency checks."""
-    u1, u2, u3 = (float(np.real(v)) for v in u)
-    tol = rtol * max(abs(u1), abs(u3), scale)
-    if u1 < -tol:
-        raise InconsistentMonomials(f"recovered b0^2 = {u1:.3e} is negative")
-    if u1 <= tol:
-        # b0 = 0: sign of b1 is not pinned by the variogram; report +root
-        if u3 < -tol:
-            raise InconsistentMonomials(f"recovered b1^2 = {u3:.3e} is negative")
-        return 0.0, float(np.sqrt(max(u3, 0.0)))
-    b0 = float(np.sqrt(u1))
-    b1 = u2 / b0
-    if abs(u3 - b1 * b1) > rtol * max(abs(u3), b1 * b1, scale):
-        raise InconsistentMonomials(
-            f"b1^2 = {u3:.3e} inconsistent with (b0 b1 / b0)^2 = {b1 * b1:.3e}"
-        )
-    return b0, b1
+    unit = [weights(i) for i in range(q + 1)]
+    rows = np.stack(
+        [unit[i] if i == j else weights(i, j) - unit[i] - unit[j]
+         for i, j in _monomials(q)],
+        axis=1,
+    )
+    return np.concatenate([rows.real, rows.imag])
 
 
-def recover_b_carma21(dstar_per_axis, eigenvalues_per_axis, kappa2,
-                      rtol=MONOMIAL_RTOL):
-    """Recover (b_0, b_1) of a CARMA(2,1) field on R^2 from axis weights.
+def _rank(rows):
+    """Numerical rank of a monomial system."""
+    tol = RANK_RTOL * float(np.max(np.abs(rows)))
+    return int(np.linalg.matrix_rank(rows, tol=tol))
 
-    The four axis weights are quadratic forms in b, linear in the
-    monomials (b0^2, b0 b1, b1^2); the 4 x 3 system is solved as least
-    squares (using all four equations symmetrically) and the monomials
-    are unwound.  Needs the eigenvalue product condition
-    lambda_11 lambda_12 != lambda_21 lambda_22, which is necessary as
-    well as sufficient here.
+
+def recover_b(dstar_per_axis, eigenvalues_per_axis, kappa2, q):
+    """Recover (b_0, ..., b_q) from the axis weights of every axis.
+
+    The d * p axis weights are linear in the monomials b_i b_j
+    (i <= j); the system is solved by least squares, and b is unwound
+    from the leading eigenpair (mu, v) of the symmetric matrix
+    U_ij = b_i b_j as sqrt(mu) v, with the first entry above tolerance
+    made positive (the b_0 >= 0 convention).  Any (p, q, d) works whose
+    monomial system has full column rank; for CARMA(2,1) on R^2 that is
+    the eigenvalue product condition lambda_11 lambda_12 !=
+    lambda_21 lambda_22, and d = 1 with q >= 1 never qualifies.
+
+    Raises
+    ------
+    RankDeficient
+        The monomial system lacks full column rank, so b is not
+        identifiable from the axis ordinates.
+    NegativeVarianceEstimate
+        U has no positive eigenvalue.
+    InconsistentMonomials
+        The weights are not fitted by any monomials, or the monomials
+        are not those of one vector b.
     """
-    eigs = [list(map(complex, e)) for e in eigenvalues_per_axis]
-    if len(eigs) != 2 or any(len(e) != 2 for e in eigs):
-        raise ValidationError("CARMA(2,1) recovery needs two axes with p = 2")
-    prod1 = eigs[0][0] * eigs[0][1]
-    prod2 = eigs[1][0] * eigs[1][1]
-    if abs(prod1 - prod2) <= PRODUCT_CONDITION_RTOL * max(abs(prod1), abs(prod2)):
-        raise ConditionViolated(
-            f"eigenvalue products coincide ({prod1:.6g} vs {prod2:.6g}); "
-            "the moving-average vector is not identifiable from axis ordinates"
+    rows = _quadratic_form_rows(eigenvalues_per_axis, kappa2, q)
+    rank = _rank(rows)
+    if rank < rows.shape[1]:
+        raise RankDeficient(
+            f"monomial system has rank {rank} < {rows.shape[1]}; the "
+            "moving-average vector is not identifiable from axis ordinates"
         )
-    rows = _quadratic_form_rows(eigs, kappa2)
     rhs = np.concatenate([np.asarray(d, dtype=complex) for d in dstar_per_axis])
+    rhs = np.concatenate([rhs.real, rhs.imag])
     u, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+    mono = np.zeros((q + 1, q + 1))
+    for (i, j), v in zip(_monomials(q), u):
+        mono[i, j] = mono[j, i] = v
+    mus, vecs = np.linalg.eigh(mono)
+    mu = float(mus[-1])
+    if not mu > 0:
+        raise NegativeVarianceEstimate(
+            f"leading eigenvalue {mu:.3e} of the monomial matrix is not positive"
+        )
+    b = np.sqrt(mu) * vecs[:, -1]
+    lead = int(np.flatnonzero(np.abs(b) > MONOMIAL_RTOL * np.max(np.abs(b)))[0])
+    b = b * np.sign(b[lead])
     resid = float(np.linalg.norm(rows @ u - rhs))
-    scale = float(np.linalg.norm(rhs))
-    if resid > max(SYSTEM_RESIDUAL_RTOL, rtol) * max(scale, 1e-30):
+    if resid > MONOMIAL_RTOL * max(float(np.linalg.norm(rhs)), 1e-30):
         raise InconsistentMonomials(
             f"axis weights are not consistent with any b (residual {resid:.3e})"
         )
-    return _extract_b_from_monomials(u, float(np.max(np.abs(u))), rtol=rtol)
-
-
-def recover_b_carma31(dstar_per_axis, eigenvalues_per_axis, kappa2,
-                      rtol=MONOMIAL_RTOL):
-    """Recover (b_0, b_1) of a CARMA(3,1) field on R^2 from axis weights.
-
-    Same monomial construction as the CARMA(2,1) case but with six
-    equations; the 6 x 3 system always has full column rank under the
-    model hypotheses, so no product condition is needed.
-    """
-    eigs = [list(map(complex, e)) for e in eigenvalues_per_axis]
-    if len(eigs) != 2 or any(len(e) != 3 for e in eigs):
-        raise ValidationError("CARMA(3,1) recovery needs two axes with p = 3")
-    rows = _quadratic_form_rows(eigs, kappa2)
-    rank = np.linalg.matrix_rank(rows, tol=1e-10 * float(np.max(np.abs(rows))))
-    if rank < 3:
-        raise RankDeficient(f"monomial system has rank {rank} < 3")
-    rhs = np.concatenate([np.asarray(d, dtype=complex) for d in dstar_per_axis])
-    u, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    resid = float(np.linalg.norm(rows @ u - rhs))
-    scale = float(np.linalg.norm(rhs))
-    if resid > max(SYSTEM_RESIDUAL_RTOL, rtol) * max(scale, 1e-30):
+    gap = float(np.max(np.abs(mono - np.outer(b, b))))
+    if gap > MONOMIAL_RTOL * mu:
         raise InconsistentMonomials(
-            f"axis weights are not consistent with any b (residual {resid:.3e})"
+            f"monomials b_i b_j are not those of one vector b (gap {gap:.3e})"
         )
-    return _extract_b_from_monomials(u, float(np.max(np.abs(u))), rtol=rtol)
+    return tuple(float(v) for v in b)
 
 
 def recover_spec(ordinates_per_axis, p, q, kappa2):
-    """Full pipeline: axis ordinates -> CarmaSpec for the supported menu.
+    """Full pipeline: axis ordinates -> CarmaSpec of order (p, q).
 
-    Supported orders: CAR(p) in any dimension, CARMA(2,1) and
-    CARMA(3,1) on R^2.
+    Eigenvalues per axis from the Hankel step, the axis weights for
+    those eigenvalues, then b from ``recover_b``.
     """
-    d = len(ordinates_per_axis)
     eigs = tuple(
         recover_axis_eigenvalues(ords, p) for ords in ordinates_per_axis
     )
-    if q == 0:
-        b0 = recover_b_car(ordinates_per_axis, eigs, kappa2)
-        b = (b0,)
-    elif (p, q) == (2, 1) and d == 2:
-        dstar = [
-            recover_axis_weights(ords, ax_eigs, kappa2)[0]
-            for ords, ax_eigs in zip(ordinates_per_axis, eigs)
-        ]
-        b = recover_b_carma21(dstar, eigs, kappa2, rtol=1e-5)
-    elif (p, q) == (3, 1) and d == 2:
-        dstar = [
-            recover_axis_weights(ords, ax_eigs, kappa2)[0]
-            for ords, ax_eigs in zip(ordinates_per_axis, eigs)
-        ]
-        b = recover_b_carma31(dstar, eigs, kappa2, rtol=1e-5)
-    else:
-        raise ValidationError(
-            f"no closed-form recovery for (p, q) = ({p}, {q}) in d = {d}"
-        )
+    dstar = [
+        recover_axis_weights(ords, ax_eigs, kappa2)
+        for ords, ax_eigs in zip(ordinates_per_axis, eigs)
+    ]
+    b = recover_b(dstar, eigs, kappa2, q)
     return model.CarmaSpec(b=b, eigenvalues=eigs, kappa2=kappa2)
 
 
@@ -394,41 +345,30 @@ def exact_axis_ordinates(spec, delta, j_max):
 
 
 def check_identifiability(spec, delta):
-    """Evaluate the closed-form identifiability conditions at spacing delta.
+    """Evaluate the identifiability conditions at spacing delta.
 
+    ``delta`` is one spacing per axis, or a scalar for all axes.
     Flags: no axis weight may vanish, every eigenvalue's imaginary part
-    must lie in the half-open aliasing band [-pi/delta, pi/delta), and
-    for CARMA(2,1) on R^2 the two eigenvalue products must differ.  For
-    orders outside the supported menu the verdict is "unknown-order"
-    with the generic flags still reported.
+    must lie in its axis's half-open aliasing band [-pi/delta,
+    pi/delta), and the monomial system of ``recover_b`` must have full
+    column rank (``product_condition``).
     """
-    band = np.pi / delta
+    deltas = np.broadcast_to(np.asarray(delta, dtype=float), (spec.d,))
     dstar_ok = []
     band_ok = []
     for axis in range(spec.d):
+        band = np.pi / deltas[axis]
         pairs = model.axis_variogram_coefficients(spec, axis)
         dstar_ok.append(all(abs(w) > DSTAR_NONZERO_TOL for _, w in pairs))
         band_ok.append(
             all(-band <= lam.imag < band for lam, _ in pairs)
         )
-    product_ok = None
-    p, q, d = spec.p, spec.q, spec.d
-    if (p, q) == (2, 1) and d == 2:
-        prod1 = spec.eigenvalues[0][0] * spec.eigenvalues[0][1]
-        prod2 = spec.eigenvalues[1][0] * spec.eigenvalues[1][1]
-        product_ok = bool(
-            abs(prod1 - prod2)
-            > PRODUCT_CONDITION_RTOL * max(abs(prod1), abs(prod2))
-        )
-    supported = q == 0 or ((p, q) == (2, 1) and d == 2) or ((p, q) == (3, 1) and d == 2)
-    if not supported:
-        verdict = "unknown-order"
-    else:
-        ok = all(dstar_ok) and all(band_ok) and product_ok is not False
-        verdict = "identifiable" if ok else "not identifiable"
+    rows = _quadratic_form_rows(spec.eigenvalues, spec.kappa2, spec.q)
+    product_ok = _rank(rows) == rows.shape[1]
+    ok = all(dstar_ok) and all(band_ok) and product_ok
     return IdentifiabilityReport(
         dstar_nonzero=tuple(dstar_ok),
         imag_in_band=tuple(band_ok),
         product_condition=product_ok,
-        verdict=verdict,
+        verdict="identifiable" if ok else "not identifiable",
     )

@@ -9,6 +9,7 @@ from carmafield import cli, estimate, gridio, model, simulate, workflows
 from carmafield.errors import (
     LengthMismatch,
     MalformedHeader,
+    ValidationError,
     ZeroVariance,
 )
 
@@ -227,6 +228,52 @@ class TestCliCommands:
         assert float(values["lambda11"]) == pytest.approx(-1.7776, abs=1e-6)
         assert values["verdict"] == "identifiable"
 
+    def test_recover_checks_each_axis_against_its_own_band(self, tmp_path):
+        # axis 2's pair -1 +- 10i lies inside its band pi / 0.1 but
+        # outside axis 1's band pi / 0.5
+        spec = model.CarmaSpec(
+            b=(1.0,), eigenvalues=((-1.0, -2.0), (-1 + 10j, -1 - 10j))
+        )
+        deltas, j_max = (0.5, 0.1), 12
+        lags = estimate.axis_lag_set(2, deltas, j_max)
+        ordinates = np.concatenate([
+            model.axis_variogram(spec, axis, deltas[axis] * np.arange(1, j_max + 1))
+            for axis in range(2)
+        ])
+        vario = tmp_path / "exact.csv"
+        estimate.EmpiricalVariogram(
+            lags=lags, ordinates=ordinates, pair_counts=np.full(len(lags), 1000),
+            delta=deltas, n=(500, 500),
+        ).to_csv(vario)
+        out = tmp_path / "rec"
+        assert run_cli(
+            ["recover", "--input", vario, "--output-dir", out, "--p", 2, "--q", 0]
+        ) == 0
+        values = dict(
+            line.split(" = ", 1)
+            for line in (out / "recovered.txt").read_text().strip().splitlines()
+        )
+        assert float(values["b0"]) == pytest.approx(1.0, abs=1e-8)
+        lam21 = complex(values["lambda21"])
+        assert (lam21.real, abs(lam21.imag)) == pytest.approx((-1.0, 10.0), abs=1e-8)
+        assert values["imag_in_band"] == "[True, True]"
+        assert values["verdict"] == "identifiable"
+
+    @pytest.mark.parametrize("rows", ["", "0.2,0,abc,10\n", "0.2,0,0.5\n"])
+    def test_malformed_variogram_csv_rejected(self, tmp_path, rows):
+        vario = tmp_path / "bad.csv"
+        vario.write_text("lag1,lag2,ordinate,pair_count\n" + rows)
+        with pytest.raises(ValidationError):
+            estimate.EmpiricalVariogram.from_csv(vario)
+        assert run_cli(
+            ["fit", "--from-variogram", vario, "--output-dir", tmp_path / "f",
+             "--models", "car1"]
+        ) == 1
+        assert run_cli(
+            ["recover", "--input", vario, "--output-dir", tmp_path / "r",
+             "--p", 1]
+        ) == 1
+
     def test_fit_from_variogram_with_delta_1d(self, tmp_path):
         # the spacing flag applies to every axis of the CSV, whatever d is
         spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.2,),))
@@ -314,6 +361,21 @@ class TestCliCommands:
             ["recover", "--input", vario, "--output-dir", tmp_path / "r",
              "--p", 2, "--q", 0]
         ) == 2
+        # numeric failure -> 2: CARMA(2,1) whose axes share one
+        # eigenvalue product (rank-deficient monomial system)
+        same = model.CarmaSpec(b=(2.0, 4.0), eigenvalues=((-2.0, -6.0), (-2.0, -6.0)))
+        oracles.synthetic_variogram(same, 0.2, 9).to_csv(vario)
+        assert run_cli(
+            ["recover", "--input", vario, "--output-dir", tmp_path / "r",
+             "--p", 2, "--q", 1]
+        ) == 2
+        # malformed model-selection rows -> validation
+        for k, row in enumerate(("car1,abc,3,100", "car1,0.5,3", "car1,0.5,3,0")):
+            table = tmp_path / f"models{k}.csv"
+            table.write_text(f"model,wss,p_params,k_lags\n{row}\n")
+            assert run_cli(
+                ["select", "--input", table, "--output-dir", tmp_path / "sel"]
+            ) == 1
 
 
 class TestInputsUntouched:

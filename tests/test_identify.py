@@ -5,9 +5,9 @@ import pytest
 
 from carmafield import identify, model
 from carmafield.errors import (
-    ConditionViolated,
     InconsistentMonomials,
     NegativeVarianceEstimate,
+    RankDeficient,
     SingularHankel,
     ValidationError,
 )
@@ -20,6 +20,12 @@ REF_EIGS = ((-1.7776, -2.0948), (-1.3057, -2.5142))
 
 def sorted_eigs(eigs):
     return sorted(eigs, key=lambda z: (z.real, z.imag))
+
+
+def axis_weights(ords, eigs, kappa2):
+    return [
+        identify.recover_axis_weights(o, e, kappa2) for o, e in zip(ords, eigs)
+    ]
 
 
 class TestAxisOrdinates:
@@ -95,7 +101,7 @@ class TestBRecovery:
         spec = model.CarmaSpec(b=(2.0,), eigenvalues=((-1.0,),))
         ords = identify.exact_axis_ordinates(spec, 0.1, 3)
         eigs = [identify.recover_axis_eigenvalues(o, 1) for o in ords]
-        b0 = identify.recover_b_car(ords, eigs, kappa2=1.0)
+        (b0,) = identify.recover_b(axis_weights(ords, eigs, 1.0), eigs, 1.0, 0)
         assert b0 == pytest.approx(2.0, abs=1e-10)
 
     def test_car2_round_trip(self, rng):
@@ -103,7 +109,9 @@ class TestBRecovery:
             spec = oracles.random_spec(rng, d=2, p=2, q=0, b0_positive=True)
             ords = identify.exact_axis_ordinates(spec, 0.15, 5)
             eigs = [identify.recover_axis_eigenvalues(o, 2) for o in ords]
-            b0 = identify.recover_b_car(ords, eigs, spec.kappa2)
+            (b0,) = identify.recover_b(
+                axis_weights(ords, eigs, spec.kappa2), eigs, spec.kappa2, 0
+            )
             assert b0 == pytest.approx(abs(spec.b[0]), abs=1e-8)
 
     def test_negative_variance_rejected(self):
@@ -112,26 +120,23 @@ class TestBRecovery:
         j = np.arange(6)
         values = -1.0 + 2.0 * r1 ** j - 1.0 * r2 ** j
         ords = identify.AxisOrdinates(axis=0, delta=1.0, values=tuple(values))
+        eigs = [(-0.05, -2.0)]
         with pytest.raises(NegativeVarianceEstimate):
-            identify.recover_b_car([ords], [(-0.05, -2.0)], kappa2=1.0)
+            identify.recover_b(axis_weights([ords], eigs, 1.0), eigs, 1.0, 0)
 
     def test_carma21_reference_round_trip(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
         ords = identify.exact_axis_ordinates(spec, 0.2, 5)
         eigs = [identify.recover_axis_eigenvalues(o, 2) for o in ords]
-        dstar = [
-            identify.recover_axis_weights(o, e, 1.0)[0]
-            for o, e in zip(ords, eigs)
-        ]
-        b0, b1 = identify.recover_b_carma21(dstar, eigs, kappa2=1.0)
+        b0, b1 = identify.recover_b(axis_weights(ords, eigs, 1.0), eigs, 1.0, 1)
         assert b0 == pytest.approx(4.8940, abs=1e-8)
         assert b1 == pytest.approx(-1.1432, abs=1e-8)
 
     def test_carma21_condition_violated(self):
         eigs = [(-2.0, -6.0), (-2.0, -6.0)]
         dstar = [(1.0, 1.0), (1.0, 1.0)]
-        with pytest.raises(ConditionViolated):
-            identify.recover_b_carma21(dstar, eigs, kappa2=1.0)
+        with pytest.raises(RankDeficient):
+            identify.recover_b(dstar, eigs, 1.0, 1)
 
     def test_carma21_corrupted_weights_rejected(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
@@ -141,7 +146,7 @@ class TestBRecovery:
         ]
         dstar[0] = dstar[0] * np.array([1.0, -1.0])  # flip one weight
         with pytest.raises(InconsistentMonomials):
-            identify.recover_b_carma21(dstar, REF_EIGS, kappa2=1.0)
+            identify.recover_b(dstar, REF_EIGS, 1.0, 1)
 
     def test_carma31_round_trip(self, rng):
         for _ in range(4):
@@ -153,16 +158,48 @@ class TestBRecovery:
                 )
                 for a in range(2)
             ]
-            b0, b1 = identify.recover_b_carma31(
-                dstar, spec.eigenvalues, spec.kappa2
+            b0, b1 = identify.recover_b(
+                dstar, spec.eigenvalues, spec.kappa2, 1
             )
             assert b0 == pytest.approx(spec.b[0], abs=1e-7)
             assert b1 == pytest.approx(spec.b[1], abs=1e-7)
             # monomial identity b0^2 * b1^2 = (b0 b1)^2
             assert (b0 * b0) * (b1 * b1) == pytest.approx((b0 * b1) ** 2, rel=1e-8)
 
+    def test_carma21_small_b0_keeps_b1_sign(self):
+        # b1 = (b0 b1) / b0 amplified the monomial error by 1 / b0, and a
+        # b0^2 below tolerance was snapped to 0 with b1 reported positive
+        spec = model.CarmaSpec(b=(0.0014, -0.76), eigenvalues=REF_EIGS)
+        ords = identify.exact_axis_ordinates(spec, 0.2, 14)
+        rec = identify.recover_spec(ords, 2, 1, 1.0)
+        np.testing.assert_allclose(rec.b, spec.b, rtol=0, atol=1e-9)
+
 
 class TestFullPipeline:
+    def test_carma21_round_trip_3d(self, rng):
+        for _ in range(3):
+            spec = oracles.random_spec(
+                rng, d=3, p=2, q=1, allow_complex=False, b0_positive=True
+            )
+            assert identify.check_identifiability(spec, 0.2).verdict == "identifiable"
+            ords = identify.exact_axis_ordinates(spec, 0.2, 14)
+            rec = identify.recover_spec(ords, 2, 1, spec.kappa2)
+            np.testing.assert_allclose(rec.b, spec.b, rtol=0, atol=1e-7)
+            for got, want in zip(rec.eigenvalues, spec.eigenvalues):
+                np.testing.assert_allclose(
+                    sorted_eigs(got), sorted_eigs(want), atol=1e-7
+                )
+
+    def test_carma21_on_the_line_is_rank_deficient(self):
+        # one axis gives p = 2 weights for 3 monomials
+        spec = model.CarmaSpec(b=(1.0, 0.3), eigenvalues=((-1.0, -2.0),))
+        report = identify.check_identifiability(spec, 0.2)
+        assert report.product_condition is False
+        assert report.verdict == "not identifiable"
+        ords = identify.exact_axis_ordinates(spec, 0.2, 14)
+        with pytest.raises(RankDeficient):
+            identify.recover_spec(ords, 2, 1, 1.0)
+
     def test_round_trip_menu(self, rng):
         count = 0
         while count < 20:
@@ -238,8 +275,10 @@ class TestIdentifiabilityReport:
         assert report.imag_in_band == (False,)
 
     def test_unknown_order(self):
+        # CARMA(3,2) on R^2: 6 monomials, rank 5
         spec = model.CarmaSpec(
             b=(1.0, 0.5, 0.25), eigenvalues=((-1.0, -2.0, -3.0), (-0.5, -1.5, -2.5))
         )
         report = identify.check_identifiability(spec, 0.1)
-        assert report.verdict == "unknown-order"
+        assert report.verdict == "not identifiable"
+        assert report.product_condition is False
