@@ -62,23 +62,20 @@ class RunConfig:
             raise ConfigError(f"missing required option '{key}'")
         return self.options[key]
 
-    def get_float(self, key, default=None):
+    def _parse(self, key, default, kind, what):
         raw = self.get(key, default)
         if raw is None:
             raise ConfigError(f"missing required option '{key}'")
         try:
-            return float(raw)
+            return kind(raw)
         except (TypeError, ValueError):
-            raise ConfigError(f"option '{key}' must be a number, got {raw!r}") from None
+            raise ConfigError(f"option '{key}' must be {what}, got {raw!r}") from None
+
+    def get_float(self, key, default=None):
+        return self._parse(key, default, float, "a number")
 
     def get_int(self, key, default=None):
-        raw = self.get(key, default)
-        if raw is None:
-            raise ConfigError(f"missing required option '{key}'")
-        try:
-            return int(str(raw))
-        except (TypeError, ValueError):
-            raise ConfigError(f"option '{key}' must be an integer, got {raw!r}") from None
+        return self._parse(key, default, int, "an integer")
 
     def get_bool(self, key, default=False):
         raw = self.get(key, None)
@@ -93,13 +90,11 @@ class RunConfig:
             return False
         raise ConfigError(f"option '{key}' must be a boolean, got {raw!r}")
 
-    def get_list(self, key, default=None):
-        raw = self.get(key, default)
-        if raw is None:
-            raise ConfigError(f"missing required option '{key}'")
-        if not isinstance(raw, str):
-            return list(raw)
-        return [part.strip() for part in raw.split(",") if part.strip()]
+    def get_list(self, key, kind, default=None):
+        def parts(raw):
+            return [kind(part.strip()) for part in raw.split(",") if part.strip()]
+
+        return self._parse(key, default, parts, f"a list of {kind.__name__} values")
 
     def output_dir(self):
         out = Path(self.get("output_dir", "."))
@@ -115,7 +110,7 @@ def _parse_complex(text):
 
 
 def _model_from_config(cfg):
-    b = [float(v) for v in cfg.get_list("b")]
+    b = cfg.get_list("b", float)
     eig_text = cfg.require("eigenvalues")
     axes = [axis.strip() for axis in eig_text.split(";") if axis.strip()]
     eigenvalues = tuple(
@@ -262,7 +257,7 @@ def _cmd_fit(cfg):
         lags = estimate.axis_lag_set(field.d, field.delta, j_max)
         emp = estimate.empirical_variogram(field, lags)
         emp.to_csv(out / "variogram.csv")
-    models = cfg.get_list("models", "car1,car2,carma21")
+    models = cfg.get_list("models", str, "car1,car2,carma21")
     fits, ranked = workflows.run_fit_workflow(
         emp,
         models,
@@ -454,7 +449,7 @@ def _cmd_study(cfg):
         fine_factor=cfg.get_int("fine_factor", 2),
         m_steps=cfg.get_int("m", 300),
         j_max=cfg.get_int("lags", 50),
-        cases=tuple(int(c) for c in cfg.get_list("cases", "1")),
+        cases=tuple(cfg.get_list("cases", int, "1")),
         seed=cfg.get_int("seed", 12345),
         generations=cfg.get_int("generations", 300),
         population_factor=cfg.get_int("population", 10),

@@ -65,9 +65,6 @@ DE_TOL = 0.01
 POLISH_TOL = 1e-10
 # relative step of the central-difference Jacobian in theta
 JACOBIAN_REL_STEP = 1e-5
-# lattice sums of the estimator covariance stop where the
-# autocovariance factors fall below this fraction of the variance
-LATTICE_CUTOFF_TOL = 1e-12
 
 
 # -- empirical variogram --------------------------------------------------------
@@ -164,13 +161,12 @@ def axis_lag_set(d, delta, j_max):
     return np.asarray(lags)
 
 
-def _lag_steps(field_or_emp, lags):
+def _lag_steps(delta, lags):
     """Integer step vectors for physical lags; validates divisibility."""
-    delta = field_or_emp.delta
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     steps = lags / np.asarray(delta)[None, :]
     rounded = np.rint(steps)
-    if np.max(np.abs(steps - rounded)) > LAG_INTEGER_TOL:
+    if not np.all(np.abs(steps - rounded) <= LAG_INTEGER_TOL):
         raise ValidationError("lags must be integer multiples of the spacing")
     return rounded.astype(int)
 
@@ -188,7 +184,7 @@ def empirical_variogram(field, lags):
         If some |t_i| reaches the lattice extent.
     """
     values = field.values
-    steps = _lag_steps(field, lags)
+    steps = _lag_steps(field.delta, lags)
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     ordinates = np.empty(steps.shape[0])
     counts = np.empty(steps.shape[0], dtype=np.int64)
@@ -234,7 +230,7 @@ def weights_exponential(j_max, delta):
 
 def _axis_structure(emp):
     """Classify lags: (axis, j) for axis lags, None otherwise."""
-    steps = _lag_steps(emp, emp.lags)
+    steps = _lag_steps(emp.delta, emp.lags)
     classes = []
     for kvec in steps:
         nz = np.nonzero(kvec)[0]
@@ -612,90 +608,97 @@ def _variogram_jacobian(codec, theta0, lags):
     return jac
 
 
-def _quartic_axis_sums(spec, ti, tj, ell_values):
-    """Per-axis tensors sum_l f(mu_1..mu_4; 0, t_i, l, l + t_j)."""
-    tensors = []
-    for axis in range(spec.d):
-        lam = np.asarray(spec.eigenvalues[axis], dtype=complex)
-        p = lam.size
-        m1 = lam.reshape(p, 1, 1, 1)
-        m2 = lam.reshape(1, p, 1, 1)
-        m3 = lam.reshape(1, 1, p, 1)
-        m4 = lam.reshape(1, 1, 1, p)
-        a2 = float(ti[axis])
-        total = np.zeros((p, p, p, p), dtype=complex)
-        for ell in ell_values[axis]:
-            a3 = float(ell)
-            a4 = float(ell + tj[axis])
-            low = max(0.0, -a2, -a3, -a4)
-            s = m1 + m2 + m3 + m4
-            total += np.exp(m2 * a2 + m3 * a3 + m4 * a4 + s * low) / (-s)
-        tensors.append(total)
-    return tensors
+def _gamma_pair_sums(m, dl, shifts):
+    """T[m1, m2, m3, m4, r] = sum_k I(m1, m2, k dl) I(m3, m4, (k + n_r) dl).
+
+    I is the per-axis factor of ``model.autocovariance``, k runs over Z
+    and n = ``shifts`` counts steps.  For k >= max(0, -n) both arguments
+    are >= 0, for k < min(0, -n) both are negative: two geometric tails
+    with ratios exp((m2 + m4) dl) and exp((m1 + m3) dl).  The |n| terms
+    in between are summed directly, as their ratio can be exactly 1.
+    """
+    m1, m2, m3, m4 = m
+    pos, neg = np.maximum(shifts, 0), np.maximum(-shifts, 0)
+
+    def terms(k):  # the summand times (m1 + m2) (m3 + m4), in one exponent
+        j = k + shifts
+        first = np.where(k >= 0, m2 * k, -m1 * k)
+        return np.exp(dl * (first + np.where(j >= 0, m4 * j, -m3 * j)))
+
+    up = terms(neg) / -np.expm1(dl * (m2 + m4))
+    down = terms(-pos - 1) / -np.expm1(dl * (m1 + m3))
+    # the offsets in between, k = -pos ... neg - 1: one shift-vector per step
+    mid = 0.0
+    for step in range(np.max(np.abs(shifts), initial=0)):
+        k = step - pos
+        mid = mid + np.where(k < neg, terms(k), 0.0)
+    return (up + down + mid) / ((m1 + m2) * (m3 + m4))
+
+
+def _quartic_lattice_sums(m, dl, si, sj):
+    """Per-axis quartic sums Q[m1, m2, m3, m4, r] over the lag pairs r.
+
+    Q = sum_k of the integral of exp(m1 u + m2 (u + t_i) + m3 (u + k dl)
+    + m4 (u + k dl + t_j)) over u >= low, with t = s dl,
+    low = max(c, e - k dl), c = max(0, -t_i) and e = max(0, -t_j): the
+    integral is exp(m2 t_i + m4 t_j + (m3 + m4) k dl + S low) / (-S),
+    S = m1 + m2 + m3 + m4: two geometric tails split at k* = (e - c) / dl,
+    ratios exp((m1 + m2) dl) downward and exp((m3 + m4) dl) upward.  At k*
+    the four arguments c, c + t_i, e, e + t_j are >= 0: no overflow.
+    """
+    m1, m2, m3, m4 = m
+    c, e = np.maximum(-si, 0), np.maximum(-sj, 0)
+    at_split = np.exp(dl * (m1 * c + m2 * (c + si) + m3 * e + m4 * (e + sj)))
+    tails = 1.0 / -np.expm1(dl * (m1 + m2)) + 1.0 / np.expm1(-dl * (m3 + m4))
+    return at_split * tails / -(m1 + m2 + m3 + m4)
 
 
 def covariance_v_matrix(spec, tlist, basis, lattice_delta):
-    """Lattice-sum covariance matrix V of the autocovariance estimator.
+    """Covariance matrix V of the autocovariance estimator, summed exactly.
 
-    Entry (i, j) sums, over the integer lattice, the two shifted
-    autocovariance products plus (for non-Gaussian noise) the
+    Entry (i, j) sums, over the whole lattice, gamma(l) gamma(l + t_i - t_j)
+    + gamma(l + t_i) gamma(l - t_j), plus (for non-Gaussian noise) the
     fourth-order kernel-product integral weighted by the excess
-    kappa4 - 3 kappa2^2.  The lattice sum is truncated at the radius
-    where the autocovariance factors drop below ``LATTICE_CUTOFF_TOL``
-    relative to the field variance.
+    kappa4 - 3 kappa2^2.  Every factor is exponential in the lattice
+    index, so per axis each sum is a few geometric series, summed in
+    closed form: nothing is truncated.  Every lag in ``tlist`` must lie
+    on the lattice, a whole number of spacings on each axis.
     """
-    tlist = np.atleast_2d(np.asarray(tlist, dtype=float))
-    k = tlist.shape[0] - 1
     d = spec.d
     if abs(basis.kappa2 - spec.kappa2) > 1e-9 * max(1.0, spec.kappa2):
-        raise ValidationError(
-            "basis variance must match the spec's kappa2 for covariance sums"
-        )
-    delta = (lattice_delta,) * d if np.isscalar(lattice_delta) else tuple(lattice_delta)
-    decay = abs(spec.max_real_part())
-    max_lag = float(np.max(np.abs(tlist))) if tlist.size else 0.0
-    radius = max_lag + math.log(1.0 / LATTICE_CUTOFF_TOL) / decay
-    steps = [int(math.ceil(radius / dl)) for dl in delta]
-    axes_sum = [dl * np.arange(-s, s + 1) for dl, s in zip(delta, steps)]
-    # gamma on a grid wide enough for every shifted factor
-    max_shift = [int(round(np.max(np.abs(tlist[:, i])) / delta[i])) for i in range(d)]
-    axes_big = [
-        dl * np.arange(-(s + ms), s + ms + 1)
-        for dl, s, ms in zip(delta, steps, max_shift)
-    ]
-    gamma_big = model.autocovariance_grid(spec, axes_big)
-
-    def gamma_view(shift_steps):
-        slices = tuple(
-            slice(s + ms + sh - s, s + ms + sh + s + 1)
-            for s, ms, sh in zip(steps, max_shift, shift_steps)
-        )
-        return gamma_big[slices]
-
-    def steps_of(vec):
-        return [int(round(vec[i] / delta[i])) for i in range(d)]
-
+        raise ValidationError("the basis variance must equal the spec's kappa2")
+    delta = (lattice_delta,) * d if np.isscalar(lattice_delta) else lattice_delta
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (d,) or not np.all(np.isfinite(delta) & (delta > 0)):
+        raise ValidationError(f"need d = {d} positive spacings, got {lattice_delta!r}")
+    tlist = np.atleast_2d(np.asarray(tlist, dtype=float))
+    if tlist.ndim != 2 or tlist.shape[1] != d:
+        raise ValidationError(f"lags need d = {d} columns, got shape {tlist.shape}")
+    steps = _lag_steps(delta, tlist)
+    rows, cols = np.triu_indices(len(steps))
     excess = basis.kappa4 - 3.0 * basis.kappa2 ** 2
-    if abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2):
-        # the quartic integral uses the bare kernel (no kappa2 factor)
-        coeff = model._coeff_tensor(spec)
-    vmat = np.empty((k + 1, k + 1))
-    gamma0_view = gamma_view([0] * d)
-    for i in range(k + 1):
-        for j in range(i, k + 1):
-            ti, tj = tlist[i], tlist[j]
-            sij = steps_of(ti - tj)
-            si = steps_of(ti)
-            sj = steps_of(-tj)
-            total = float(
-                np.sum(gamma0_view * gamma_view(sij))
-                + np.sum(gamma_view(si) * gamma_view(sj))
-            )
-            if abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2):
-                tensors = _quartic_axis_sums(spec, ti, tj, axes_sum)
-                quartic = model._contract(coeff, tensors, copies=4)
-                total += excess * float(np.real(quartic))
-            vmat[i, j] = vmat[j, i] = total
+    quartic = abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2)
+    factors = []
+    for axis, dl, si, sj in zip(spec.eigenvalues, delta, steps[rows].T, steps[cols].T):
+        # copy c's view: eigenvalues along dimension c, then the lag pairs
+        lam = np.asarray(axis, dtype=complex)
+        m = [lam.reshape((1,) * c + (-1,) + (1,) * (4 - c)) for c in range(4)]
+        # both autocovariance products are one lattice sum, shifted by
+        # t_i - t_j and by -t_i - t_j
+        both = np.concatenate([si - sj, -si - sj])
+        shifts, where = np.unique(both, return_inverse=True)
+        blocks = [_gamma_pair_sums(m, dl, shifts)[..., where]]
+        if quartic:
+            blocks.append(_quartic_lattice_sums(m, dl, si, sj))
+        factors.append(np.concatenate(blocks, axis=-1))
+    # the quartic integral uses the bare kernel (no kappa2 factor)
+    sums = model._contract(model._coeff_tensor(spec), factors, copies=4, pointwise=True)
+    sums = sums.reshape(-1, rows.size)
+    total = spec.kappa2 ** 2 * (sums[0] + sums[1])
+    if quartic:
+        total = total + excess * sums[2]
+    vmat = np.empty((len(steps), len(steps)))
+    vmat[rows, cols] = vmat[cols, rows] = model._real(total, "estimator covariance")
     return vmat
 
 

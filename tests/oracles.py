@@ -3,9 +3,12 @@
 Everything here deliberately avoids the closed-form integration paths
 in the package: quadrature oracles are built on Gauss-Laguerre /
 adaptive 1-D rules over pointwise kernel values, convolution oracles
-are literal nested loops, and the explicit CARMA(2,1) coefficient
-tables are transcribed directly.
+are literal nested loops, the explicit CARMA(2,1) coefficient
+tables are transcribed directly, and the estimator covariance V is
+summed lattice offset by lattice offset over a truncated window.
 """
+
+import math
 
 import numpy as np
 from scipy import integrate
@@ -220,3 +223,92 @@ def random_carma21_real(rng):
         eigenvalues=((l11, l12), (l21, l22)),
         kappa2=kappa2,
     )
+
+
+# lattice sums of the brute-force V stop where the autocovariance
+# factors fall below this fraction of the variance
+LATTICE_CUTOFF_TOL = 1e-12
+
+
+def _quartic_axis_sums(spec, ti, tj, ell_values):
+    """Per-axis tensors sum_l f(mu_1..mu_4; 0, t_i, l, l + t_j)."""
+    tensors = []
+    for axis in range(spec.d):
+        lam = np.asarray(spec.eigenvalues[axis], dtype=complex)
+        p = lam.size
+        m1 = lam.reshape(p, 1, 1, 1)
+        m2 = lam.reshape(1, p, 1, 1)
+        m3 = lam.reshape(1, 1, p, 1)
+        m4 = lam.reshape(1, 1, 1, p)
+        a2 = float(ti[axis])
+        total = np.zeros((p, p, p, p), dtype=complex)
+        for ell in ell_values[axis]:
+            a3 = float(ell)
+            a4 = float(ell + tj[axis])
+            low = max(0.0, -a2, -a3, -a4)
+            s = m1 + m2 + m3 + m4
+            total += np.exp(m2 * a2 + m3 * a3 + m4 * a4 + s * low) / (-s)
+        tensors.append(total)
+    return tensors
+
+
+def covariance_v_direct(spec, tlist, basis, lattice_delta):
+    """Brute-force V of the autocovariance estimator on a truncated lattice.
+
+    The two autocovariance products are summed from a gamma grid wide
+    enough for every shift, the quartic term offset by offset; both
+    stop at the radius where the autocovariance factors drop below
+    ``LATTICE_CUTOFF_TOL`` relative to the field variance.
+    """
+    tlist = np.atleast_2d(np.asarray(tlist, dtype=float))
+    k = tlist.shape[0] - 1
+    d = spec.d
+    delta = (lattice_delta,) * d if np.isscalar(lattice_delta) else tuple(lattice_delta)
+    decay = abs(spec.max_real_part())
+    max_lag = float(np.max(np.abs(tlist))) if tlist.size else 0.0
+    radius = max_lag + math.log(1.0 / LATTICE_CUTOFF_TOL) / decay
+    steps = [int(math.ceil(radius / dl)) for dl in delta]
+    axes_sum = [dl * np.arange(-s, s + 1) for dl, s in zip(delta, steps)]
+    # gamma on a grid wide enough for every shifted factor: a shift
+    # t_i - t_j reaches twice the largest |t| when the signs differ
+    max_shift = [
+        2 * int(round(np.max(np.abs(tlist[:, i])) / delta[i])) for i in range(d)
+    ]
+    axes_big = [
+        dl * np.arange(-(s + ms), s + ms + 1)
+        for dl, s, ms in zip(delta, steps, max_shift)
+    ]
+    gamma_big = model.autocovariance_grid(spec, axes_big)
+
+    def gamma_view(shift_steps):
+        slices = tuple(
+            slice(s + ms + sh - s, s + ms + sh + s + 1)
+            for s, ms, sh in zip(steps, max_shift, shift_steps)
+        )
+        return gamma_big[slices]
+
+    def steps_of(vec):
+        return [int(round(vec[i] / delta[i])) for i in range(d)]
+
+    excess = basis.kappa4 - 3.0 * basis.kappa2 ** 2
+    if abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2):
+        # the quartic integral uses the bare kernel (no kappa2 factor)
+        coeff = model._coeff_tensor(spec)
+    vmat = np.empty((k + 1, k + 1))
+    gamma0_view = gamma_view([0] * d)
+    for i in range(k + 1):
+        for j in range(i, k + 1):
+            ti, tj = tlist[i], tlist[j]
+            sij = steps_of(ti - tj)
+            si = steps_of(ti)
+            sj = steps_of(-tj)
+            total = float(
+                np.sum(gamma0_view * gamma_view(sij))
+                + np.sum(gamma_view(si) * gamma_view(sj))
+            )
+            if abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2):
+                tensors = _quartic_axis_sums(spec, ti, tj, axes_sum)
+                quartic = model._contract(coeff, tensors, copies=4)
+                total += excess * float(np.real(quartic))
+            vmat[i, j] = vmat[j, i] = total
+    return vmat

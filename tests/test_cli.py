@@ -349,6 +349,12 @@ class TestCliCommands:
             env.setenv("CARMA_FIELD_THREADS", "two")
             assert run_cli(["study", "--output-dir", tmp_path / "s",
                             "--replications", 1] + self.MODEL_FLAGS) == 1
+        # non-numeric list entries -> validation
+        assert run_cli(["simulate", "--output-dir", tmp_path / "sim",
+                        "--b", "1.0,abc", "--eigenvalues", "-1.0;-1.5",
+                        "--n", 8, "--delta", 0.1, "--m", 8]) == 1
+        assert run_cli(["study", "--output-dir", tmp_path / "s", "--replications", 1,
+                        "--cases", "1,x"] + self.MODEL_FLAGS) == 1
         # numeric failure -> 2: recovery from ordinates of a model whose
         # axis weight vanishes (singular Hankel system)
         l11, l12 = -1.0, -2.0

@@ -362,6 +362,79 @@ class TestEstimatorCovariance:
             )
             assert v_vg[i, j] - v_g[i, j] == pytest.approx(excess * quartic, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "basis", [simulate.GaussianBasis(), simulate.VarianceGammaBasis()],
+        ids=["gaussian", "variance-gamma"],
+    )
+    @pytest.mark.parametrize(
+        "spec, delta",
+        [
+            (model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS), 0.04),
+            (
+                model.CarmaSpec(
+                    b=(1.2, 0.7), eigenvalues=((-0.9 + 2.1j, -0.9 - 2.1j), (-1.1, -2.3))
+                ),
+                0.1,
+            ),
+        ],
+        ids=["ref-carma21", "complex-carma21"],
+    )
+    def test_v_matrix_matches_direct_lattice_sum(self, spec, delta, basis):
+        lags = estimate.axis_lag_set(2, delta, 3)
+        # two off-axis lags, one with a negative step
+        tlist = np.vstack([np.zeros((1, 2)), lags, delta * np.array([[1, 2], [2, -1]])])
+        vmat = estimate.covariance_v_matrix(spec, tlist, basis, delta)
+        direct = oracles.covariance_v_direct(spec, tlist, basis, delta)
+        np.testing.assert_allclose(vmat, direct, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "basis", [simulate.GaussianBasis(sigma2=0.598),
+                  simulate.VarianceGammaBasis(variance=0.598)],
+        ids=["gaussian", "variance-gamma"],
+    )
+    def test_v_matrix_close_eigenvalues_mixed_b(self, basis):
+        # close eigenvalues and b of mixed signs: the four-copy contraction
+        # cancels more than gamma does, so the small entries (1.8e-4 against
+        # 0.28) sit about 3e-9 from the brute force; this bounds that loss
+        spec = model.CarmaSpec(
+            b=(0.6786, -1.2827), eigenvalues=((-1.8535, -2.1536),), kappa2=0.598
+        )
+        tlist = np.array([[0.0], [0.6], [0.9], [-1.2]])
+        vmat = estimate.covariance_v_matrix(spec, tlist, basis, 0.3)
+        direct = oracles.covariance_v_direct(spec, tlist, basis, 0.3)
+        np.testing.assert_allclose(vmat, direct, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "tlist, delta",
+        [
+            ([[0.0, 0.0], [0.5, 0.0]], -0.5),
+            ([[0.0, 0.0], [0.5, 0.0]], 0.0),
+            ([[0.0, 0.0], [0.5, 0.0]], (0.5,)),
+            ([[0.0], [0.5]], 0.5),
+            ([[0.0, 0.0], [0.74, 0.0]], 0.5),
+        ],
+        ids=["negative-spacing", "zero-spacing", "spacing-per-axis",
+             "lag-columns", "off-lattice-lag"],
+    )
+    def test_v_matrix_rejects_bad_input(self, tlist, delta):
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        with pytest.raises(ValidationError):
+            estimate.covariance_v_matrix(
+                spec, np.asarray(tlist), simulate.VarianceGammaBasis(), delta
+            )
+
+    def test_sigma_at_the_100_lag_menu(self):
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        lags = estimate.axis_lag_set(2, 0.04, 50)
+        weights = np.tile(estimate.weights_quadratic(50), 2)
+        sigma = estimate.asymptotic_covariance(
+            spec, lags, weights, simulate.VarianceGammaBasis(), 0.04
+        )
+        scale = np.max(np.abs(sigma))
+        assert np.all(np.isfinite(sigma))
+        np.testing.assert_allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * scale)
+        assert np.min(np.linalg.eigvalsh(sigma)) > -1e-10 * scale
+
     def test_sigma_shape_and_symmetry(self):
         # two lags: the weighted design needs K >= number of parameters
         # for its normal matrix to be invertible
