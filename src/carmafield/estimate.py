@@ -144,14 +144,14 @@ class EmpiricalVariogram:
             lags=lags,
             ordinates=np.asarray(ords),
             pair_counts=np.asarray(counts),
-            delta=(float(delta),) * d if np.isscalar(delta) else tuple(delta),
+            delta=model._per_axis(delta, d, "delta"),
             n=tuple(n) if n is not None else (0,) * d,
         )
 
 
 def axis_lag_set(d, delta, j_max):
     """Lags {j * delta * e_i : i = 1..d, j = 1..j_max}, axis-major order."""
-    delta = (delta,) * d if np.isscalar(delta) else tuple(delta)
+    delta = model._per_axis(delta, d, "delta")
     lags = []
     for i in range(d):
         for j in range(1, j_max + 1):
@@ -410,8 +410,9 @@ class _WlsProblem:
             idx = [r for r, _ in rows]
             taus = np.asarray([t for _, t in rows])
             out[idx] = model.axis_variogram(spec, axis, taus)
-        for r in self.general_rows:
-            out[r] = model.variogram(spec, self.emp.lags[r])
+        rows = self.general_rows
+        if rows:
+            out[rows] = model.variogram(spec, self.emp.lags[rows])
         return out
 
     def objective(self, theta):
@@ -595,8 +596,7 @@ def _variogram_jacobian(codec, theta0, lags):
     jac = np.empty((k, theta0.size))
 
     def ordinates(theta):
-        spec = codec.to_spec(theta)
-        return np.asarray([model.variogram(spec, lag) for lag in lags])
+        return model.variogram(codec.to_spec(theta), lags)
 
     for i in range(theta0.size):
         h = JACOBIAN_REL_STEP * max(abs(theta0[i]), 1.0)
@@ -667,10 +667,7 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     d = spec.d
     if abs(basis.kappa2 - spec.kappa2) > 1e-9 * max(1.0, spec.kappa2):
         raise ValidationError("the basis variance must equal the spec's kappa2")
-    delta = (lattice_delta,) * d if np.isscalar(lattice_delta) else lattice_delta
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (d,) or not np.all(np.isfinite(delta) & (delta > 0)):
-        raise ValidationError(f"need d = {d} positive spacings, got {lattice_delta!r}")
+    delta = np.asarray(model._per_axis(lattice_delta, d, "lattice_delta"))
     tlist = np.atleast_2d(np.asarray(tlist, dtype=float))
     if tlist.ndim != 2 or tlist.shape[1] != d:
         raise ValidationError(f"lags need d = {d} columns, got shape {tlist.shape}")

@@ -18,6 +18,7 @@ module is safe for concurrent use without locking.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from functools import lru_cache
@@ -109,6 +110,21 @@ def _real(values, what):
             f"{what} has imaginary residue {resid:.3e} above {IMAG_TOL:.0e}"
         )
     return values.real if values.ndim else float(values.real)
+
+
+def _per_axis(value, d, name):
+    """``value`` as d floats, one per axis; a scalar applies to every axis.
+
+    The one check for per-axis spacings and sizes: there must be d
+    entries, each finite and positive.
+    """
+    values = (value,) * d if np.ndim(value) == 0 else tuple(value)
+    values = tuple(float(v) for v in values)
+    if len(values) != d or not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValidationError(
+            f"{name} needs {d} finite positive entries, got {value!r}"
+        )
+    return values
 
 
 def canonical_order(eigs):
@@ -407,6 +423,26 @@ def _pair_sums(axis):
     return lam[:, None] + lam[None, :]
 
 
+def _lag_rows(spec, t):
+    """Lags as a (k, d) array, and whether ``t`` was a single lag."""
+    t = np.asarray(t, dtype=float)
+    single = t.ndim <= 1
+    rows = np.atleast_1d(t)[None, :] if single else t
+    if rows.ndim != 2 or rows.shape[1] != spec.d:
+        raise InvalidSpec(f"lags of shape {t.shape} need d = {spec.d} coordinates")
+    return rows, single
+
+
+def _gamma_factors(axis, pts):
+    """Per-axis factor I(lam, lam', tau) of gamma, shape (p, p, len(pts))."""
+    pts = np.asarray(pts, dtype=float)
+    lam = np.asarray(axis, dtype=complex)
+    denom = -_pair_sums(axis)
+    pos = np.exp(lam[None, :, None] * np.where(pts >= 0, pts, 0.0)[None, None, :])
+    neg = np.exp(-lam[:, None, None] * np.where(pts < 0, pts, 0.0)[None, None, :])
+    return np.where(pts[None, None, :] >= 0, pos, neg) / denom[:, :, None]
+
+
 def autocovariance(spec, t):
     """Autocovariance gamma(t) of the field, lags of any sign.
 
@@ -417,34 +453,31 @@ def autocovariance(spec, t):
                             exp(-lam tau) / (-(lam + lam'))   tau < 0,
 
     and gamma(t) = kappa2 * sum over eigenvalue-tuple pairs of the
-    coefficient products times the per-axis factors.
+    coefficient products times the per-axis factors.  ``t`` is one lag
+    (a float comes back) or a (k, d) array of lags (k values come back).
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.size != spec.d:
-        raise InvalidSpec(f"lag has {t.size} coordinates, spec has d = {spec.d}")
-    return autocovariance_grid(spec, t[:, None]).item()
+    rows, single = _lag_rows(spec, t)
+    mats = [_gamma_factors(axis, col) for axis, col in zip(spec.eigenvalues, rows.T)]
+    vals = spec.kappa2 * _contract(_coeff_tensor(spec), mats, copies=2, pointwise=True)
+    vals = _real(vals, "autocovariance")
+    return float(vals[0]) if single else vals
 
 
 def autocovariance_grid(spec, axes_points):
     """gamma on a tensor-product grid of lags (vectorized over the grid)."""
     if len(axes_points) != spec.d:
         raise InvalidSpec("one lag array per axis required")
-    mats = []
-    for axis, pts in zip(spec.eigenvalues, axes_points):
-        pts = np.asarray(pts, dtype=float)
-        lam = np.asarray(axis, dtype=complex)
-        denom = -_pair_sums(axis)
-        pos = np.exp(lam[None, :, None] * np.where(pts >= 0, pts, 0.0)[None, None, :])
-        neg = np.exp(-lam[:, None, None] * np.where(pts < 0, pts, 0.0)[None, None, :])
-        mats.append(np.where(pts[None, None, :] >= 0, pos, neg) / denom[:, :, None])
+    mats = [_gamma_factors(a, pts) for a, pts in zip(spec.eigenvalues, axes_points)]
     vals = spec.kappa2 * _contract(_coeff_tensor(spec), mats, copies=2)
     return _real(vals, "autocovariance")
 
 
 def variogram(spec, t):
-    """Variogram psi(t) = 2 (gamma(0) - gamma(t))."""
-    zero = np.zeros(spec.d)
-    return 2.0 * (autocovariance(spec, zero) - autocovariance(spec, t))
+    """Variogram psi(t) = 2 (gamma(0) - gamma(t)), one lag or (k, d) lags."""
+    rows, single = _lag_rows(spec, t)
+    gam = autocovariance(spec, np.vstack([np.zeros((1, spec.d)), rows]))
+    vals = 2.0 * (gam[0] - gam[1:])
+    return float(vals[0]) if single else vals
 
 
 def axis_variogram_coefficients(spec, axis):

@@ -1,12 +1,16 @@
 """Lattice simulation of CARMA random fields and the associated errors.
 
 Two schemes are provided.  For compound Poisson noise the field is a
-finite sum over jumps of the driving basis inside a truncation box
-[-M, M]^d, which can be sampled exactly.  For general noise the moving
-average integral is truncated and discretized, turning the field into a
-finite-order moving average of i.i.d. cell increments, evaluated as a
-d-dimensional FFT convolution of the kernel array with the noise array.
-Both approximation errors have closed forms which are exposed here.
+finite sum over the jumps of the driving basis inside a truncation box
+[-M, M]^d.  On a lattice that sum is exact inside the box: the kernel's
+eigen-components are separable, so each jump is deposited into one
+lattice cell and a first-order exponential recursion along each axis
+carries it to every point.  The only error left is the box truncation,
+``mse_truncation_cp``.  For general noise the moving average integral
+is truncated and discretized, turning the field into a finite-order
+moving average of i.i.d. cell increments, evaluated as a d-dimensional
+FFT convolution of the kernel array with the noise array, with error
+``mse_discretization``.  Both errors have closed forms.
 
 Randomness comes from numpy's counter-based Philox generator; every
 public sampler takes a ``seed`` plus a ``stream`` index and derives a
@@ -47,11 +51,8 @@ __all__ = [
     "mse_discretization",
 ]
 
-# Kernel values below this relative size are treated as zero when
-# bucketing compound-Poisson jumps by decay radius.
-JUMP_CUTOFF = 1e-14
-# cells of the truncated-discretized kernel array; the noise array may
-# hold four times as many
+# cells of the truncated-discretized kernel array (the noise array may
+# hold four times as many) and expected compound-Poisson jumps
 MAX_KERNEL_CELLS = 1 << 26
 
 
@@ -235,14 +236,7 @@ class LatticeField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        delta = self.delta
-        if np.isscalar(delta):
-            delta = (float(delta),) * self.values.ndim
-        self.delta = tuple(float(v) for v in delta)
-        if len(self.delta) != self.values.ndim:
-            raise ValidationError("one spacing per axis required")
-        if any(v <= 0 for v in self.delta):
-            raise ValidationError("spacings must be positive")
+        self.delta = model._per_axis(self.delta, self.values.ndim, "delta")
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteValue("field contains non-finite values")
 
@@ -255,18 +249,21 @@ class LatticeField:
         return self.values.shape
 
 
-def _per_axis(value, d, name):
-    if np.isscalar(value):
-        return (value,) * d
-    value = tuple(value)
-    if len(value) != d:
-        raise ValidationError(f"{name} needs one entry per axis")
-    return value
-
-
 # -- Algorithm for compound Poisson noise --------------------------------------
 
 def _draw_jumps(basis, m_radius, d, rng):
+    if not (math.isfinite(m_radius) and m_radius > 0):
+        raise ValidationError(
+            f"truncation radius must be finite and positive, got {m_radius}"
+        )
+    # the expected jump count intensity * (2M)^d, compared in logarithms
+    # so that a huge radius cannot overflow
+    log_jumps = math.log(basis.intensity) + d * math.log(2.0 * m_radius)
+    if log_jumps > math.log(MAX_KERNEL_CELLS):
+        raise KernelArrayOverflow(
+            f"expected jump count in [-{m_radius}, {m_radius}]^{d} exceeds "
+            f"the budget of {MAX_KERNEL_CELLS}"
+        )
     volume = (2.0 * m_radius) ** d
     n_jumps = int(rng.poisson(basis.intensity * volume))
     sites = rng.uniform(-m_radius, m_radius, size=(n_jumps, d))
@@ -274,17 +271,21 @@ def _draw_jumps(basis, m_radius, d, rng):
     return sites, heights
 
 
-def _decay_radius(spec):
-    return math.log(1.0 / JUMP_CUTOFF) / abs(spec.max_real_part())
-
-
 def simulate_compound_poisson(spec, basis, m_radius, n, delta, seed, stream=0):
     """Exact lattice realization under truncated compound Poisson noise.
 
     Draws a Poisson number of jumps uniformly on [-M, M]^d and sums
-    kernel translates.  Jumps farther from a lattice point than the
-    radius where the kernel has decayed below ``JUMP_CUTOFF`` are
-    skipped.
+    their kernel translates at every lattice point, with no cutoff: the
+    field is exact inside the box, and its only error is the box
+    truncation that ``mse_truncation_cp`` measures.
+
+    Each eigen-component C[K] prod_i exp(lam_{i,K_i} s_i) of the kernel
+    is separable, so the sum is a per-axis exponential recursion.  A
+    jump at s enters the first lattice cell c at or after it,
+    c_i = max(1, ceil(s_i / delta_i)), with the phase
+    prod_i exp(lam_{i,K_i} (c_i delta_i - s_i)); then along each axis
+    z[k] = exp(lam delta) z[k - 1] + deposit[k], and the field is the
+    real part of sum_K C[K] z_K.
 
     Parameters
     ----------
@@ -296,8 +297,8 @@ def simulate_compound_poisson(spec, basis, m_radius, n, delta, seed, stream=0):
     if not isinstance(basis, CompoundPoissonBasis):
         raise ValidationError("this scheme requires a compound Poisson basis")
     d = spec.d
-    n = tuple(int(v) for v in _per_axis(n, d, "n"))
-    delta = tuple(float(v) for v in _per_axis(delta, d, "delta"))
+    n = tuple(int(v) for v in model._per_axis(n, d, "n"))
+    delta = model._per_axis(delta, d, "delta")
     if any(ni * di > m_radius for ni, di in zip(n, delta)):
         raise GridOutsideTruncation(
             f"lattice extent {max(ni * di for ni, di in zip(n, delta))} "
@@ -305,25 +306,35 @@ def simulate_compound_poisson(spec, basis, m_radius, n, delta, seed, stream=0):
         )
     rng = substream(seed, stream)
     sites, heights = _draw_jumps(basis, m_radius, d, rng)
-    values = np.zeros(n)
-    r_cut = _decay_radius(spec)
-    for site, w in zip(sites, heights):
-        los, his, coords = [], [], []
-        empty = False
-        for i in range(d):
-            lo = max(1, math.ceil(site[i] / delta[i] - 1e-12))
-            hi = min(n[i], math.floor((site[i] + r_cut) / delta[i]))
-            if lo > hi:
-                empty = True
-                break
-            los.append(lo)
-            his.append(hi)
-            coords.append(delta[i] * np.arange(lo, hi + 1) - site[i])
-        if empty:
-            continue
-        block = model.kernel_on_grid(spec, coords)
-        slices = tuple(slice(lo - 1, hi) for lo, hi in zip(los, his))
-        values[slices] += w * block
+    cells = np.maximum(1.0, np.ceil(sites / np.asarray(delta)))
+    # a jump past the lattice end on some axis reaches no lattice point
+    reach = np.all(cells <= np.asarray(n), axis=1)
+    cells, sites, heights = cells[reach].astype(int), sites[reach], heights[reach]
+    flat = np.ravel_multi_index(tuple((cells - 1).T), n)
+    size = math.prod(n)
+    # phases[i][k, j]: eigenvalue k of axis i carried from jump j to its cell
+    phases = [
+        np.exp(np.outer(lam, cells[:, i] * di - sites[:, i]))
+        for i, (lam, di) in enumerate(zip(spec.eigenvalues, delta))
+    ]
+    # z[K]: the deposits of component K, then the recursion's sums
+    z = np.empty((spec.p,) * d + n, dtype=complex)
+    for idx in np.ndindex(*z.shape[:d]):
+        w = heights * np.prod([phases[i][k] for i, k in enumerate(idx)], axis=0)
+        dep = np.bincount(flat, w.real, size) + 1j * np.bincount(flat, w.imag, size)
+        z[idx] = dep.reshape(n)
+    # z[k] = r z[k - 1] + deposit[k] along each lattice axis, r = exp(lam
+    # delta) per component, by doubling: after the pass with shift s,
+    # z[k] holds the deposits k - 2s < j <= k, each times r^(k - j)
+    for i, (lam, di) in enumerate(zip(spec.eigenvalues, delta)):
+        zi = np.moveaxis(z, d + i, 0)
+        ratio = np.exp(np.asarray(lam) * di).reshape((-1,) + (1,) * (2 * d - i - 2))
+        shift = 1
+        while shift < n[i]:
+            zi[shift:] += ratio ** shift * zi[:-shift]
+            shift *= 2
+    values = np.tensordot(model._coeff_tensor(spec), z, axes=d)
+    values = np.ascontiguousarray(model._real(values, "compound-Poisson field"))
     prov = {
         "algorithm": "compound-poisson",
         "seed": int(seed),
@@ -338,7 +349,9 @@ def simulate_compound_poisson_at(spec, basis, m_radius, points, seed, stream=0):
     """Same scheme evaluated at an arbitrary finite set of points.
 
     ``points`` has shape (npoints, d); all points must lie inside the
-    truncation box.  Returns a 1-D array of field values.
+    truncation box.  Each value is the direct sum over every jump in the
+    orthant below the point, independent of the lattice recursion.
+    Returns a 1-D array of field values.
     """
     if not isinstance(basis, CompoundPoissonBasis):
         raise ValidationError("this scheme requires a compound Poisson basis")
@@ -350,13 +363,12 @@ def simulate_compound_poisson_at(spec, basis, m_radius, points, seed, stream=0):
     rng = substream(seed, stream)
     sites, heights = _draw_jumps(basis, m_radius, spec.d, rng)
     tensor = model._coeff_tensor(spec)
-    r_cut = _decay_radius(spec)
     out = np.zeros(points.shape[0])
     if sites.shape[0] == 0:
         return out
     for ipt, point in enumerate(points):
         diffs = point[None, :] - sites
-        mask = np.all(diffs >= 0, axis=1) & np.all(diffs <= r_cut, axis=1)
+        mask = np.all(diffs >= 0, axis=1)
         if not np.any(mask):
             continue
         dm = diffs[mask]
@@ -402,8 +414,8 @@ def simulate_truncated_discretized(
     m_steps = int(m_steps)
     if m_steps < 1:
         raise ValidationError("m_steps must be at least 1")
-    n = tuple(int(v) for v in _per_axis(n, d, "n"))
-    delta = tuple(float(v) for v in _per_axis(delta, d, "delta"))
+    n = tuple(int(v) for v in model._per_axis(n, d, "n"))
+    delta = model._per_axis(delta, d, "delta")
     if (m_steps + 1) ** d > MAX_KERNEL_CELLS:
         raise KernelArrayOverflow(
             f"kernel array of {(m_steps + 1) ** d} cells exceeds the budget "
@@ -455,7 +467,21 @@ def mse_truncation_cp(spec, m_radius):
     return max(model._real(full_mass - boxed_mass, "truncation error"), 0.0)
 
 
-def _mse_discretization_closed(spec, delta, m_steps):
+def mse_discretization(spec, delta, m_steps):
+    """Mean squared error of the truncated-discretized scheme.
+
+    Exact closed form of kappa2 * integral of (g - g_step)^2, for real
+    and complex eigenvalues alike: per axis, the integral of the squared
+    kernel, its cross term with the step function on the kernel box and
+    the step function's own mass are geometric sums.  Decreases to zero
+    as delta -> 0 with delta * m_steps -> infinity.
+    """
+    if not delta > 0:
+        raise ValidationError("delta must be positive")
+    m_steps = int(m_steps)
+    if m_steps < 1:
+        raise ValidationError("m_steps must be at least 1")
+    delta = float(delta)
     term_a, term_b, term_c = [], [], []
     for axis in spec.eigenvalues:
         lam = np.asarray(axis, dtype=complex)
@@ -472,88 +498,3 @@ def _mse_discretization_closed(spec, delta, m_steps):
         for mats in (term_a, term_b, term_c)
     )
     return max(model._real(a - 2.0 * b + c, "discretization error"), 0.0)
-
-
-def _gauss_panels(breaks, order):
-    """Gauss-Legendre nodes and weights on a sequence of panels."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _mse_discretization_quadrature(spec, delta, m_steps, order=12):
-    """kappa2 * integral of (g - g_step)^2 by per-cell Gauss-Legendre.
-
-    Inside the kernel box the integrand is smooth per cell; beyond the
-    box the step function vanishes and the integrand is g^2, integrated
-    on geometrically growing panels out to the decay horizon.
-    """
-    d = spec.d
-    box_edge = (m_steps + 1) * delta
-    kernel = model.kernel_on_grid(spec, [delta * np.arange(m_steps + 1)] * d)
-    per_axis_nodes, per_axis_weights, per_axis_cells = [], [], []
-    slowest = abs(spec.max_real_part())
-    horizon = box_edge + 0.5 * math.log(1e18) / slowest
-    for _ in range(d):
-        breaks = list(delta * np.arange(m_steps + 2))
-        step = max(delta, 0.25 / slowest)
-        edge = box_edge
-        while edge < horizon:
-            edge = min(edge + step, horizon)
-            breaks.append(edge)
-            step *= 1.6
-        nodes, weights = _gauss_panels(np.asarray(breaks), order)
-        per_axis_nodes.append(nodes)
-        per_axis_weights.append(weights)
-        idx = np.floor(nodes / delta).astype(int)
-        idx[nodes >= box_edge] = -1  # outside the kernel box
-        per_axis_cells.append(idx)
-    gvals = model.kernel_on_grid(spec, per_axis_nodes)
-    inside = np.ones(gvals.shape, dtype=bool)
-    cell_idx = []
-    for i in range(d):
-        shape = [1] * d
-        shape[i] = -1
-        inside &= (per_axis_cells[i] >= 0).reshape(shape)
-        cell_idx.append(np.clip(per_axis_cells[i], 0, m_steps))
-    gstep = kernel[np.ix_(*cell_idx)]
-    diff2 = (gvals - np.where(inside, gstep, 0.0)) ** 2
-    for i in range(d):
-        diff2 = np.tensordot(per_axis_weights[i], diff2, axes=([0], [0]))
-    return spec.kappa2 * float(diff2)
-
-
-def mse_discretization(spec, delta, m_steps, method="auto"):
-    """Mean squared error of the truncated-discretized scheme.
-
-    Exact closed form when every eigenvalue is real; otherwise (or on
-    request) high-order panel quadrature of kappa2 * integral of
-    (g - g_step)^2.  Decreases to zero as delta -> 0 with
-    delta * m_steps -> infinity.
-
-    Parameters
-    ----------
-    method : {"auto", "closed", "quadrature"}
-    """
-    if not delta > 0:
-        raise ValidationError("delta must be positive")
-    if int(m_steps) < 1:
-        raise ValidationError("m_steps must be at least 1")
-    all_real = all(
-        abs(e.imag) == 0.0 for axis in spec.eigenvalues for e in axis
-    )
-    if method == "auto":
-        method = "closed" if all_real else "quadrature"
-    if method == "closed":
-        if not all_real:
-            raise ValidationError(
-                "closed form covers real eigenvalues only; use quadrature"
-            )
-        return _mse_discretization_closed(spec, float(delta), int(m_steps))
-    if method == "quadrature":
-        return _mse_discretization_quadrature(spec, float(delta), int(m_steps))
-    raise ValidationError(f"unknown method {method!r}")

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the closed-form integration paths
 in the package: quadrature oracles are built on Gauss-Laguerre /
-adaptive 1-D rules over pointwise kernel values, convolution oracles
-are literal nested loops, the explicit CARMA(2,1) coefficient
-tables are transcribed directly, and the estimator covariance V is
-summed lattice offset by lattice offset over a truncated window.
+Gauss-Legendre / adaptive 1-D rules over pointwise kernel values,
+convolution oracles and the compound-Poisson field are literal loops,
+the explicit CARMA(2,1) coefficient tables are transcribed directly,
+and the estimator covariance V is summed lattice offset by lattice
+offset over a truncated window.
 """
 
 import math
@@ -100,6 +101,85 @@ def autocovariance_quadrature(spec, t, rtol=1e-8):
             return val
         prev = val
     return prev
+
+
+def _gauss_panels(breaks, order):
+    """Gauss-Legendre nodes and weights on a sequence of panels."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        half = 0.5 * (b - a)
+        nodes.append(0.5 * (a + b) + half * x)
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def mse_discretization_quadrature(spec, delta, m_steps, order=12):
+    """Quadrature oracle for ``simulate.mse_discretization``.
+
+    kappa2 * integral of (g - g_step)^2 by per-cell Gauss-Legendre.
+
+    Inside the kernel box the integrand is smooth per cell; beyond the
+    box the step function vanishes and the integrand is g^2, integrated
+    on geometrically growing panels out to the decay horizon.
+    """
+    d = spec.d
+    box_edge = (m_steps + 1) * delta
+    kernel = model.kernel_on_grid(spec, [delta * np.arange(m_steps + 1)] * d)
+    per_axis_nodes, per_axis_weights, per_axis_cells = [], [], []
+    slowest = abs(spec.max_real_part())
+    horizon = box_edge + 0.5 * math.log(1e18) / slowest
+    for _ in range(d):
+        breaks = list(delta * np.arange(m_steps + 2))
+        step = max(delta, 0.25 / slowest)
+        edge = box_edge
+        while edge < horizon:
+            edge = min(edge + step, horizon)
+            breaks.append(edge)
+            step *= 1.6
+        nodes, weights = _gauss_panels(np.asarray(breaks), order)
+        per_axis_nodes.append(nodes)
+        per_axis_weights.append(weights)
+        idx = np.floor(nodes / delta).astype(int)
+        idx[nodes >= box_edge] = -1  # outside the kernel box
+        per_axis_cells.append(idx)
+    gvals = model.kernel_on_grid(spec, per_axis_nodes)
+    inside = np.ones(gvals.shape, dtype=bool)
+    cell_idx = []
+    for i in range(d):
+        shape = [1] * d
+        shape[i] = -1
+        inside &= (per_axis_cells[i] >= 0).reshape(shape)
+        cell_idx.append(np.clip(per_axis_cells[i], 0, m_steps))
+    gstep = kernel[np.ix_(*cell_idx)]
+    diff2 = (gvals - np.where(inside, gstep, 0.0)) ** 2
+    for i in range(d):
+        diff2 = np.tensordot(per_axis_weights[i], diff2, axes=([0], [0]))
+    return spec.kappa2 * float(diff2)
+
+
+def cp_field_direct(spec, basis, m_radius, n, delta, seed, stream=0):
+    """Compound-Poisson lattice field summed jump by jump, with no cutoff.
+
+    Redraws the jumps of ``simulate.simulate_compound_poisson`` and adds
+    w * g(x - s) for every jump at every lattice point x, with g from
+    ``model.kernel_eval`` (Vandermonde matrix exponentials, not the
+    coefficient tensor the simulator uses).
+    """
+    from carmafield import simulate
+
+    n = (n,) * spec.d if np.ndim(n) == 0 else tuple(n)
+    delta = (delta,) * spec.d if np.ndim(delta) == 0 else tuple(delta)
+    sites, heights = simulate._draw_jumps(
+        basis, m_radius, spec.d, simulate.substream(seed, stream)
+    )
+    out = np.zeros(n)
+    for idx in np.ndindex(*n):
+        x = np.asarray([(k + 1) * dl for k, dl in zip(idx, delta)])
+        out[idx] = sum(
+            w * model.kernel_eval(spec, x - s) for s, w in zip(sites, heights)
+        )
+    return out
 
 
 def kernel_series_car1(lam, s, terms=60):

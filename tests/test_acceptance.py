@@ -149,8 +149,8 @@ def test_criterion_04_truncation_and_discretization_errors():
     ladder = [(0.4, 10), (0.2, 30), (0.1, 90), (0.05, 270)]
     values = [simulate.mse_discretization(spec2, d, m) for d, m in ladder]
     assert all(a > b for a, b in zip(values, values[1:]))
-    closed = simulate.mse_discretization(spec2, 0.25, 8, method="closed")
-    quad = simulate.mse_discretization(spec2, 0.25, 8, method="quadrature")
+    closed = simulate.mse_discretization(spec2, 0.25, 8)
+    quad = oracles.mse_discretization_quadrature(spec2, 0.25, 8)
     assert closed == pytest.approx(quad, rel=1e-8)
     report(4, "; ".join(lines) + f"; ladder {[f'{v:.3e}' for v in values]}; "
               f"closed/quadrature gap {abs(closed - quad) / closed:.2e}")

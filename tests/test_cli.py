@@ -355,6 +355,12 @@ class TestCliCommands:
                         "--n", 8, "--delta", 0.1, "--m", 8]) == 1
         assert run_cli(["study", "--output-dir", tmp_path / "s", "--replications", 1,
                         "--cases", "1,x"] + self.MODEL_FLAGS) == 1
+        # non-finite or oversized compound-Poisson truncation radius -> validation
+        for radius in ("nan", "inf", "1e300"):
+            assert run_cli(["simulate", "--output-dir", tmp_path / "cp",
+                            "--b", "1.0", "--eigenvalues", "-1.0;-1.5",
+                            "--algorithm", "cp", "--noise", "cp",
+                            "--n", 8, "--delta", 0.1, "--m", radius]) == 1
         # numeric failure -> 2: recovery from ordinates of a model whose
         # axis weight vanishes (singular Hankel system)
         l11, l12 = -1.0, -2.0

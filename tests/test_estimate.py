@@ -62,6 +62,15 @@ class TestEmpiricalVariogram:
         with pytest.raises(LagOutOfRange):
             estimate.empirical_variogram(field, [(4.0, 0.0)])
 
+    def test_spacing_needs_one_entry_per_axis(self, tmp_path):
+        with pytest.raises(ValidationError):
+            estimate.axis_lag_set(2, (0.5,), 2)
+        path = tmp_path / "vario.csv"
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        oracles.synthetic_variogram(spec, 0.2, 5).to_csv(path)
+        with pytest.raises(ValidationError):
+            estimate.EmpiricalVariogram.from_csv(path, delta=(0.2, 0.2, 0.2))
+
     def test_csv_round_trip(self, tmp_path, rng):
         field = simulate.LatticeField(delta=0.5, values=rng.normal(size=(8, 8)))
         emp = estimate.empirical_variogram(

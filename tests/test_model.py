@@ -181,6 +181,22 @@ class TestVariogram:
             limit = 2.0 * model.autocovariance(spec, zero)
             assert model.variogram(spec, far) == pytest.approx(limit, rel=1e-9)
 
+    def test_lag_array_matches_single_lags(self, rng):
+        for _ in range(8):
+            spec = oracles.random_spec(rng)
+            lags = rng.integers(-4, 5, size=(12, spec.d)) * 0.3
+            lags[3] = 0.0
+            batch = model.variogram(spec, lags)
+            single = [model.variogram(spec, lag) for lag in lags]
+            assert batch.shape == (12,) and batch[3] == 0.0
+            np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(
+                model.autocovariance(spec, lags),
+                [model.autocovariance(spec, lag) for lag in lags], rtol=1e-13, atol=0,
+            )
+        with pytest.raises(InvalidSpec):
+            model.variogram(spec, np.zeros((3, spec.d + 1)))
+
     def test_explicit_carma21_table(self, rng):
         for _ in range(6):
             spec = oracles.random_carma21_real(rng)

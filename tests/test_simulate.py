@@ -57,6 +57,35 @@ class TestIncrements:
         assert basis.kappa4 - 3.0 * basis.kappa2 ** 2 == 0.0
 
 
+# (spec, basis, m_radius, n, delta, seed): real CAR(1) and complex
+# CAR(2) on R^2, a CARMA(2,1) on R^1 and a CARMA(2,1) on R^3 with
+# per-axis sizes and spacings
+CP_CASES = [
+    pytest.param(
+        car1_2d(), simulate.CompoundPoissonBasis(2.0, simulate.NormalJumps()),
+        6.0, 6, 0.4, 11, id="car1-r2",
+    ),
+    pytest.param(
+        model.CarmaSpec(b=(1.0,), eigenvalues=((-0.9 + 2.1j, -0.9 - 2.1j), (-1.5, -0.6))),
+        simulate.CompoundPoissonBasis(1.5, simulate.RademacherJumps()),
+        4.0, 8, 0.3, 3, id="complex-car2-r2",
+    ),
+    pytest.param(
+        model.CarmaSpec(b=(1.0, -0.5), eigenvalues=((-0.8, -2.0),)),
+        simulate.CompoundPoissonBasis(3.0, simulate.UniformJumps()),
+        10.0, 40, 0.2, 5, id="carma21-r1",
+    ),
+    pytest.param(
+        model.CarmaSpec(
+            b=(0.8, 0.5),
+            eigenvalues=((-1.0, -2.0), (-1.2 + 0.8j, -1.2 - 0.8j), (-0.7, -1.6)),
+        ),
+        simulate.CompoundPoissonBasis(1.0, simulate.NormalJumps()),
+        3.0, (4, 5, 3), (0.5, 0.3, 0.7), 9, id="carma21-r3",
+    ),
+]
+
+
 class TestCompoundPoisson:
     def test_vanishing_intensity_gives_zero_field(self):
         spec = car1_2d()
@@ -85,16 +114,32 @@ class TestCompoundPoisson:
         with pytest.raises(GridOutsideTruncation):
             simulate.simulate_compound_poisson(spec, basis, 3.0, 10, 0.5, seed=0)
 
-    def test_lattice_matches_pointwise_evaluation(self):
+    @pytest.mark.parametrize("spec, basis, m_radius, n, delta, seed", CP_CASES)
+    def test_lattice_matches_direct_sum(self, spec, basis, m_radius, n, delta, seed):
+        field = simulate.simulate_compound_poisson(spec, basis, m_radius, n, delta, seed)
+        direct = oracles.cp_field_direct(spec, basis, m_radius, n, delta, seed)
+        assert np.any(direct != 0.0)
+        np.testing.assert_allclose(field.values, direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec, basis, m_radius, n, delta, seed", CP_CASES)
+    def test_lattice_matches_pointwise_evaluation(
+        self, spec, basis, m_radius, n, delta, seed
+    ):
+        field = simulate.simulate_compound_poisson(spec, basis, m_radius, n, delta, seed)
+        idx = np.argwhere(np.ones(field.n, dtype=bool))
+        pts = (idx + 1) * np.asarray(field.delta)
+        vals = simulate.simulate_compound_poisson_at(spec, basis, m_radius, pts, seed)
+        np.testing.assert_allclose(vals, field.values[tuple(idx.T)], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("m_radius", [np.nan, np.inf, -1.0, 0.0, 1e300])
+    def test_truncation_radius_checked_before_drawing(self, m_radius):
         spec = car1_2d()
-        basis = simulate.CompoundPoissonBasis(
-            intensity=2.0, jumps=simulate.NormalJumps()
-        )
-        field = simulate.simulate_compound_poisson(spec, basis, 6.0, 6, 0.4, seed=11)
-        pts = [(0.4 * k1, 0.4 * k2) for k1 in (1, 3, 6) for k2 in (2, 5)]
-        vals = simulate.simulate_compound_poisson_at(spec, basis, 6.0, pts, seed=11)
-        for (k1, k2), v in zip([(1, 2), (1, 5), (3, 2), (3, 5), (6, 2), (6, 5)], vals):
-            assert v == pytest.approx(field.values[k1 - 1, k2 - 1], abs=1e-10)
+        basis = simulate.CompoundPoissonBasis(intensity=1.0)
+        error = KernelArrayOverflow if m_radius == 1e300 else ValidationError
+        with pytest.raises(error):
+            simulate.simulate_compound_poisson(spec, basis, m_radius, 4, 0.1, seed=0)
+        with pytest.raises(error):
+            simulate.simulate_compound_poisson_at(spec, basis, m_radius, [(0.1, 0.1)], 0)
 
     def test_sample_variance_near_model_variance(self):
         spec = car1_2d()
@@ -206,18 +251,18 @@ class TestDiscretizationError:
         spec = model.CarmaSpec(
             b=(1.3, -0.6), eigenvalues=((-0.9, -2.1), (-1.4, -2.6))
         )
-        closed = simulate.mse_discretization(spec, 0.25, 8, method="closed")
-        quad = simulate.mse_discretization(spec, 0.25, 8, method="quadrature")
+        closed = simulate.mse_discretization(spec, 0.25, 8)
+        quad = oracles.mse_discretization_quadrature(spec, 0.25, 8)
         assert closed == pytest.approx(quad, rel=1e-8)
 
-    def test_quadrature_handles_complex_eigenvalues(self):
+    @pytest.mark.parametrize("delta, m", [(0.25, 8), (0.1, 40), (0.05, 200)])
+    def test_closed_vs_quadrature_complex_eigenvalues(self, delta, m):
         spec = model.CarmaSpec(
-            b=(1.0, 0.4), eigenvalues=((-1 + 1j, -1 - 1j), (-1.5, -0.6))
+            b=(1.3, -0.6), eigenvalues=((-0.9 + 2.1j, -0.9 - 2.1j), (-1.4, -2.6))
         )
-        val = simulate.mse_discretization(spec, 0.2, 10)
-        assert val > 0
-        with pytest.raises(ValidationError):
-            simulate.mse_discretization(spec, 0.2, 10, method="closed")
+        closed = simulate.mse_discretization(spec, delta, m)
+        quad = oracles.mse_discretization_quadrature(spec, delta, m)
+        assert closed == pytest.approx(quad, rel=1e-10)
 
     def test_m_limit_reaches_pure_discretization_floor(self):
         spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,),))
