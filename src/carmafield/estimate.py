@@ -4,10 +4,14 @@ The empirical variogram is the method-of-moments average of squared
 increments over all lattice pairs at each lag.  Parameters are fitted
 by minimizing the weighted squared gap between empirical and model
 ordinates over a compact box: a seeded differential-evolution global
-search followed by a derivative-free simplex polish.  The sampling
-covariance of the fitted parameters at the optimum is available from
-the delta-method sandwich built on the variogram estimator's own
-asymptotic covariance.
+search followed by a derivative-free simplex polish.  Both call one
+batched evaluator: differential evolution scores each generation in one
+call, with deferred updating, and the Nelder-Mead polish scores one
+vertex per call through the same code.  The sampling covariance of the
+fitted parameters at the optimum is available from the delta-method
+sandwich built on the variogram estimator's own asymptotic covariance;
+its finite-difference Jacobian evaluates its perturbed parameter
+vectors as one batch as well.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from scipy import optimize
 
 from . import model
 from .errors import (
-    InvalidSpec,
     LagOutOfRange,
     MixedLagSets,
     NonIdentifiableLagSet,
@@ -307,25 +310,37 @@ class ThetaCodec:
     def dim(self):
         return self.q + 1 + self.d * self.p
 
-    def to_spec(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.size != self.dim:
-            raise ValidationError(f"theta must have {self.dim} entries")
-        b = tuple(theta[: self.q + 1])
+    def expand(self, thetas):
+        """b and eigenvalues of S parameter rows.
+
+        ``thetas`` has shape (S, dim).  Returns b as an (S, p) array,
+        zero-padded past b_q, and the eigenvalues as a complex (S, d, p)
+        array; a complex block's imaginary part enters by its magnitude.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.dim:
+            raise ValidationError(f"theta must have {self.dim} entries per row")
+        b = np.zeros((thetas.shape[0], self.p))
+        b[:, : self.q + 1] = thetas[:, : self.q + 1]
+        lam = np.zeros((thetas.shape[0], self.d, self.p), dtype=complex)
         pos = self.q + 1
-        eigenvalues = []
-        for axis_blocks in self.blocks:
-            axis = []
+        for i, axis_blocks in enumerate(self.blocks):
+            k = 0
             for kind in axis_blocks:
                 if kind == "r":
-                    axis.append(complex(theta[pos]))
-                    pos += 1
+                    lam[:, i, k] = thetas[:, pos]
+                    pos, k = pos + 1, k + 1
                 else:
-                    re, im = theta[pos], abs(theta[pos + 1])
-                    axis.extend([complex(re, im), complex(re, -im)])
-                    pos += 2
-            eigenvalues.append(tuple(axis))
-        return model.CarmaSpec(b=b, eigenvalues=tuple(eigenvalues),
+                    im = np.abs(thetas[:, pos + 1])
+                    lam.real[:, i, k:k + 2] = thetas[:, pos, None]
+                    lam.imag[:, i, k], lam.imag[:, i, k + 1] = im, -im
+                    pos, k = pos + 2, k + 2
+        return b, lam
+
+    def to_spec(self, theta):
+        b, lam = self.expand(np.reshape(theta, (1, -1)))
+        eigenvalues = tuple(tuple(complex(v) for v in axis) for axis in lam[0])
+        return model.CarmaSpec(b=tuple(b[0, : self.q + 1]), eigenvalues=eigenvalues,
                                kappa2=self.kappa2)
 
     def from_spec(self, spec):
@@ -385,8 +400,61 @@ def parameter_lines(spec):
 
 # -- objective and fit --------------------------------------------------------------
 
+class _Ordinates:
+    """Model variogram ordinates at fixed lags, for S parameter rows at once.
+
+    Calling it with an (S, dim) array of theta returns the (S, k)
+    ordinates and a mask of the rows where the model is undefined, whose
+    ordinates are NaN: a row fails where ``codec.to_spec`` or the model
+    functions would raise (see ``model._spec_rows`` and ``model._real``).
+    ``axis_lags`` gives per lag an (axis, distance) pair or None: a
+    pair is evaluated by that axis's exponential sum at the distance,
+    None (every lag by default) through gamma.
+    """
+
+    def __init__(self, codec, lags, axis_lags=None):
+        self.codec = codec
+        self.k = lags.shape[0]
+        axis_lags = axis_lags or [None] * self.k
+        groups = {}
+        for row, cls in enumerate(axis_lags):
+            if cls is not None:
+                groups.setdefault(cls[0], []).append((row, cls[1]))
+        self.axis_groups = [
+            (axis, np.array([r for r, _ in rows]), np.array([t for _, t in rows]))
+            for axis, rows in groups.items()
+        ]
+        self.general = np.flatnonzero([c is None for c in axis_lags])
+        # gamma at the zero lag, then at the general lags
+        self.gamma_lags = np.vstack([np.zeros((1, lags.shape[1])), lags[self.general]])
+
+    def __call__(self, thetas):
+        b, lam = self.codec.expand(thetas)
+        kappa2 = self.codec.kappa2
+        tensor, lam, ok = model._spec_rows(b, lam, kappa2)
+        out = np.empty((b.shape[0], self.k))
+        if self.axis_groups:
+            dstar = model._axis_weights(tensor, lam)
+        for axis, rows, taus in self.axis_groups:
+            vals = model._axis_sums(dstar[axis], lam[:, axis], kappa2, taus)
+            out[:, rows], row_ok = model._real_rows(vals)
+            ok &= row_ok
+        if self.general.size:
+            vals = model._gammas(tensor, lam, kappa2, self.gamma_lags)
+            gam, row_ok = model._real_rows(vals)
+            out[:, self.general] = 2.0 * (gam[:, :1] - gam[:, 1:])
+            ok &= row_ok
+        out[~ok] = np.nan
+        return out, ~ok
+
+
 class _WlsProblem:
-    """Precomputed lag structure for fast repeated objective evaluation."""
+    """The WLS objective over a fixed empirical variogram, for S rows at once.
+
+    One ``ordinates`` call evaluates a whole DE generation, or one
+    Nelder-Mead vertex (S = 1), in a few batched contractions.
+    ``evaluations`` counts the rows evaluated so far.
+    """
 
     def __init__(self, emp, weights, codec):
         self.emp = emp
@@ -395,33 +463,25 @@ class _WlsProblem:
             raise ValidationError("weights length must equal the lag count")
         if np.any(self.weights <= 0):
             raise ValidationError("weights must be strictly positive")
-        self.codec = codec
-        classes = _axis_structure(emp)
-        self.axis_groups = {}
-        self.general_rows = [i for i, c in enumerate(classes) if c is None]
-        for i, cls in enumerate(classes):
-            if cls is not None:
-                axis, j = cls
-                self.axis_groups.setdefault(axis, []).append((i, j * emp.delta[axis]))
-
-    def model_ordinates(self, spec):
-        out = np.empty(self.emp.k)
-        for axis, rows in self.axis_groups.items():
-            idx = [r for r, _ in rows]
-            taus = np.asarray([t for _, t in rows])
-            out[idx] = model.axis_variogram(spec, axis, taus)
-        rows = self.general_rows
-        if rows:
-            out[rows] = model.variogram(spec, self.emp.lags[rows])
-        return out
+        axis_lags = [None if c is None else (c[0], c[1] * emp.delta[c[0]])
+                     for c in _axis_structure(emp)]
+        self.ordinates = _Ordinates(codec, emp.lags, axis_lags)
+        self.evaluations = 0
 
     def objective(self, theta):
-        try:
-            spec = self.codec.to_spec(theta)
-            resid = self.emp.ordinates - self.model_ordinates(spec)
-        except (ValidationError, NumericError, InvalidSpec):
-            return float("inf")
-        return float(np.sum(self.weights * resid * resid))
+        """WSS at one theta (a float) or at the columns of a (dim, S) array.
+
+        The (dim, S) layout is the one ``differential_evolution`` passes
+        with ``vectorized=True``.  Rows where the model is undefined
+        score +inf, so the search steers away.
+        """
+        theta = np.asarray(theta, dtype=float)
+        thetas = theta.T if theta.ndim == 2 else theta.reshape(1, -1)
+        ords, failed = self.ordinates(thetas)
+        self.evaluations += thetas.shape[0]
+        resid = self.emp.ordinates - ords
+        wss = np.where(failed, np.inf, np.sum(self.weights * resid * resid, axis=1))
+        return wss if theta.ndim == 2 else float(wss[0])
 
 
 def wls_objective(theta, emp, weights, p, q, kappa2=1.0, blocks=None):
@@ -440,7 +500,9 @@ class FitConfig:
     """Options for the two-stage WLS fit.
 
     The defaults reproduce the reference setup: quadratic lag weights,
-    population of 10 per parameter and 300 generations.  The parameter
+    population of 10 per parameter and 300 generations.  Each generation
+    is evaluated as one batch, with deferred updating: every trial of a
+    generation is built from the previous generation.  The parameter
     box and the remaining search settings are module constants
     (``B_MAX``, ``EIG_MIN``, ``IM_MAX``, ``DE_*``, ``POLISH_TOL``).
     """
@@ -524,8 +586,16 @@ def fit(emp, config):
 
     Differential evolution over the parameter box (seeded, hence
     deterministic) followed by a Nelder-Mead polish from the best
-    candidate.  Output eigenvalues are in canonical order (descending
-    real part, then descending imaginary part).
+    candidate.  Differential evolution evaluates each generation as one
+    batch with deferred updating; the polish calls the same batched
+    evaluator with one vertex at a time.  Output eigenvalues are in
+    canonical order (descending real part, then descending imaginary
+    part).
+
+    ``diagnostics`` holds ``de_generations``, ``de_evaluations`` and
+    ``polish_evaluations`` (parameter vectors scored by each stage),
+    ``polish_iterations``, ``converged`` (differential evolution's
+    flag), ``polish_converged`` and the lag-set status ``lag_set``.
 
     Raises
     ------
@@ -552,7 +622,10 @@ def fit(emp, config):
         seed=config.seed,
         init="latinhypercube",
         polish=False,
+        vectorized=True,
+        updating="deferred",
     )
+    de_evaluations = problem.evaluations
     polish = optimize.minimize(
         problem.objective,
         de.x,
@@ -579,8 +652,10 @@ def fit(emp, config):
         diagnostics={
             "converged": bool(de.success),
             "de_generations": int(de.nit),
-            "de_evaluations": int(de.nfev),
+            "de_evaluations": de_evaluations,
             "polish_iterations": int(polish.nit),
+            "polish_evaluations": problem.evaluations - de_evaluations,
+            "polish_converged": bool(polish.success),
             "lag_set": lag_status,
         },
     )
@@ -590,22 +665,25 @@ def fit(emp, config):
 # -- asymptotic covariance ------------------------------------------------------------
 
 def _variogram_jacobian(codec, theta0, lags):
-    """Central finite differences of the model ordinates in theta."""
+    """Central finite differences of the model ordinates in theta.
+
+    The 2 dim perturbed vectors are evaluated as one batch.
+
+    Raises
+    ------
+    NumericError
+        If a perturbed vector leaves the model's domain.
+    """
     theta0 = np.asarray(theta0, dtype=float)
-    k = lags.shape[0]
-    jac = np.empty((k, theta0.size))
-
-    def ordinates(theta):
-        return model.variogram(codec.to_spec(theta), lags)
-
-    for i in range(theta0.size):
-        h = JACOBIAN_REL_STEP * max(abs(theta0[i]), 1.0)
-        up = theta0.copy()
-        dn = theta0.copy()
-        up[i] += h
-        dn[i] -= h
-        jac[:, i] = (ordinates(up) - ordinates(dn)) / (2.0 * h)
-    return jac
+    h = JACOBIAN_REL_STEP * np.maximum(np.abs(theta0), 1.0)
+    steps = np.diag(h)
+    ords, failed = _Ordinates(codec, lags)(np.vstack([theta0 + steps, theta0 - steps]))
+    if failed.any():
+        raise NumericError(
+            f"the model is undefined at {int(failed.sum())} of the {2 * theta0.size} "
+            f"perturbed parameter vectors (relative step {JACOBIAN_REL_STEP:g})"
+        )
+    return ((ords[: theta0.size] - ords[theta0.size:]) / (2.0 * h)[:, None]).T
 
 
 def _gamma_pair_sums(m, dl, shifts):

@@ -92,24 +92,38 @@ def _check_distinct(eigs, gap):
                 )
 
 
+def _residue(values, axis=None):
+    """Imaginary residue of ``values`` and whether it is tolerable.
+
+    The residue is the largest imaginary magnitude; it is tolerable up
+    to ``IMAG_TOL`` times the largest real magnitude (at least 1).
+    ``axis`` selects the dimensions to reduce, None for all of them.
+    """
+    resid = np.abs(values.imag).max(axis=axis, initial=0.0)
+    scale = np.abs(values.real).max(axis=axis, initial=1.0)
+    return resid, ~(resid > IMAG_TOL * scale)
+
+
 def _real(values, what):
     """Real part of a closed-form result that must be real.
 
     Conjugate index tuples make every closed form real up to rounding;
-    an imaginary residue above ``IMAG_TOL`` times the largest real
-    magnitude (at least 1) means the eigen-expansion is unreliable.
-    Scalars come back as float, arrays as their real part.
+    an imaginary residue above tolerance (see ``_residue``) means the
+    eigen-expansion is unreliable.  Scalars come back as float, arrays
+    as their real part.
     """
     values = np.asarray(values)
-    resid = scale = 0.0
-    if values.size:
-        resid = float(np.max(np.abs(values.imag)))
-        scale = float(np.max(np.abs(values.real)))
-    if resid > IMAG_TOL * max(1.0, scale):
+    resid, ok = _residue(values)
+    if not ok:
         raise IllConditionedVandermonde(
             f"{what} has imaginary residue {resid:.3e} above {IMAG_TOL:.0e}"
         )
     return values.real if values.ndim else float(values.real)
+
+
+def _real_rows(values):
+    """``_real`` row by row: the real part, and which rows pass the guard."""
+    return values.real, _residue(values, axis=tuple(range(1, values.ndim)))[1]
 
 
 def _per_axis(value, d, name):
@@ -256,18 +270,39 @@ def companion_from_eigenvalues(eigs):
     return CompanionMatrix(coeffs=tuple(float(c) for c in coeffs.real[1:]))
 
 
+def _vandermonde(lam):
+    """Vandermonde factors of eigenvalue rows, batched over leading dimensions.
+
+    ``lam`` has shape (..., p).  Returns V with V[..., j, k] = lam[..., k]^j,
+    V^{-1} and the condition number of each V.  A V whose condition is
+    not finite or exceeds ``VANDERMONDE_COND_MAX`` gets the identity in
+    place of its inverse; for p = 1, V = 1 and no condition is computed.
+    """
+    p = lam.shape[-1]
+    if p == 1:
+        vmat = np.ones(lam.shape + (1,), dtype=complex)
+        return vmat, vmat, np.ones(lam.shape[:-1])
+    vmat = np.ones(lam.shape[:-1] + (p, p), dtype=complex)
+    vmat[..., 1:, :] = lam[..., None, :]
+    # running products, as np.vander forms the powers
+    np.multiply.accumulate(vmat[..., 1:, :], axis=-2, out=vmat[..., 1:, :])
+    sing = np.linalg.svd(vmat, compute_uv=False)
+    cond = sing[..., 0] / sing[..., -1]
+    bad = ~(cond <= VANDERMONDE_COND_MAX)
+    if bad.any():
+        return vmat, np.linalg.inv(np.where(bad[..., None, None], np.eye(p), vmat)), cond
+    return vmat, np.linalg.inv(vmat), cond
+
+
 @lru_cache(maxsize=256)
 def _axis_decomposition(eigs):
     """Vandermonde factorization (V, V^{-1}) for one axis's eigenvalues."""
-    lam = np.asarray(eigs, dtype=complex)
-    p = lam.size
-    vmat = np.vander(lam, N=p, increasing=True).T  # vmat[j, k] = lam_k^j
-    cond = np.linalg.cond(vmat)
-    if not np.isfinite(cond) or cond > VANDERMONDE_COND_MAX:
+    vmat, vinv, cond = _vandermonde(np.asarray(eigs, dtype=complex))
+    if not cond <= VANDERMONDE_COND_MAX:
         raise IllConditionedVandermonde(
             f"Vandermonde condition {cond:.3e} exceeds {VANDERMONDE_COND_MAX:.0e}"
         )
-    return vmat, np.linalg.inv(vmat)
+    return vmat, vinv
 
 
 @dataclass(frozen=True)
@@ -312,22 +347,66 @@ def _coeff_tensor(spec):
     outer product of a column of V_i and a row of V_i^{-1}, the d-fold
     product collapses to a chain of scalar couplings.
     """
-    decomps = [_axis_decomposition(a) for a in spec.eigenvalues]
-    d = spec.d
-    ep = np.zeros(spec.p, dtype=complex)
-    ep[-1] = 1.0
-    operands = [np.asarray(spec.b, dtype=complex) @ decomps[0][0], [0]]
+    vmat, vinv = (np.stack(m)[None] for m in zip(*map(_axis_decomposition, spec.eigenvalues)))
+    return _coeff_tensors(np.asarray(spec.b, dtype=complex)[None], vmat, vinv)[0]
+
+
+def _coeff_tensors(b, vmat, vinv):
+    """``_coeff_tensor`` of S rows at once, shape (S, p, ..., p).
+
+    ``b`` has shape (S, p); ``vmat`` and ``vinv`` hold the (S, d, p, p)
+    factors V and V^{-1} of ``_vandermonde``.
+    """
+    d = vmat.shape[1]
+    batch = d  # the einsum label of the rows, after the d axis labels
+    operands = [(b[:, None, :] @ vmat[:, 0])[:, 0], [batch, 0]]
     for i in range(1, d):
-        operands += [decomps[i - 1][1] @ decomps[i][0], [i - 1, i]]
-    operands += [decomps[-1][1] @ ep, [d - 1], list(range(d))]
+        operands += [vinv[:, i - 1] @ vmat[:, i], [batch, i - 1, i]]
+    # V^{-1} e_p is the last column of V^{-1}
+    operands += [vinv[:, -1, :, -1], [batch, d - 1], [batch, *range(d)]]
     return np.einsum(*operands)
 
 
 @lru_cache(maxsize=None)
-def _subscripts(copies, ndims, keep_axis, pointwise):
+def _pair_indices(p):
+    return np.triu_indices(p, 1)
+
+
+def _spec_rows(b, lam, kappa2):
+    """``CarmaSpec`` and ``_coeff_tensor`` for S parameter rows at once.
+
+    ``b`` has shape (S, p) and ``lam``, conjugate-closed per axis, shape
+    (S, d, p).  A row fails where ``CarmaSpec`` or ``_coeff_tensor``
+    would raise (b all zero, a real part >= 0, a gap below
+    ``MIN_EIGENVALUE_GAP``, a Vandermonde condition above
+    ``VANDERMONDE_COND_MAX``) or on a non-finite entry.  A row failing a
+    ``CarmaSpec`` check is computed on a stand-in valid row, and one
+    failing the condition on the identity as V^{-1} (see
+    ``_vandermonde``), so every later step stays finite.  Returns
+    the (S, p, ..., p) tensors, ``lam`` with the stand-ins and the mask
+    of rows that passed.
+    """
+    p = b.shape[1]
+    ok = (b != 0.0).any(axis=1) & np.isfinite(b).all(axis=1) & (kappa2 > 0)
+    ok &= (lam.real < 0.0).all(axis=(1, 2)) & np.isfinite(lam).all(axis=(1, 2))
+    if p > 1:
+        first, second = _pair_indices(p)
+        gaps = np.abs(lam[..., first] - lam[..., second])
+        ok &= (gaps >= MIN_EIGENVALUE_GAP).all(axis=(1, 2))
+    if not ok.all():
+        b = np.where(ok[:, None], b, 1.0)
+        lam = np.where(ok[:, None, None], lam, -np.arange(1.0, p + 1))
+    vmat, vinv, cond = _vandermonde(lam)
+    ok &= (cond <= VANDERMONDE_COND_MAX).all(axis=1)
+    return _coeff_tensors(b.astype(complex), vmat, vinv), lam, ok
+
+
+@lru_cache(maxsize=None)
+def _subscripts(copies, ndims, keep_axis, pointwise, batch):
     """einsum subscripts for ``_contract`` (see there for the layout).
 
     Copy c's index on axis i is label c * d + i; free labels follow.
+    The batch label, if any, is the last label.
     """
     d = len(ndims)
     subs = [_LABELS[c * d:(c + 1) * d] for c in range(copies)]
@@ -341,10 +420,13 @@ def _subscripts(copies, ndims, keep_axis, pointwise):
         if not pointwise:
             out += trailing
             free += len(trailing)
+    if batch:
+        subs, out = [_LABELS[-1] + s for s in subs], _LABELS[-1] + out
     return ",".join(subs) + "->" + out
 
 
-def _contract(tensor, factors, copies=1, keep_axis=None, pointwise=False):
+def _contract(tensor, factors, copies=1, keep_axis=None, pointwise=False,
+              batch=False):
     """Contract copies of a coefficient tensor C with one factor per axis.
 
     Returns sum over K^1, ..., K^copies of C[K^1] ... C[K^copies] times
@@ -354,9 +436,12 @@ def _contract(tensor, factors, copies=1, keep_axis=None, pointwise=False):
     order (a tensor-product grid) or, with ``pointwise``, one set
     shared by every axis (scattered points).  ``keep_axis`` also leaves
     the last copy's index on that axis free, ahead of the trailing
-    dimensions.
+    dimensions.  With ``batch``, the tensor and every factor carry one
+    more leading dimension, S rows contracted side by side, and the
+    result leads with it.
     """
-    subs = _subscripts(copies, tuple(f.ndim for f in factors), keep_axis, pointwise)
+    ndims = tuple(f.ndim - batch for f in factors)
+    subs = _subscripts(copies, ndims, keep_axis, pointwise, batch)
     return np.einsum(subs, *(tensor,) * copies, *factors)
 
 
@@ -418,9 +503,9 @@ def kernel_on_grid(spec, axes_points):
     return _real(_contract(_coeff_tensor(spec), factors), "kernel grid")
 
 
-def _pair_sums(axis):
-    lam = np.asarray(axis, dtype=complex)
-    return lam[:, None] + lam[None, :]
+def _pair_sums(lam):
+    """lam_k + lam_l over the last axis of ``lam``, shape (..., p, p)."""
+    return lam[..., :, None] + lam[..., None, :]
 
 
 def _lag_rows(spec, t):
@@ -433,14 +518,52 @@ def _lag_rows(spec, t):
     return rows, single
 
 
-def _gamma_factors(axis, pts):
-    """Per-axis factor I(lam, lam', tau) of gamma, shape (p, p, len(pts))."""
+def _gamma_factors(lam, pts):
+    """Per-axis factor I(lam, lam', tau) of gamma, shape (..., p, p, len(pts)).
+
+    ``lam`` holds one axis's eigenvalues along its last dimension,
+    after any leading batch dimensions.
+    """
     pts = np.asarray(pts, dtype=float)
-    lam = np.asarray(axis, dtype=complex)
-    denom = -_pair_sums(axis)
-    pos = np.exp(lam[None, :, None] * np.where(pts >= 0, pts, 0.0)[None, None, :])
-    neg = np.exp(-lam[:, None, None] * np.where(pts < 0, pts, 0.0)[None, None, :])
-    return np.where(pts[None, None, :] >= 0, pos, neg) / denom[:, :, None]
+    lam = np.asarray(lam, dtype=complex)
+    pos = np.exp(lam[..., None, :, None] * np.where(pts >= 0, pts, 0.0))
+    neg = np.exp(-lam[..., :, None, None] * np.where(pts < 0, pts, 0.0))
+    return np.where(pts >= 0, pos, neg) / -_pair_sums(lam)[..., None]
+
+
+def _rows_of(spec):
+    """A spec as a batch of one row: its coefficient tensor and eigenvalues."""
+    return _coeff_tensor(spec)[None], np.asarray(spec.eigenvalues, dtype=complex)[None]
+
+
+def _gammas(tensor, lam, kappa2, lags):
+    """Complex gamma of S rows at (k, d) lags, shape (S, k).
+
+    ``tensor`` holds the rows' coefficient tensors and ``lam`` their
+    (S, d, p) eigenvalues.
+    """
+    mats = [_gamma_factors(lam[:, i], col) for i, col in enumerate(lags.T)]
+    return kappa2 * _contract(tensor, mats, copies=2, pointwise=True, batch=True)
+
+
+def _axis_weights(tensor, lam):
+    """dstar of ``axis_variogram_coefficients`` for S rows, every axis.
+
+    Returns d arrays of shape (S, p).
+    """
+    mats = 1.0 / (-_pair_sums(lam))
+    factors = [mats[:, i] for i in range(lam.shape[1])]
+    return [_contract(tensor, factors, copies=2, keep_axis=i, batch=True)
+            for i in range(lam.shape[1])]
+
+
+def _axis_sums(dstar, lam, kappa2, taus):
+    """2 kappa2 sum_k dstar_k (1 - exp(lam_k |tau|)) for S rows, shape (S, len(taus)).
+
+    ``dstar`` and ``lam`` are one axis's (S, p) weights and eigenvalues.
+    """
+    growth = 1.0 - np.exp(np.abs(taus)[:, None] * lam[:, None, :])
+    return 2.0 * kappa2 * (growth @ dstar[:, :, None])[:, :, 0]
 
 
 def autocovariance(spec, t):
@@ -457,9 +580,7 @@ def autocovariance(spec, t):
     (a float comes back) or a (k, d) array of lags (k values come back).
     """
     rows, single = _lag_rows(spec, t)
-    mats = [_gamma_factors(axis, col) for axis, col in zip(spec.eigenvalues, rows.T)]
-    vals = spec.kappa2 * _contract(_coeff_tensor(spec), mats, copies=2, pointwise=True)
-    vals = _real(vals, "autocovariance")
+    vals = _real(_gammas(*_rows_of(spec), spec.kappa2, rows)[0], "autocovariance")
     return float(vals[0]) if single else vals
 
 
@@ -480,6 +601,11 @@ def variogram(spec, t):
     return float(vals[0]) if single else vals
 
 
+def _check_axis(spec, axis):
+    if not 0 <= axis < spec.d:
+        raise InvalidSpec(f"axis {axis} out of range for d = {spec.d}")
+
+
 def axis_variogram_coefficients(spec, axis):
     """Exponential-sum weights of the variogram on one principal axis.
 
@@ -498,21 +624,17 @@ def axis_variogram_coefficients(spec, axis):
     list of (eigenvalue, weight) pairs, both complex, aligned with the
     spec's eigenvalue order on that axis.
     """
-    if not 0 <= axis < spec.d:
-        raise InvalidSpec(f"axis {axis} out of range for d = {spec.d}")
-    mats = [1.0 / (-_pair_sums(a)) for a in spec.eigenvalues]
-    dstar = _contract(_coeff_tensor(spec), mats, copies=2, keep_axis=axis)
-    return list(zip(spec.eigenvalues[axis], dstar))
+    _check_axis(spec, axis)
+    return list(zip(spec.eigenvalues[axis], _axis_weights(*_rows_of(spec))[axis][0]))
 
 
 def axis_variogram(spec, axis, taus):
     """Variogram ordinates psi(tau e_axis) for an array of taus."""
-    pairs = axis_variogram_coefficients(spec, axis)
-    lam = np.asarray([p[0] for p in pairs], dtype=complex)
-    dstar = np.asarray([p[1] for p in pairs], dtype=complex)
-    taus = np.abs(np.atleast_1d(np.asarray(taus, dtype=float)))
-    vals = 2.0 * spec.kappa2 * ((1.0 - np.exp(np.outer(taus, lam))) @ dstar)
-    return _real(vals, "axis variogram")
+    _check_axis(spec, axis)
+    tensor, lam = _rows_of(spec)
+    dstar = _axis_weights(tensor, lam)[axis]
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    return _real(_axis_sums(dstar, lam[:, axis], spec.kappa2, taus)[0], "axis variogram")
 
 
 def _axis_poly_coeffs(spec):

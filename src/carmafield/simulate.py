@@ -159,8 +159,10 @@ class CompoundPoissonBasis:
     jumps: object = field(default_factory=RademacherJumps)
 
     def __post_init__(self):
-        if not self.intensity > 0:
-            raise ValidationError("intensity must be positive")
+        if not (math.isfinite(self.intensity) and self.intensity > 0):
+            raise ValidationError(
+                f"intensity must be finite and positive, got {self.intensity}"
+            )
         if abs(self.jumps.first_moment) > 1e-12:
             raise ValidationError("jump law must have mean zero")
 
@@ -174,6 +176,13 @@ class CompoundPoissonBasis:
 
     def sample_increments(self, cell_volume, shape, rng):
         lam = self.intensity * cell_volume
+        # the same jump budget as the lattice scheme; it also keeps the
+        # Poisson mean of a cell far below what numpy can draw
+        if lam * math.prod(shape) > MAX_KERNEL_CELLS:
+            raise KernelArrayOverflow(
+                f"expected jump count {lam * math.prod(shape):.3e} of the noise "
+                f"array exceeds the budget of {MAX_KERNEL_CELLS}"
+            )
         counts = rng.poisson(lam, size=shape)
         total = int(counts.sum())
         out = np.zeros(int(np.prod(shape)))

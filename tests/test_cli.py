@@ -361,6 +361,12 @@ class TestCliCommands:
                             "--b", "1.0", "--eigenvalues", "-1.0;-1.5",
                             "--algorithm", "cp", "--noise", "cp",
                             "--n", 8, "--delta", 0.1, "--m", radius]) == 1
+        # non-finite or oversized compound-Poisson intensity (TD scheme) -> validation
+        for intensity in ("1e30", "inf"):
+            assert run_cli(["simulate", "--output-dir", tmp_path / "cpi",
+                            "--b", "1.0", "--eigenvalues=-1.0,-1.5",
+                            "--noise", "cp", "--cp-intensity", intensity,
+                            "--n", 8, "--delta", 0.1, "--m", 8]) == 1
         # numeric failure -> 2: recovery from ordinates of a model whose
         # axis weight vanishes (singular Hankel system)
         l11, l12 = -1.0, -2.0

@@ -9,6 +9,7 @@ from carmafield.errors import (
     LagOutOfRange,
     MixedLagSets,
     NonIdentifiableLagSet,
+    NumericError,
     ValidationError,
 )
 
@@ -147,6 +148,114 @@ class TestObjective:
         )
 
 
+def _codec_for(spec):
+    """A codec whose blocks follow the spec's eigenvalue order."""
+    blocks = tuple(
+        tuple("r" if lam.imag == 0 else "c" for lam in axis if lam.imag >= 0)
+        for axis in spec.eigenvalues
+    )
+    return estimate.ThetaCodec(p=spec.p, q=spec.q, d=spec.d, kappa2=spec.kappa2,
+                               blocks=blocks)
+
+
+def _lag_menu(d, delta):
+    """Axis lags j = 1..4 on every axis, then general lags of mixed signs."""
+    steps = [[1] * d, [-2] + [1] * (d - 1), [0] * (d - 1) + [-3]]
+    return estimate.EmpiricalVariogram(
+        lags=np.vstack([estimate.axis_lag_set(d, delta, 4), delta * np.array(steps)]),
+        ordinates=np.zeros(4 * d + 3), pair_counts=np.ones(4 * d + 3),
+        delta=(delta,) * d, n=(50,) * d,
+    )
+
+
+def _per_theta(codec, theta, emp):
+    """The model ordinates of one theta, lag by lag, from the spec functions."""
+    spec = codec.to_spec(theta)
+    out = []
+    for lag in emp.lags:
+        nz = np.flatnonzero(lag)
+        if nz.size == 1 and lag[nz[0]] > 0:
+            out.append(model.axis_variogram(spec, int(nz[0]), lag[nz[0]])[0])
+        else:
+            out.append(model.variogram(spec, lag))
+    return np.asarray(out)
+
+
+class TestBatchedOrdinates:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_batch_matches_spec_functions(self, rng, d, p):
+        for _ in range(4):
+            spec = oracles.random_spec(rng, d=d, p=p)
+            codec = _codec_for(spec)
+            emp = _lag_menu(d, 0.3)
+            problem = estimate._WlsProblem(emp, np.ones(emp.k), codec)
+            # the spec, and three rows with b scaled and eigenvalues moved
+            theta0 = codec.from_spec(spec)
+            thetas = np.vstack([theta0] + [theta0 * rng.uniform(0.9, 1.1, theta0.size)
+                                          for _ in range(3)])
+            ords, failed = problem.ordinates(thetas)
+            assert not failed.any()
+            for theta, row in zip(thetas, ords):
+                np.testing.assert_allclose(row, _per_theta(codec, theta, emp),
+                                           rtol=1e-12, atol=0.0)
+
+    def test_failed_rows_match_spec_exceptions(self):
+        codec = estimate.ThetaCodec(p=3, q=1, d=2)
+        emp = _lag_menu(2, 0.2)
+        problem = estimate._WlsProblem(emp, np.ones(emp.k), codec)
+        valid = np.array([1.2, 0.4, -0.5, -1.1, -2.0, -0.7, -1.6, -2.4])
+        edge = valid.copy()
+        edge[2] = 0.0  # an eigenvalue of 0 on the box edge
+        close = valid.copy()
+        close[3] = close[2] - 0.5 * model.MIN_EIGENVALUE_GAP
+        zero_b = valid.copy()
+        zero_b[:2] = 0.0
+        # gaps of 2e-6 pass the gap check; the Vandermonde condition is 2.2e12
+        vander = valid.copy()
+        vander[2:5] = [-1.0, -1.0 - 2e-6, -1.0 - 4e-6]
+        thetas = np.vstack([valid, edge, close, zero_b, vander, valid])
+        ords, failed = problem.ordinates(thetas)
+        expected = []
+        for theta in thetas:
+            try:
+                _per_theta(codec, theta, emp)
+            except (ValidationError, NumericError):
+                expected.append(True)
+            else:
+                expected.append(False)
+        assert expected == [False, True, True, True, True, False]
+        np.testing.assert_array_equal(failed, expected)
+        assert np.all(np.isnan(ords[failed]))
+        wss = problem.objective(thetas.T)
+        np.testing.assert_array_equal(np.isinf(wss), expected)
+        assert problem.objective(vander) == np.inf
+        assert problem.objective(valid) == wss[0]
+
+    def test_jacobian_matches_per_theta_differences(self, rng):
+        for d, p in [(1, 1), (2, 2), (2, 3), (3, 2)]:
+            spec = oracles.random_spec(rng, d=d, p=p)
+            codec = _codec_for(spec)
+            lags = _lag_menu(d, 0.25).lags
+            theta0 = codec.from_spec(spec)
+            jac = estimate._variogram_jacobian(codec, theta0, lags)
+            for i in range(theta0.size):
+                h = estimate.JACOBIAN_REL_STEP * max(abs(theta0[i]), 1.0)
+                up, dn = theta0.copy(), theta0.copy()
+                up[i] += h
+                dn[i] -= h
+                want = (model.variogram(codec.to_spec(up), lags)
+                        - model.variogram(codec.to_spec(dn), lags)) / (2.0 * h)
+                np.testing.assert_allclose(jac[:, i], want, rtol=1e-12, atol=0.0)
+
+    def test_jacobian_outside_the_domain_raises(self):
+        # a step of 1e-5 moves the eigenvalue -1e-6 to a positive real part
+        codec = estimate.ThetaCodec(p=1, q=0, d=1)
+        with pytest.raises(NumericError):
+            estimate._variogram_jacobian(codec, np.array([1.0, -1e-6]),
+                                         np.array([[0.5], [1.0]]))
+
+
 class TestCodec:
     def test_real_round_trip(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
@@ -185,6 +294,27 @@ class TestFit:
         np.testing.assert_allclose(result.theta_star, truth, atol=1e-4)
         assert result.wss < 1e-12
         assert result.diagnostics["lag_set"] == "axis-verified"
+
+    def test_diagnostics_count_evaluated_rows(self):
+        spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,), (-1.4,)))
+        emp = oracles.synthetic_variogram(spec, 0.1, 10)
+        result = estimate.fit(emp, estimate.FitConfig(p=1, q=0, seed=2))
+        diag = result.diagnostics
+        # one population of 10 per parameter, drawn once and then once a generation
+        assert diag["de_evaluations"] == 10 * 3 * (diag["de_generations"] + 1)
+        assert diag["polish_evaluations"] > diag["polish_iterations"] > 0
+        assert diag["polish_converged"] is True
+
+    def test_seeded_carma21_fit_is_bit_identical(self):
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        emp = oracles.synthetic_variogram(spec, 0.04, 10)
+        # a deterministic perturbation, so the optimum is not the truth
+        emp.ordinates *= 1.0 + 0.02 * np.sin(np.arange(emp.k))
+        config = estimate.FitConfig(p=2, q=1, seed=9, generations=40)
+        first, second = estimate.fit(emp, config), estimate.fit(emp, config)
+        assert first.theta_star.tobytes() == second.theta_star.tobytes()
+        assert first.wss == second.wss
+        assert first.diagnostics == second.diagnostics
 
     def test_canonical_eigenvalue_order(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
