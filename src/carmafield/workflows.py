@@ -223,6 +223,10 @@ def _thin(field, factor):
     )
 
 
+def _describe(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _study_replication(args):
     """One replication: simulate fine, thin, estimate per case.
 
@@ -245,7 +249,7 @@ def _study_replication(args):
         lags = estimate.axis_lag_set(cfg.spec.d, coarse.delta, cfg.j_max)
         emp_full = estimate.empirical_variogram(coarse, lags)
     except CarmaFieldError as exc:
-        return rep, {c: None for c in cfg.cases}, [f"simulation: {exc}"]
+        return rep, {c: None for c in cfg.cases}, [f"simulation: {_describe(exc)}"]
     de_seed = int(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(rep, 977)).generate_state(1)[0]
     )
@@ -277,7 +281,7 @@ def _study_replication(args):
             thetas[case] = estimate.fit(emp, config).theta_star
         except CarmaFieldError as exc:
             thetas[case] = None
-            errors.append(f"case {case}: {exc}")
+            errors.append(f"case {case}: {_describe(exc)}")
     return rep, thetas, errors
 
 
@@ -286,7 +290,10 @@ def run_simulation_study(cfg, log=None):
 
     Replications are farmed out to a process pool (size capped by
     CARMA_FIELD_THREADS); every replication draws its own substream of
-    the master seed, so results do not depend on scheduling.
+    the master seed, so results do not depend on scheduling.  ``log``
+    (default: a line on stderr) is called once per replication, in
+    replication order, as soon as it and every earlier one have
+    finished; a failed replication's line names each error's class.
 
     Returns
     -------
@@ -302,15 +309,19 @@ def run_simulation_study(cfg, log=None):
     tasks = [(cfg, rep) for rep in range(cfg.replications)]
     workers = worker_count(len(tasks))
     results = {}
+
+    def logged(finished):
+        for item in finished:
+            rep, _, errors = item
+            status = "; ".join(errors) if errors else "done"
+            log(f"replication {rep + 1}/{len(tasks)}: {status}")
+            yield item
+
     if workers == 1:
-        collected = [_study_replication(t) for t in tasks]
+        collected = list(logged(map(_study_replication, tasks)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            collected = list(pool.map(_study_replication, tasks))
-    collected.sort(key=lambda item: item[0])
-    for rep, _, errors in collected:
-        for err in errors:
-            log(f"replication {rep}: {err}")
+            collected = list(logged(pool.map(_study_replication, tasks)))
     names = estimate.parameter_names(cfg.spec)
     for case in cfg.cases:
         thetas = [thetas_by_case[case] for _, thetas_by_case, _ in collected]

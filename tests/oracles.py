@@ -4,6 +4,8 @@ Everything here deliberately avoids the closed-form integration paths
 in the package: quadrature oracles are built on Gauss-Laguerre /
 Gauss-Legendre / adaptive 1-D rules over pointwise kernel values,
 convolution oracles and the compound-Poisson field are literal loops,
+the autocovariance has a state-space form (matrix exponentials and
+Lyapunov solves, no eigen-expansion),
 the explicit CARMA(2,1) coefficient tables are transcribed directly,
 and the estimator covariance V is summed lattice offset by lattice
 offset over a truncated window.
@@ -12,7 +14,7 @@ offset over a truncated window.
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
 
 from carmafield import model
 
@@ -180,6 +182,57 @@ def cp_field_direct(spec, basis, m_radius, n, delta, seed, stream=0):
             w * model.kernel_eval(spec, x - s) for s, w in zip(sites, heights)
         )
     return out
+
+
+def cp_points_direct(spec, basis, m_radius, points, seed, stream=0):
+    """Compound-Poisson field at arbitrary points, summed jump by jump.
+
+    The same draw as ``cp_field_direct``, w * g(x - s) with g from
+    ``model.kernel_eval``, at each row x of ``points``.
+    """
+    from carmafield import simulate
+
+    sites, heights = simulate._draw_jumps(
+        basis, m_radius, spec.d, simulate.substream(seed, stream)
+    )
+    return np.asarray([
+        sum(w * model.kernel_eval(spec, x - s) for s, w in zip(sites, heights))
+        for x in np.asarray(points, dtype=float)
+    ])
+
+
+def _companion(eigs):
+    """Companion matrix of prod (z - lam): last row -a_p, ..., -a_1."""
+    coeffs = np.real(np.poly(np.asarray(eigs, dtype=complex)))
+    p = coeffs.size - 1
+    mat = np.eye(p, k=1)
+    mat[-1] = -coeffs[:0:-1]
+    return mat
+
+
+def autocovariance_state_space(spec, t):
+    """gamma(t) from the state-space form of the kernel, no eigenvalues.
+
+    With g(s) = b' E_1(s_1) ... E_d(s_d) e_p, E_i(s) = expm(A_i s) for
+    the companion matrix A_i of axis i, integrating one axis at a time
+    gives gamma(t) = kappa2 b' op_1(... op_d(e_p e_p') ...) b, where
+    L_i(X) solves A_i Z + Z A_i' = -X and op_i(Y) = L_i(Y E_i(t_i)')
+    for t_i >= 0, E_i(|t_i|) L_i(Y) for t_i < 0 (Van Loan 1978).
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    p = spec.p
+    y = np.zeros((p, p))
+    y[-1, -1] = 1.0
+    for axis, ti in reversed(list(zip(spec.eigenvalues, t))):
+        a = _companion(axis)
+        e = linalg.expm(a * abs(ti))
+        if ti >= 0:
+            y = linalg.solve_continuous_lyapunov(a, -(y @ e.T))
+        else:
+            y = e @ linalg.solve_continuous_lyapunov(a, -y)
+    b = np.zeros(p)
+    b[: len(spec.b)] = spec.b
+    return spec.kappa2 * float(b @ y @ b)
 
 
 def kernel_series_car1(lam, s, terms=60):

@@ -9,6 +9,7 @@ from carmafield import cli, estimate, gridio, model, simulate, workflows
 from carmafield.errors import (
     LengthMismatch,
     MalformedHeader,
+    SingularDesign,
     ValidationError,
     ZeroVariance,
 )
@@ -447,6 +448,43 @@ class TestStudySmall:
         assert res1[1]["failed"] == 0
         names = [row[0] for row in res1[1]["table"]]
         assert names == ["b0", "lambda11", "lambda21"]
+
+    @staticmethod
+    def two_replications():
+        spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,), (-1.5,)))
+        return workflows.StudyConfig(
+            spec=spec, basis=simulate.GaussianBasis(), replications=2,
+            n=40, delta=0.1, fine_factor=1, m_steps=40, j_max=6,
+            cases=(1,), seed=31, generations=20, population_factor=6,
+        )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_log_line_per_replication(self, monkeypatch, threads):
+        monkeypatch.setenv("CARMA_FIELD_THREADS", threads)
+        cfg = self.two_replications()
+        lines = []
+        workflows.run_simulation_study(cfg, log=lines.append)
+        assert lines == ["replication 1/2: done", "replication 2/2: done"]
+
+    def test_failed_replication_logs_error_class(self, monkeypatch):
+        monkeypatch.setenv("CARMA_FIELD_THREADS", "1")
+        fit, calls = estimate.fit, []
+
+        def fail_first(emp, config):
+            calls.append(config.seed)
+            if len(calls) == 1:
+                raise SingularDesign("forced")
+            return fit(emp, config)
+
+        monkeypatch.setattr(estimate, "fit", fail_first)
+        cfg = self.two_replications()
+        lines = []
+        results = workflows.run_simulation_study(cfg, log=lines.append)
+        assert lines == [
+            "replication 1/2: case 1: SingularDesign: forced",
+            "replication 2/2: done",
+        ]
+        assert results[1]["failed"] == 1
 
     def test_zero_replications_rejected(self):
         spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,), (-1.5,)))

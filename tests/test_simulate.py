@@ -131,6 +131,48 @@ class TestCompoundPoisson:
         vals = simulate.simulate_compound_poisson_at(spec, basis, m_radius, pts, seed)
         np.testing.assert_allclose(vals, field.values[tuple(idx.T)], rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("spec, basis, m_radius, n, delta, seed", CP_CASES)
+    def test_points_match_direct_sum(self, spec, basis, m_radius, n, delta, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-m_radius, m_radius, size=(12, spec.d))
+        # box corners, and points with one coordinate on the box edge
+        edges = np.vstack([
+            np.full(spec.d, m_radius),
+            np.full(spec.d, -m_radius),
+            np.where(np.arange(spec.d) == 0, m_radius, pts[0]),
+            np.where(np.arange(spec.d) == spec.d - 1, -m_radius, pts[1]),
+        ])
+        pts = np.vstack([pts, edges])
+        vals = simulate.simulate_compound_poisson_at(spec, basis, m_radius, pts, seed)
+        direct = oracles.cp_points_direct(spec, basis, m_radius, pts, seed)
+        assert np.count_nonzero(direct) > pts.shape[0] // 2
+        np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tile_pairs", [simulate.TILE_PAIRS, 1])
+    def test_points_with_split_tiles(self, monkeypatch, tile_pairs):
+        # a decay rate of 60 over a spread of 24 would carry a tile's
+        # sums by exp(1440), so the tiles must be halved; with one pair
+        # per tile every point is a tile of its own
+        monkeypatch.setattr(simulate, "TILE_PAIRS", tile_pairs)
+        spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-60.0,), (-1.0,)))
+        basis = simulate.CompoundPoissonBasis(0.5, simulate.NormalJumps())
+        pts = np.random.default_rng(6).uniform(-12.0, 12.0, size=(40, 2))
+        vals = simulate.simulate_compound_poisson_at(spec, basis, 12.0, pts, 4)
+        direct = oracles.cp_points_direct(spec, basis, 12.0, pts, 4)
+        assert np.count_nonzero(np.abs(direct) > 1e-6) >= 20
+        np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("points", [
+        [(0.1, np.nan)],
+        [(0.1, np.inf)],
+        np.zeros((2, 1, 2)),
+        np.zeros((3, 3)),
+    ], ids=["nan", "inf", "3-d", "columns"])
+    def test_points_must_be_finite_rows(self, points):
+        basis = simulate.CompoundPoissonBasis(intensity=1.0)
+        with pytest.raises(ValidationError):
+            simulate.simulate_compound_poisson_at(car1_2d(), basis, 3.0, points, 0)
+
     @pytest.mark.parametrize("m_radius", [np.nan, np.inf, -1.0, 0.0, 1e300])
     def test_truncation_radius_checked_before_drawing(self, m_radius):
         spec = car1_2d()
