@@ -1,7 +1,12 @@
 """Variogram estimation and weighted-least-squares model fitting.
 
 The empirical variogram is the method-of-moments average of squared
-increments over all lattice pairs at each lag.  Parameters are fitted
+increments over all lattice pairs at each lag.  It is computed without
+forming the increments: each lag's sum of squares comes from corner
+lookups in one summed-area table of the squared field, less twice one
+cross product of the two overlapping views, which agrees with the
+direct sum to about 1e-13 relative (the expansion cancels where the
+increments are small against the field's spread).  Parameters are fitted
 by minimizing the weighted squared gap between empirical and model
 ordinates over a compact box: a seeded differential-evolution global
 search followed by a derivative-free simplex polish.  Both call one
@@ -16,7 +21,9 @@ vectors as one batch as well.
 
 from __future__ import annotations
 
+import itertools
 import math
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +98,8 @@ class EmpiricalVariogram:
         self.lags = np.atleast_2d(np.asarray(self.lags, dtype=float))
         self.ordinates = np.asarray(self.ordinates, dtype=float)
         self.pair_counts = np.asarray(self.pair_counts, dtype=np.int64)
+        if not (np.all(np.isfinite(self.lags)) and np.all(np.isfinite(self.ordinates))):
+            raise ValidationError("variogram lags and ordinates must be finite")
         if np.any(self.ordinates < 0):
             raise ValidationError("variogram ordinates must be non-negative")
         if np.any(self.pair_counts <= 0):
@@ -165,8 +174,10 @@ def axis_lag_set(d, delta, j_max):
 
 
 def _lag_steps(delta, lags):
-    """Integer step vectors for physical lags; validates divisibility."""
+    """Integer step vectors for physical lags; validates shape and divisibility."""
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
+    if lags.ndim != 2 or lags.shape[1] != len(delta):
+        raise ValidationError(f"lags need d = {len(delta)} columns, got shape {lags.shape}")
     steps = lags / np.asarray(delta)[None, :]
     rounded = np.rint(steps)
     if not np.all(np.abs(steps - rounded) <= LAG_INTEGER_TOL):
@@ -181,33 +192,66 @@ def empirical_variogram(field, lags):
     every lattice pair at that offset; the pair count is the product of
     (n_i - |t_i|/delta_i).
 
+    The sum of squared increments is computed as Q(dst) + Q(src)
+    - 2 sum_s Y(s+t) Y(s), where dst and src are the boxes of the later
+    and earlier pair ends and Q(box) is the sum of Y^2 over a box.
+    Every Q is 2^d corner lookups in one summed-area table of Y^2,
+    gathered for all lags at once; each cross term is one einsum over
+    the two overlapping views, so no field-sized temporary is made per
+    lag.  The field is first shifted by its own cell value nearest its
+    mean: the variogram is shift-invariant, the shift keeps the squares
+    near the field's spread, and a constant field becomes exactly zero.
+    The expansion cancels where increments are small against that
+    spread, so ordinates agree with the direct sum of squared
+    differences to about 1e-13 relative rather than to the last bit.
+    After rounding each ordinate is clamped at 0, and the zero lag is
+    exactly 0.
+
     Raises
     ------
     LagOutOfRange
         If some |t_i| reaches the lattice extent.
     """
     values = field.values
-    steps = _lag_steps(field.delta, lags)
+    shape = np.asarray(values.shape)
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
-    ordinates = np.empty(steps.shape[0])
-    counts = np.empty(steps.shape[0], dtype=np.int64)
-    for row, kvec in enumerate(steps):
-        if np.any(np.abs(kvec) >= values.shape):
-            raise LagOutOfRange(f"lag {lags[row]} exceeds the lattice extent")
-        src, dst = [], []
-        for k, size in zip(kvec, values.shape):
-            if k >= 0:
-                src.append(slice(0, size - k))
-                dst.append(slice(k, size))
-            else:
-                src.append(slice(-k, size))
-                dst.append(slice(0, size + k))
-        diff = values[tuple(dst)] - values[tuple(src)]
-        ordinates[row] = float(np.mean(diff * diff)) if diff.size else 0.0
-        counts[row] = int(np.prod([s - abs(k) for k, s in zip(kvec, values.shape)]))
+    steps = _lag_steps(field.delta, lags)
+    outside = np.any(np.abs(steps) >= shape, axis=1)
+    if np.any(outside):
+        raise LagOutOfRange(f"lag {lags[np.argmax(outside)]} exceeds the lattice extent")
+    # shift by the cell value nearest the mean, in one field-sized buffer
+    y = values - values.mean()
+    np.abs(y, out=y)
+    np.subtract(values, values.flat[np.argmin(y)], out=y)
+    # table[k] = sum of y^2 over the box [0, k_1) x ... x [0, k_d)
+    table = np.zeros(shape + 1)
+    np.square(y, out=table[(slice(1, None),) * y.ndim])
+    for axis in range(y.ndim):
+        np.cumsum(table, axis=axis, out=table)
+    # per lag, rows [0, k) are the dst boxes [lo, hi) and rows [k, 2k)
+    # the src boxes
+    ahead, behind = np.maximum(steps, 0), np.maximum(-steps, 0)
+    lo = np.concatenate([ahead, behind])
+    hi = np.concatenate([shape - behind, shape - ahead])
+    boxes = np.zeros(lo.shape[0])
+    for corner in itertools.product((False, True), repeat=y.ndim):
+        index = tuple(hi[:, i] if c else lo[:, i] for i, c in enumerate(corner))
+        boxes += (-1) ** (y.ndim - sum(corner)) * table[index]
+    k = steps.shape[0]
+    sums = boxes[:k] + boxes[k:]
+    moving = np.any(steps, axis=1)
+    axes = string.ascii_lowercase[:y.ndim]
+    subscripts = f"{axes},{axes}->"
+    starts, stops = lo.tolist(), hi.tolist()
+    for row in np.flatnonzero(moving).tolist():
+        dst = tuple(map(slice, starts[row], stops[row]))
+        src = tuple(map(slice, starts[k + row], stops[k + row]))
+        sums[row] -= 2.0 * np.einsum(subscripts, y[dst], y[src])
+    sums[~moving] = 0.0
+    counts = np.prod(shape - np.abs(steps), axis=1).astype(np.int64)
     return EmpiricalVariogram(
         lags=lags,
-        ordinates=ordinates,
+        ordinates=np.maximum(sums / counts, 0.0),
         pair_counts=counts,
         delta=field.delta,
         n=field.n,
@@ -747,8 +791,6 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
         raise ValidationError("the basis variance must equal the spec's kappa2")
     delta = np.asarray(model._per_axis(lattice_delta, d, "lattice_delta"))
     tlist = np.atleast_2d(np.asarray(tlist, dtype=float))
-    if tlist.ndim != 2 or tlist.shape[1] != d:
-        raise ValidationError(f"lags need d = {d} columns, got shape {tlist.shape}")
     steps = _lag_steps(delta, tlist)
     rows, cols = np.triu_indices(len(steps))
     excess = basis.kappa4 - 3.0 * basis.kappa2 ** 2

@@ -5,7 +5,8 @@ in the package: quadrature oracles are built on Gauss-Laguerre /
 Gauss-Legendre / adaptive 1-D rules over pointwise kernel values,
 convolution oracles and the compound-Poisson field are literal loops,
 the autocovariance has a state-space form (matrix exponentials and
-Lyapunov solves, no eigen-expansion),
+Lyapunov solves, no eigen-expansion), the empirical variogram is
+summed from squared differences lag by lag,
 the explicit CARMA(2,1) coefficient tables are transcribed directly,
 and the estimator covariance V is summed lattice offset by lattice
 offset over a truncated window.
@@ -314,6 +315,44 @@ def carma21_axis_reference(b0, b1, l11, l12, l21, l22, kappa2=1.0):
         + b1 ** 2 * l11 * l12 * (l11 * l12 - l22 ** 2)
     ) / (4 * l11 * l12 * l22 * (l11 + l12) * (l21 - l22) * (l21 + l22))
     return (d1_l11, d1_l12), (d2_l21, d2_l22)
+
+
+def empirical_variogram_direct(field, lags):
+    """Matheron variogram summed lag by lag from squared differences.
+
+    Each ordinate is the mean of (Y(s+t) - Y(s))^2 over the two
+    overlapping slices of the field, with no summed-area table and no
+    cross product; the check on ``estimate.empirical_variogram``.
+    """
+    from carmafield import estimate
+    from carmafield.errors import LagOutOfRange
+
+    values = field.values
+    steps = estimate._lag_steps(field.delta, lags)
+    lags = np.atleast_2d(np.asarray(lags, dtype=float))
+    ordinates = np.empty(steps.shape[0])
+    counts = np.empty(steps.shape[0], dtype=np.int64)
+    for row, kvec in enumerate(steps):
+        if np.any(np.abs(kvec) >= values.shape):
+            raise LagOutOfRange(f"lag {lags[row]} exceeds the lattice extent")
+        src, dst = [], []
+        for k, size in zip(kvec, values.shape):
+            if k >= 0:
+                src.append(slice(0, size - k))
+                dst.append(slice(k, size))
+            else:
+                src.append(slice(-k, size))
+                dst.append(slice(0, size + k))
+        diff = values[tuple(dst)] - values[tuple(src)]
+        ordinates[row] = float(np.mean(diff * diff)) if diff.size else 0.0
+        counts[row] = int(np.prod([s - abs(k) for k, s in zip(kvec, values.shape)]))
+    return estimate.EmpiricalVariogram(
+        lags=lags,
+        ordinates=ordinates,
+        pair_counts=counts,
+        delta=field.delta,
+        n=field.n,
+    )
 
 
 def synthetic_variogram(spec, delta, j_max, n=500):

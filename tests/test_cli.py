@@ -388,6 +388,24 @@ class TestCliCommands:
             ["recover", "--input", vario, "--output-dir", tmp_path / "r",
              "--p", 2, "--q", 1]
         ) == 2
+        # a non-finite variogram ordinate -> validation, not a fit of NaN
+        # or an SVD traceback
+        ref = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        for bad_value in ("nan", "inf"):
+            oracles.synthetic_variogram(ref, 0.2, 5).to_csv(vario)
+            lines = vario.read_text().splitlines()
+            cells = lines[3].split(",")
+            cells[-2] = bad_value
+            lines[3] = ",".join(cells)
+            vario.write_text("\n".join(lines) + "\n")
+            assert run_cli(
+                ["fit", "--from-variogram", vario, "--output-dir", tmp_path / "fn",
+                 "--models", "car1"]
+            ) == 1
+            assert run_cli(
+                ["recover", "--input", vario, "--output-dir", tmp_path / "rn",
+                 "--p", 2, "--q", 1]
+            ) == 1
         # malformed model-selection rows -> validation
         for k, row in enumerate(("car1,abc,3,100", "car1,0.5,3", "car1,0.5,3,0")):
             table = tmp_path / f"models{k}.csv"

@@ -58,10 +58,78 @@ class TestEmpiricalVariogram:
             assert emp.pair_counts[0] == len(acc)
             assert emp.pair_counts[0] == (7 - abs(kvec[0])) * (9 - abs(kvec[1]))
 
+    @pytest.mark.parametrize(
+        "case", ["d1", "d2-axis", "d2-mixed", "d3", "shifted-1e3", "smooth-td"]
+    )
+    def test_matches_direct_sum(self, case):
+        # the summed-area expansion against the slice-by-slice sum of
+        # squared differences, axis and mixed-sign lags, d = 1..3
+        rng = np.random.default_rng(sum(map(ord, case)))
+        delta = 0.25
+        if case == "d1":
+            values = rng.normal(size=40)
+            steps = [(1,), (7,), (-3,), (39,), (0,)]
+        elif case == "d2-axis":
+            values = rng.normal(size=(30, 40))
+            steps = [(j, 0) for j in range(1, 11)] + [(0, j) for j in range(1, 11)]
+        elif case == "d2-mixed":
+            values = rng.normal(size=(30, 40))
+            steps = [(2, -3), (-5, 7), (29, -39), (-1, -1), (4, 4), (0, 0)]
+        elif case == "d3":
+            values = rng.normal(size=(9, 11, 13))
+            steps = [(1, 0, 0), (0, 2, 0), (0, 0, 3), (2, -1, 4), (-3, 5, -2), (8, 10, 12)]
+        elif case == "shifted-1e3":
+            values = rng.normal(size=(30, 40)) + 1e3
+            steps = [(1, 0), (0, 3), (-4, 6), (12, 0)]
+        else:
+            # smooth field at a small spacing: increments small against
+            # the spread, where the expansion cancels most
+            spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0, -1.5), (-1.2, -2.0)))
+            delta = 0.01
+            values = simulate.simulate_truncated_discretized(
+                spec, simulate.GaussianBasis(sigma2=1.0),
+                m_steps=600, n=80, delta=delta, seed=3,
+            ).values
+            steps = [(j, 0) for j in range(1, 11)] + [(0, j) for j in range(1, 11)]
+        field = simulate.LatticeField(delta=delta, values=values)
+        lags = delta * np.asarray(steps, dtype=float)
+        got = estimate.empirical_variogram(field, lags)
+        want = oracles.empirical_variogram_direct(field, lags)
+        np.testing.assert_allclose(got.ordinates, want.ordinates, rtol=1e-10, atol=0.0)
+        np.testing.assert_array_equal(got.pair_counts, want.pair_counts)
+        np.testing.assert_array_equal(got.lags, want.lags)
+
+    def test_near_constant_field(self, rng):
+        # increments at the last bits of the values: the expansion may
+        # round below zero, the ordinates must not
+        values = 1e6 + 1e-9 * rng.normal(size=(20, 20))
+        field = simulate.LatticeField(delta=1.0, values=values)
+        lags = [(1.0, 0.0), (0.0, 1.0), (3.0, -2.0), (0.0, 0.0)]
+        emp = estimate.empirical_variogram(field, lags)
+        assert np.all(np.isfinite(emp.ordinates))
+        assert np.all(emp.ordinates >= 0.0)
+        assert emp.ordinates[-1] == 0.0
+        # rows constant along axis 1: every increment there is exactly
+        # zero, and the expansion rounds to either side of it (below
+        # zero at several lags for this draw)
+        profile = np.random.default_rng(7).normal(size=(50, 1))
+        stripes = np.repeat(1e3 * profile, 60, axis=1)
+        field = simulate.LatticeField(delta=1.0, values=stripes)
+        emp = estimate.empirical_variogram(field, [(0.0, float(j)) for j in range(1, 10)])
+        assert np.all(emp.ordinates >= 0.0)
+        assert np.all(emp.ordinates <= 1e-12 * np.var(stripes))
+
     def test_lag_out_of_range(self):
         field = simulate.LatticeField(delta=1.0, values=np.zeros((4, 4)))
         with pytest.raises(LagOutOfRange):
             estimate.empirical_variogram(field, [(4.0, 0.0)])
+
+    def test_lags_need_one_entry_per_axis(self):
+        # a one-column lag on a 2-D field was read as the diagonal lag
+        field = simulate.LatticeField(delta=0.5, values=np.arange(20.0).reshape(4, 5))
+        for lags in ([[0.5]], [[0.5, 0.0, 0.5]], np.zeros((1, 2, 2))):
+            with pytest.raises(ValidationError):
+                estimate.empirical_variogram(field, lags)
 
     def test_spacing_needs_one_entry_per_axis(self, tmp_path):
         with pytest.raises(ValidationError):
