@@ -83,9 +83,9 @@ JACOBIAN_REL_STEP = 1e-5
 class EmpiricalVariogram:
     """Matheron ordinates at a list of lags on a regular lattice.
 
-    ``lags`` holds physical lag vectors (multiples of the spacing),
-    ``pair_counts`` the exact number of lattice pairs entering each
-    average.
+    ``lags`` holds k physical lag vectors (multiples of the spacing),
+    ``ordinates`` one average per lag and ``pair_counts`` the exact
+    number of lattice pairs entering each average.
     """
 
     lags: np.ndarray
@@ -98,6 +98,14 @@ class EmpiricalVariogram:
         self.lags = np.atleast_2d(np.asarray(self.lags, dtype=float))
         self.ordinates = np.asarray(self.ordinates, dtype=float)
         self.pair_counts = np.asarray(self.pair_counts, dtype=np.int64)
+        k = self.lags.shape[0]
+        if (self.lags.ndim != 2 or self.ordinates.shape != (k,)
+                or self.pair_counts.shape != (k,)):
+            raise ValidationError(
+                f"need one ordinate and one pair count per lag: lags "
+                f"{self.lags.shape}, ordinates {self.ordinates.shape}, "
+                f"pair counts {self.pair_counts.shape}"
+            )
         if not (np.all(np.isfinite(self.lags)) and np.all(np.isfinite(self.ordinates))):
             raise ValidationError("variogram lags and ordinates must be finite")
         if np.any(self.ordinates < 0):
@@ -332,7 +340,8 @@ class ThetaCodec:
     blocks.  A real block contributes one coordinate; a complex block
     contributes (real part, imaginary part) and expands to a conjugate
     pair, so conjugacy is structural and the optimizer never sees an
-    invalid configuration.
+    invalid configuration.  ``kappa2`` is checked when the codec is
+    made, so a bad noise variance fails before any search.
     """
 
     p: int
@@ -342,6 +351,7 @@ class ThetaCodec:
     blocks: tuple = None  # per axis, e.g. ("r", "r") or ("c",)
 
     def __post_init__(self):
+        object.__setattr__(self, "kappa2", model._check_kappa2(self.kappa2))
         if self.blocks is None:
             blocks = tuple(("r",) * self.p for _ in range(self.d))
             object.__setattr__(self, "blocks", blocks)
@@ -475,7 +485,7 @@ class _Ordinates:
     def __call__(self, thetas):
         b, lam = self.codec.expand(thetas)
         kappa2 = self.codec.kappa2
-        tensor, lam, ok = model._spec_rows(b, lam, kappa2)
+        tensor, lam, ok, _ = model._spec_rows(b, lam)
         out = np.empty((b.shape[0], self.k))
         if self.axis_groups:
             dstar = model._axis_weights(tensor, lam)

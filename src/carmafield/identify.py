@@ -226,27 +226,26 @@ def _quadratic_form_rows(eigenvalues_per_axis, kappa2, q):
 
     The axis weights are quadratic forms in b.  Column (i, i) is probed
     with the unit vector e_i, column (i, j) with e_i + e_j less both
-    unit probes.  Real and imaginary parts of the d * p complex weights
-    are stacked, so the monomials solve a real least-squares problem.
+    unit probes; the probes are scored as one batch of parameter rows.
+    Real and imaginary parts of the d * p complex weights are stacked,
+    so the monomials solve a real least-squares problem.  Eigenvalues
+    or a kappa2 that ``CarmaSpec`` rejects raise its errors.
     """
-    eigs = tuple(tuple(e) for e in eigenvalues_per_axis)
-    p = len(eigs[0])
+    _, eigs, _ = model._check_spec((1.0,), eigenvalues_per_axis, kappa2)
+    d, p = len(eigs), len(eigs[0])
     if not 0 <= q < p:
         raise ValidationError(f"need 0 <= q < p, got q = {q} for p = {p}")
-
-    def weights(*idx):
-        b = np.zeros(p)
-        b[list(idx)] = 1.0
-        spec = model.CarmaSpec(b=b, eigenvalues=eigs, kappa2=kappa2)
-        return np.concatenate([
-            [w for _, w in model.axis_variogram_coefficients(spec, axis)]
-            for axis in range(spec.d)
-        ])
-
-    unit = [weights(i) for i in range(q + 1)]
+    pairs = _monomials(q)
+    probes = np.zeros((len(pairs), p))
+    for row, (i, j) in enumerate(pairs):
+        probes[row, [i, j]] = 1.0
+    lam = np.broadcast_to(np.asarray(eigs, dtype=complex), (len(pairs), d, p))
+    tensor, lam, _, (_, _, cond) = model._spec_rows(probes, lam)
+    model._check_condition(cond)
+    weights = np.concatenate(model._axis_weights(tensor, lam), axis=1)
+    unit = {i: w for (i, j), w in zip(pairs, weights) if i == j}
     rows = np.stack(
-        [unit[i] if i == j else weights(i, j) - unit[i] - unit[j]
-         for i, j in _monomials(q)],
+        [w if i == j else w - unit[i] - unit[j] for (i, j), w in zip(pairs, weights)],
         axis=1,
     )
     return np.concatenate([rows.real, rows.imag])
@@ -347,22 +346,19 @@ def exact_axis_ordinates(spec, delta, j_max):
 def check_identifiability(spec, delta):
     """Evaluate the identifiability conditions at spacing delta.
 
-    ``delta`` is one spacing per axis, or a scalar for all axes.
+    ``delta`` is one spacing per axis, or a scalar for all axes; each
+    must be finite and positive.
     Flags: no axis weight may vanish, every eigenvalue's imaginary part
     must lie in its axis's half-open aliasing band [-pi/delta,
     pi/delta), and the monomial system of ``recover_b`` must have full
     column rank (``product_condition``).
     """
-    deltas = np.broadcast_to(np.asarray(delta, dtype=float), (spec.d,))
-    dstar_ok = []
-    band_ok = []
-    for axis in range(spec.d):
-        band = np.pi / deltas[axis]
-        pairs = model.axis_variogram_coefficients(spec, axis)
-        dstar_ok.append(all(abs(w) > DSTAR_NONZERO_TOL for _, w in pairs))
-        band_ok.append(
-            all(-band <= lam.imag < band for lam, _ in pairs)
-        )
+    deltas = model._per_axis(delta, spec.d, "delta")
+    dstar = model._axis_weights(*model._rows_of(spec))
+    dstar_ok = [all(abs(w) > DSTAR_NONZERO_TOL for w in weights[0])
+                for weights in dstar]
+    band_ok = [all(-np.pi / step <= lam.imag < np.pi / step for lam in axis)
+               for axis, step in zip(spec.eigenvalues, deltas)]
     rows = _quadratic_form_rows(spec.eigenvalues, spec.kappa2, spec.q)
     product_ok = _rank(rows) == rows.shape[1]
     ok = all(dstar_ok) and all(band_ok) and product_ok

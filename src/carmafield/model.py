@@ -8,9 +8,17 @@ Lévy basis against the kernel
 where the A_i are p x p companion matrices with stable, pairwise
 distinct eigenvalues and b = (b_0, ..., b_{p-1}) with b_q != 0 and
 b_i = 0 for i > q.  Everything second-order about the field (kernel,
-autocovariance, variogram, spectral density) is available in closed
-form through the eigen-expansion of the kernel; this module computes
-those forms.
+autocovariance, variogram) is available in closed form through the
+eigen-expansion of the kernel; this module computes those forms.  The
+spectral density is the resolvent chain b' (i w_1 - A_1)^{-1} ...
+(i w_d - A_d)^{-1} e_p.
+
+One batched core, ``_spec_rows``, turns S parameter rows (b,
+eigenvalues) into the expansion's coefficient tensors, and
+``_row_rules`` holds the rules a row must meet.  A ``CarmaSpec`` is
+checked by those rules and evaluated as a cached batch of one through
+the same core, so the fit's batched objective and the spec-level
+functions share one implementation.
 
 All functions here are pure and the spec object is immutable, so the
 module is safe for concurrent use without locking.
@@ -36,7 +44,6 @@ from .errors import (
 __all__ = [
     "CarmaSpec",
     "CompanionMatrix",
-    "KernelCoefficients",
     "canonical_order",
     "companion_from_eigenvalues",
     "kernel_eval",
@@ -146,6 +153,70 @@ def canonical_order(eigs):
     return tuple(sorted(eigs, key=lambda e: (-e.real, -e.imag)))
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(p):
+    return np.triu_indices(p, 1)
+
+
+def _row_rules(b, lam):
+    """The rules every parameter row must meet, and the rows meeting each.
+
+    ``b`` has shape (S, p) and ``lam`` shape (S, d, p).  Returns one
+    (holds, error class, message) triple per rule, ``holds`` an (S,)
+    mask: b finite and not identically zero, eigenvalues finite with
+    strictly negative real part, and no two eigenvalues of an axis
+    closer than ``MIN_EIGENVALUE_GAP``.
+    """
+    rules = [
+        (np.isfinite(b).all(axis=1) & (b != 0.0).any(axis=1), InvalidSpec,
+         "b must be finite and not identically zero"),
+        (((lam.real < 0.0) & np.isfinite(lam)).all(axis=(1, 2)), InvalidSpec,
+         "eigenvalues must be finite with strictly negative real part"),
+    ]
+    if b.shape[1] > 1:
+        first, second = _pair_indices(b.shape[1])
+        gaps = np.abs(lam[..., first] - lam[..., second])
+        rules.append(((gaps >= MIN_EIGENVALUE_GAP).all(axis=(1, 2)), DuplicateEigenvalue,
+                      "two eigenvalues of an axis are closer than MIN_EIGENVALUE_GAP"))
+    return rules
+
+
+def _check_kappa2(kappa2):
+    """``kappa2`` as a float; the noise variance must be finite and positive."""
+    kappa2 = float(kappa2)
+    if not (math.isfinite(kappa2) and kappa2 > 0):
+        raise InvalidSpec(f"kappa2 must be finite and positive, got {kappa2!r}")
+    return kappa2
+
+
+def _check_spec(b, eigenvalues, kappa2):
+    """Checked parts of one parameter set: (b padded to p, eigenvalues, kappa2).
+
+    Applies the shape rules, ``_row_rules`` to the one row, conjugate
+    closure per axis and ``_check_kappa2``.
+
+    Raises
+    ------
+    InvalidSpec, DuplicateEigenvalue, NonConjugateSet
+    """
+    eiglists = tuple(tuple(complex(e) for e in axis) for axis in eigenvalues)
+    if not eiglists or any(len(axis) == 0 for axis in eiglists):
+        raise InvalidSpec("need at least one eigenvalue per axis")
+    p = len(eiglists[0])
+    if any(len(axis) != p for axis in eiglists):
+        raise InvalidSpec("all axes must have the same number of eigenvalues")
+    b = tuple(float(v) for v in b)
+    if len(b) > p:
+        raise InvalidSpec(f"b has {len(b)} entries but p = {p}")
+    b = b + (0.0,) * (p - len(b))
+    for holds, error, message in _row_rules(np.array([b]), np.array([eiglists])):
+        if not holds[0]:
+            raise error(f"{message}: b = {b}, eigenvalues = {eiglists}")
+    for axis in eiglists:
+        _check_conjugate_closed(axis)
+    return b, eiglists, _check_kappa2(kappa2)
+
+
 @dataclass(frozen=True)
 class CarmaSpec:
     """Full parameterization of a causal CARMA(p, q) random field.
@@ -157,11 +228,13 @@ class CarmaSpec:
         shorter than p is zero-padded on the right.
     eigenvalues : sequence of sequences of complex
         One list per axis with the p eigenvalues of that axis's
-        companion matrix.  Each list must have strictly negative real
-        parts, pairwise distinct entries and be closed under complex
+        companion matrix.  Each list must have finite entries with
+        strictly negative real parts, pairwise at least
+        ``MIN_EIGENVALUE_GAP`` apart, and be closed under complex
         conjugation.
     kappa2 : float
-        Variance of the driving noise per unit volume.
+        Variance of the driving noise per unit volume, finite and
+        positive.
     """
 
     b: tuple
@@ -169,30 +242,9 @@ class CarmaSpec:
     kappa2: float = 1.0
 
     def __post_init__(self):
-        eiglists = tuple(
-            tuple(complex(e) for e in axis) for axis in self.eigenvalues
-        )
-        if not eiglists or any(len(axis) == 0 for axis in eiglists):
-            raise InvalidSpec("need at least one eigenvalue per axis")
-        p = len(eiglists[0])
-        if any(len(axis) != p for axis in eiglists):
-            raise InvalidSpec("all axes must have the same number of eigenvalues")
-        b = tuple(float(v) for v in self.b)
-        if len(b) > p:
-            raise InvalidSpec(f"b has {len(b)} entries but p = {p}")
-        b = b + (0.0,) * (p - len(b))
-        if not any(v != 0.0 for v in b):
-            raise InvalidSpec("b must not be identically zero")
-        for axis in eiglists:
-            if any(e.real >= 0 for e in axis):
-                raise InvalidSpec("all eigenvalues need strictly negative real part")
-            _check_distinct(axis, MIN_EIGENVALUE_GAP)
-            _check_conjugate_closed(axis)
-        if not self.kappa2 > 0:
-            raise InvalidSpec("kappa2 must be positive")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "eigenvalues", eiglists)
-        object.__setattr__(self, "kappa2", float(self.kappa2))
+        parts = _check_spec(self.b, self.eigenvalues, self.kappa2)
+        for name, value in zip(("b", "eigenvalues", "kappa2"), parts):
+            object.__setattr__(self, name, value)
 
     @property
     def d(self):
@@ -294,68 +346,16 @@ def _vandermonde(lam):
     return vmat, np.linalg.inv(vmat), cond
 
 
-@lru_cache(maxsize=256)
-def _axis_decomposition(eigs):
-    """Vandermonde factorization (V, V^{-1}) for one axis's eigenvalues."""
-    vmat, vinv, cond = _vandermonde(np.asarray(eigs, dtype=complex))
-    if not cond <= VANDERMONDE_COND_MAX:
-        raise IllConditionedVandermonde(
-            f"Vandermonde condition {cond:.3e} exceeds {VANDERMONDE_COND_MAX:.0e}"
-        )
-    return vmat, vinv
-
-
-@dataclass(frozen=True)
-class KernelCoefficients:
-    """Weights of the kernel's expansion into separable exponentials.
-
-    ``tensor[k_1, ..., k_d]`` multiplies exp(lam_{1,k_1} s_1) * ... *
-    exp(lam_{d,k_d} s_d); summing over all index tuples reproduces the
-    kernel for s >= 0.
-    """
-
-    axis_eigenvalues: tuple
-    tensor_data: tuple  # flattened complex entries, row-major
-
-    @property
-    def tensor(self):
-        shape = tuple(len(axis) for axis in self.axis_eigenvalues)
-        return np.asarray(self.tensor_data, dtype=complex).reshape(shape)
-
-    def as_dict(self):
-        tens = self.tensor
-        return {idx: tens[idx] for idx in np.ndindex(tens.shape)}
-
-    def reconstruct(self, s):
-        """Evaluate the expansion at one point (0 outside s >= 0)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s < 0):
-            return 0.0
-        factors = [
-            np.exp(np.asarray(axis) * si) for axis, si in zip(self.axis_eigenvalues, s)
-        ]
-        return _real(_contract(self.tensor, factors), "kernel reconstruction")
-
-
-@lru_cache(maxsize=128)
-def _coeff_tensor(spec):
-    """Coefficient tensor via spectral projectors, as a chain product.
+def _coeff_tensors(b, vmat, vinv):
+    """Coefficient tensors of S rows via spectral projectors, shape (S, p, ..., p).
 
     With P_i^{(k)} = V_i E_k V_i^{-1} the projector onto the k-th
     eigenvalue of axis i, the coefficient for (k_1, ..., k_d) is
     b' P_1^{(k_1)} ... P_d^{(k_d)} e_p.  Because each projector is the
     outer product of a column of V_i and a row of V_i^{-1}, the d-fold
-    product collapses to a chain of scalar couplings.
-    """
-    vmat, vinv = (np.stack(m)[None] for m in zip(*map(_axis_decomposition, spec.eigenvalues)))
-    return _coeff_tensors(np.asarray(spec.b, dtype=complex)[None], vmat, vinv)[0]
-
-
-def _coeff_tensors(b, vmat, vinv):
-    """``_coeff_tensor`` of S rows at once, shape (S, p, ..., p).
-
-    ``b`` has shape (S, p); ``vmat`` and ``vinv`` hold the (S, d, p, p)
-    factors V and V^{-1} of ``_vandermonde``.
+    product collapses to a chain of scalar couplings.  ``b`` has shape
+    (S, p); ``vmat`` and ``vinv`` hold the (S, d, p, p) factors V and
+    V^{-1} of ``_vandermonde``.
     """
     d = vmat.shape[1]
     batch = d  # the einsum label of the rows, after the d axis labels
@@ -367,38 +367,58 @@ def _coeff_tensors(b, vmat, vinv):
     return np.einsum(*operands)
 
 
-@lru_cache(maxsize=None)
-def _pair_indices(p):
-    return np.triu_indices(p, 1)
-
-
-def _spec_rows(b, lam, kappa2):
-    """``CarmaSpec`` and ``_coeff_tensor`` for S parameter rows at once.
+def _spec_rows(b, lam):
+    """Coefficient tensors of S parameter rows: the one route from parameters.
 
     ``b`` has shape (S, p) and ``lam``, conjugate-closed per axis, shape
-    (S, d, p).  A row fails where ``CarmaSpec`` or ``_coeff_tensor``
-    would raise (b all zero, a real part >= 0, a gap below
-    ``MIN_EIGENVALUE_GAP``, a Vandermonde condition above
-    ``VANDERMONDE_COND_MAX``) or on a non-finite entry.  A row failing a
-    ``CarmaSpec`` check is computed on a stand-in valid row, and one
+    (S, d, p).  A row fails where it breaks a rule of ``_row_rules`` or
+    an axis's Vandermonde condition exceeds ``VANDERMONDE_COND_MAX``.
+    A row breaking a rule is computed on a stand-in valid row, and one
     failing the condition on the identity as V^{-1} (see
-    ``_vandermonde``), so every later step stays finite.  Returns
-    the (S, p, ..., p) tensors, ``lam`` with the stand-ins and the mask
-    of rows that passed.
+    ``_vandermonde``), so every later step stays finite.  Returns the
+    (S, p, ..., p) tensors, ``lam`` with the stand-ins, the mask of rows
+    that passed and the ``_vandermonde`` triple (V, V^{-1}, condition).
     """
     p = b.shape[1]
-    ok = (b != 0.0).any(axis=1) & np.isfinite(b).all(axis=1) & (kappa2 > 0)
-    ok &= (lam.real < 0.0).all(axis=(1, 2)) & np.isfinite(lam).all(axis=(1, 2))
-    if p > 1:
-        first, second = _pair_indices(p)
-        gaps = np.abs(lam[..., first] - lam[..., second])
-        ok &= (gaps >= MIN_EIGENVALUE_GAP).all(axis=(1, 2))
+    ok = np.ones(b.shape[0], dtype=bool)
+    for holds, _, _ in _row_rules(b, lam):
+        ok &= holds
     if not ok.all():
         b = np.where(ok[:, None], b, 1.0)
         lam = np.where(ok[:, None, None], lam, -np.arange(1.0, p + 1))
     vmat, vinv, cond = _vandermonde(lam)
     ok &= (cond <= VANDERMONDE_COND_MAX).all(axis=1)
-    return _coeff_tensors(b.astype(complex), vmat, vinv), lam, ok
+    return _coeff_tensors(b.astype(complex), vmat, vinv), lam, ok, (vmat, vinv, cond)
+
+
+def _check_condition(cond):
+    """Raise IllConditionedVandermonde unless every condition number passes."""
+    worst = float(np.max(cond))
+    if not worst <= VANDERMONDE_COND_MAX:
+        raise IllConditionedVandermonde(
+            f"Vandermonde condition {worst:.3e} exceeds {VANDERMONDE_COND_MAX:.0e}"
+        )
+
+
+@lru_cache(maxsize=128)
+def _expansion(spec):
+    """A spec as a batch of one through ``_spec_rows``.
+
+    Returns its coefficient tensor and the (d, p, p) factors V and
+    V^{-1} of its axes; raises IllConditionedVandermonde where an axis
+    fails the condition test.
+    """
+    tensor, _, _, (vmat, vinv, cond) = _spec_rows(
+        np.asarray(spec.b, dtype=float)[None],
+        np.asarray(spec.eigenvalues, dtype=complex)[None],
+    )
+    _check_condition(cond)
+    return tensor[0], vmat[0], vinv[0]
+
+
+def _coeff_tensor(spec):
+    """The (p,)*d coefficient tensor of a spec (see ``_coeff_tensors``)."""
+    return _expansion(spec)[0]
 
 
 @lru_cache(maxsize=None)
@@ -450,16 +470,13 @@ def kernel_coefficients(spec):
 
     Returns
     -------
-    KernelCoefficients
-        One (possibly complex) weight per tuple of per-axis eigenvalue
-        indices.  The weights of conjugate index tuples are conjugate,
-        so every reconstruction is real.
+    complex ndarray of shape (p,) * d
+        Entry [k_1, ..., k_d] multiplies exp(lam_{1,k_1} s_1) ...
+        exp(lam_{d,k_d} s_d); summing over all index tuples gives the
+        kernel for s >= 0.  The weights of conjugate index tuples are
+        conjugate, so the sum is real.  The array is a copy.
     """
-    tensor = _coeff_tensor(spec)
-    return KernelCoefficients(
-        axis_eigenvalues=spec.eigenvalues,
-        tensor_data=tuple(tensor.ravel().tolist()),
-    )
+    return _coeff_tensor(spec).copy()
 
 
 def kernel_eval(spec, s):
@@ -472,9 +489,9 @@ def kernel_eval(spec, s):
         raise InvalidSpec(f"point has {s.size} coordinates, spec has d = {spec.d}")
     if np.any(s < 0):
         return 0.0
+    _, vmats, vinvs = _expansion(spec)
     w = np.asarray(spec.b, dtype=complex)
-    for axis, si in zip(spec.eigenvalues, s):
-        vmat, vinv = _axis_decomposition(axis)
+    for axis, vmat, vinv, si in zip(spec.eigenvalues, vmats, vinvs, s):
         w = (w @ vmat) * np.exp(np.asarray(axis, dtype=complex) * si) @ vinv
     return _real(w[-1], "kernel value")
 
@@ -637,55 +654,16 @@ def axis_variogram(spec, axis, taus):
     return _real(_axis_sums(dstar, lam[:, axis], spec.kappa2, taus)[0], "axis variogram")
 
 
-def _axis_poly_coeffs(spec):
-    """Monic polynomial coefficients [1, a_1, ..., a_p] for each axis."""
-    out = []
-    for axis in spec.eigenvalues:
-        comp = companion_from_eigenvalues(axis)
-        out.append(np.concatenate(([1.0], np.asarray(comp.coeffs))))
-    return out
-
-
-def _q_matrix(acoeffs, z):
-    """Numerator matrix polynomial a(z) (z I - A)^{-1}, entrywise.
-
-    ``z`` may be an array; the result has shape z.shape + (p, p).
-    """
-    p = len(acoeffs) - 1
-    z = np.asarray(z, dtype=complex)
-    powers = {}
-
-    def zpow(n):
-        if n not in powers:
-            powers[n] = z ** n
-        return powers[n]
-
-    out = np.zeros(z.shape + (p, p), dtype=complex)
-    for k in range(1, p + 1):
-        for l in range(1, p + 1):
-            if k <= l:
-                entry = zpow(p - 1 + k - l).copy()
-                for j in range(1, p - l + 1):
-                    entry += acoeffs[j] * zpow(p - 1 - j + k - l)
-            else:
-                entry = np.zeros_like(z)
-                for j in range(p - l + 1, p + 1):
-                    entry += acoeffs[j] * zpow(p - 1 - j + k - l)
-                entry = -entry
-            out[..., k - 1, l - 1] = entry
-    return out
-
-
 def spectral_density(spec, omega):
-    """Spectral density f(omega) = kappa2 / (2 pi)^d * |Q(i w) / P(i w)|^2.
+    """Spectral density f(w) = kappa2 / (2 pi)^d * |b' R_1 ... R_d e_p|^2.
 
-    P is the product of the per-axis monic polynomials; Q chains the
-    per-axis numerator matrix polynomials a_i(z) (z I - A_i)^{-1}
-    between b and e_p.  Accepts a single frequency vector or an array
-    of shape (..., d).
+    R_i = (i w_i I - A_i)^{-1} is the resolvent of axis i's companion
+    matrix; the chain is one batched linear solve per axis.  Accepts a
+    single frequency vector or an array of shape (..., d).
 
-    Strictly negative eigenvalue real parts keep P free of zeros at
-    every finite frequency; non-finite frequencies are rejected.
+    Strictly negative eigenvalue real parts keep every resolvent
+    defined at every finite frequency; non-finite frequencies are
+    rejected.
     """
     omega = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(omega)):
@@ -694,17 +672,14 @@ def spectral_density(spec, omega):
     omega = np.atleast_2d(omega)
     if omega.shape[-1] != spec.d:
         raise InvalidSpec("frequency must have d components")
-    acoeffs = _axis_poly_coeffs(spec)
-    z = 1j * omega
-    pval = np.ones(omega.shape[:-1], dtype=complex)
-    for i in range(spec.d):
-        pval = pval * np.polyval(acoeffs[i], z[..., i])
     vec = np.broadcast_to(
         np.asarray(spec.b, dtype=complex), omega.shape[:-1] + (spec.p,)
     )
-    for i in range(spec.d):
-        qmat = _q_matrix(acoeffs[i], z[..., i])
-        vec = np.einsum("...k,...kl->...l", vec, qmat)
-    qval = vec[..., -1]
-    dens = spec.kappa2 / (2.0 * np.pi) ** spec.d * np.abs(qval / pval) ** 2
+    eye = np.eye(spec.p)
+    for i, axis in enumerate(spec.eigenvalues):
+        amat = companion_from_eigenvalues(axis).matrix()
+        shifted = 1j * omega[..., i, None, None] * eye - amat
+        # row vector times R_i: solve with the transposed matrix
+        vec = np.linalg.solve(np.swapaxes(shifted, -1, -2), vec[..., None])[..., 0]
+    dens = spec.kappa2 / (2.0 * np.pi) ** spec.d * np.abs(vec[..., -1]) ** 2
     return float(dens[0]) if scalar else dens

@@ -406,6 +406,14 @@ class TestCliCommands:
                 ["recover", "--input", vario, "--output-dir", tmp_path / "rn",
                  "--p", 2, "--q", 1]
             ) == 1
+        # a noise variance that is not finite and positive -> validation,
+        # before any search
+        oracles.synthetic_variogram(ref, 0.2, 5).to_csv(vario)
+        for kappa2 in ("inf", "nan", "0", "-1"):
+            assert run_cli(
+                ["fit", "--from-variogram", vario, "--output-dir", tmp_path / "fk",
+                 "--models", "car1", "--kappa2", kappa2]
+            ) == 1
         # malformed model-selection rows -> validation
         for k, row in enumerate(("car1,abc,3,100", "car1,0.5,3", "car1,0.5,3,0")):
             table = tmp_path / f"models{k}.csv"

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from carmafield import estimate, model, simulate
 from carmafield.errors import (
+    InvalidSpec,
     LagOutOfRange,
     MixedLagSets,
     NonIdentifiableLagSet,
@@ -139,6 +140,18 @@ class TestEmpiricalVariogram:
         oracles.synthetic_variogram(spec, 0.2, 5).to_csv(path)
         with pytest.raises(ValidationError):
             estimate.EmpiricalVariogram.from_csv(path, delta=(0.2, 0.2, 0.2))
+
+    def test_one_ordinate_and_pair_count_per_lag(self, tmp_path):
+        lags = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+        ok = dict(lags=lags, ordinates=[1.0, 2.0, 3.0], pair_counts=[4, 5, 6],
+                  delta=(0.5, 0.5), n=(4, 4))
+        estimate.EmpiricalVariogram(**ok)
+        for change in (dict(ordinates=[1.0, 2.0]), dict(pair_counts=[4, 5, 6, 7]),
+                       dict(ordinates=[[1.0, 2.0, 3.0]]),
+                       dict(pair_counts=[[4], [5], [6]]),
+                       dict(lags=lags[None])):
+            with pytest.raises(ValidationError):
+                estimate.EmpiricalVariogram(**{**ok, **change})
 
     def test_csv_round_trip(self, tmp_path, rng):
         field = simulate.LatticeField(delta=0.5, values=rng.normal(size=(8, 8)))
@@ -391,6 +404,19 @@ class TestFit:
         result = estimate.fit(emp, config)
         for axis in result.spec.eigenvalues:
             assert axis[0].real >= axis[1].real
+
+    @pytest.mark.parametrize("kappa2", [np.inf, np.nan, 0.0, -1.0])
+    def test_bad_kappa2_raises_before_the_search(self, kappa2, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(estimate.optimize, "differential_evolution", no_search)
+        spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,), (-1.4,)))
+        emp = oracles.synthetic_variogram(spec, 0.1, 10)
+        with pytest.raises(InvalidSpec):
+            estimate.fit(emp, estimate.FitConfig(p=1, q=0, kappa2=kappa2))
+        with pytest.raises(InvalidSpec):
+            estimate.ThetaCodec(p=1, q=0, d=2, kappa2=kappa2)
 
     def test_insufficient_lag_set_raises(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)

@@ -5,7 +5,10 @@ import pytest
 
 from carmafield import identify, model
 from carmafield.errors import (
+    DuplicateEigenvalue,
     InconsistentMonomials,
+    InvalidSpec,
+    NonConjugateSet,
     NegativeVarianceEstimate,
     RankDeficient,
     SingularHankel,
@@ -246,6 +249,36 @@ class TestFullPipeline:
         assert max(errors) < 2.5e-3
 
 
+class TestMonomialSystem:
+    def test_polarization_reproduces_axis_weights(self, rng):
+        # the weights are a quadratic form in b, so the probed system
+        # applied to the monomials b_i b_j gives back the spec's weights
+        for _ in range(30):
+            spec = oracles.random_spec(rng, d=int(rng.integers(1, 4)))
+            rows = identify._quadratic_form_rows(spec.eigenvalues, spec.kappa2, spec.q)
+            mono = [spec.b[i] * spec.b[j] for i, j in identify._monomials(spec.q)]
+            weights = np.concatenate([
+                [w for _, w in model.axis_variogram_coefficients(spec, axis)]
+                for axis in range(spec.d)
+            ])
+            np.testing.assert_allclose(
+                rows @ mono, np.concatenate([weights.real, weights.imag]),
+                rtol=0.0, atol=1e-11 * np.max(np.abs(weights)),
+            )
+
+    @pytest.mark.parametrize("eigs, kappa2, error", [
+        (((-1.0, -1.0 - 1e-8),), 1.0, DuplicateEigenvalue),
+        (((-1.0 + 1j, -2.0),), 1.0, NonConjugateSet),
+        (((-1.0, 0.5),), 1.0, InvalidSpec),
+        (((-1.0, -2.0),), np.inf, InvalidSpec),
+    ], ids=["duplicate", "non-conjugate", "unstable", "inf-kappa2"])
+    def test_rejects_what_the_spec_rejects(self, eigs, kappa2, error):
+        with pytest.raises(error):
+            model.CarmaSpec(b=(1.0,), eigenvalues=eigs, kappa2=kappa2)
+        with pytest.raises(error):
+            identify.recover_b([(0.1, 0.2)], eigs, kappa2, 0)
+
+
 class TestIdentifiabilityReport:
     def test_reference_identifiable(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
@@ -282,3 +315,9 @@ class TestIdentifiabilityReport:
         report = identify.check_identifiability(spec, 0.1)
         assert report.verdict == "not identifiable"
         assert report.product_condition is False
+
+    @pytest.mark.parametrize("delta", [(0.1, 0.1, 0.1), 0.0, -0.1, np.nan, np.inf])
+    def test_spacing_must_be_finite_positive_per_axis(self, delta):
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        with pytest.raises(ValidationError):
+            identify.check_identifiability(spec, delta)

@@ -75,6 +75,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             model.CarmaSpec(b=(0.0,), eigenvalues=((-1.0,),))
 
+    @pytest.mark.parametrize("b, eigenvalues, kappa2", [
+        ((np.nan,), ((-1.0,),), 1.0),
+        ((1.0, np.inf), ((-1.0, -2.0),), 1.0),
+        ((-np.inf,), ((-1.0,),), 1.0),
+        ((1.0,), ((np.nan,),), 1.0),
+        ((1.0,), ((complex(-1.0, np.nan), complex(-1.0, np.nan)),), 1.0),
+        ((1.0,), ((-np.inf, -1.0),), 1.0),
+        ((1.0,), ((-1.0,), (-np.inf,)), 1.0),
+        ((1.0,), ((-1.0,),), np.inf),
+        ((1.0,), ((-1.0,),), np.nan),
+        ((1.0,), ((-1.0,),), 0.0),
+    ], ids=["nan-b", "inf-b", "minus-inf-b", "nan-eig", "nan-imag-eig",
+            "minus-inf-eig", "minus-inf-second-axis", "inf-kappa2",
+            "nan-kappa2", "zero-kappa2"])
+    def test_rejects_non_finite(self, b, eigenvalues, kappa2):
+        with pytest.raises(InvalidSpec):
+            model.CarmaSpec(b=b, eigenvalues=eigenvalues, kappa2=kappa2)
+
     def test_pads_b(self):
         spec = model.CarmaSpec(b=(2.0,), eigenvalues=((-1.0, -2.0),))
         assert spec.b == (2.0, 0.0)
@@ -96,29 +114,34 @@ class TestKernel:
 
     def test_expansion_matches_matrix_exponentials(self, rng):
         spec = ref_spec()
-        coeffs = model.kernel_coefficients(spec)
+        tensor = model.kernel_coefficients(spec)
+        l1, l2 = (np.asarray(axis) for axis in spec.eigenvalues)
         for _ in range(25):
             s = rng.uniform(0, 3, size=2)
-            assert coeffs.reconstruct(s) == pytest.approx(
-                model.kernel_eval(spec, s), abs=1e-10
-            )
+            value = np.exp(l1 * s[0]) @ tensor @ np.exp(l2 * s[1])
+            assert abs(value.imag) < 1e-12
+            assert value.real == pytest.approx(model.kernel_eval(spec, s), abs=1e-10)
 
     def test_expansion_random_specs(self, rng):
         # representation consistency at scale: both kernel routes agree
         for _ in range(100):
             spec = oracles.random_spec(rng)
-            coeffs = model.kernel_coefficients(spec)
             for _ in range(50):
                 s = rng.uniform(0, 2.5, size=spec.d)
-                assert coeffs.reconstruct(s) == pytest.approx(
+                grid = model.kernel_on_grid(spec, [[v] for v in s])
+                assert grid.shape == (1,) * spec.d
+                assert grid.item() == pytest.approx(
                     model.kernel_eval(spec, s), abs=1e-9
                 )
 
     def test_car1_separable_coefficient(self):
         spec = model.CarmaSpec(b=(1.7,), eigenvalues=((-1.0,), (-2.0,)))
-        entries = model.kernel_coefficients(spec).as_dict()
-        assert set(entries) == {(0, 0)}
-        assert entries[(0, 0)] == pytest.approx(1.7)
+        tensor = model.kernel_coefficients(spec)
+        assert tensor.shape == (1, 1)
+        assert tensor[0, 0] == pytest.approx(1.7)
+        # a copy: writing to it leaves the spec's cached expansion alone
+        tensor[0, 0] = 0.0
+        assert model.kernel_coefficients(spec)[0, 0] == pytest.approx(1.7)
 
     def test_grid_matches_pointwise(self, rng):
         spec = oracles.random_spec(rng, d=2)
