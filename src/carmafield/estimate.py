@@ -9,14 +9,13 @@ direct sum to about 1e-13 relative (the expansion cancels where the
 increments are small against the field's spread).  Parameters are fitted
 by minimizing the weighted squared gap between empirical and model
 ordinates over a compact box: a seeded differential-evolution global
-search followed by a derivative-free simplex polish.  Both call one
-batched evaluator: differential evolution scores each generation in one
-call, with deferred updating, and the Nelder-Mead polish scores one
-vertex per call through the same code.  The sampling covariance of the
-fitted parameters at the optimum is available from the delta-method
-sandwich built on the variogram estimator's own asymptotic covariance;
-its finite-difference Jacobian evaluates its perturbed parameter
-vectors as one batch as well.
+search followed by a bounded least-squares polish (trust-region
+reflective).  Both call one batched evaluator: differential evolution
+scores each generation in one call, with deferred updating, and the
+polish one residual vector per call and its finite-difference Jacobian
+as one batch.  The sampling covariance of the fitted parameters at the
+optimum is available from the delta-method sandwich built on the
+variogram estimator's own asymptotic covariance and the same Jacobian.
 """
 
 from __future__ import annotations
@@ -68,11 +67,10 @@ LAG_INTEGER_TOL = 1e-6
 B_MAX = 10.0
 EIG_MIN = -10.0
 IM_MAX = 10.0
-# differential evolution and its Nelder-Mead polish
+# differential evolution
 DE_CROSSOVER = 0.9
 DE_DIFFERENTIAL_WEIGHT = 0.8
 DE_TOL = 0.01
-POLISH_TOL = 1e-10
 # relative step of the central-difference Jacobian in theta
 JACOBIAN_REL_STEP = 1e-5
 
@@ -502,12 +500,34 @@ class _Ordinates:
         return out, ~ok
 
 
+def _variogram_jacobian(ordinates, theta0):
+    """Central finite differences of the model ordinates in theta.
+
+    The 2 dim perturbed vectors are one call of ``ordinates``.
+
+    Raises
+    ------
+    NumericError
+        If a perturbed vector leaves the model's domain.
+    """
+    theta0 = np.asarray(theta0, dtype=float)
+    h = JACOBIAN_REL_STEP * np.maximum(np.abs(theta0), 1.0)
+    steps = np.diag(h)
+    ords, failed = ordinates(np.vstack([theta0 + steps, theta0 - steps]))
+    if failed.any():
+        raise NumericError(
+            f"the model is undefined at {int(failed.sum())} of the {2 * theta0.size} "
+            f"perturbed parameter vectors (relative step {JACOBIAN_REL_STEP:g})"
+        )
+    return ((ords[: theta0.size] - ords[theta0.size:]) / (2.0 * h)[:, None]).T
+
+
 class _WlsProblem:
     """The WLS objective over a fixed empirical variogram, for S rows at once.
 
-    One ``ordinates`` call evaluates a whole DE generation, or one
-    Nelder-Mead vertex (S = 1), in a few batched contractions.
-    ``evaluations`` counts the rows evaluated so far.
+    One ``ordinates`` call evaluates a whole DE generation or a polish
+    step in a few batched contractions.  ``evaluations`` counts the
+    rows ``objective`` evaluated so far.
     """
 
     def __init__(self, emp, weights, codec):
@@ -558,7 +578,9 @@ class FitConfig:
     is evaluated as one batch, with deferred updating: every trial of a
     generation is built from the previous generation.  The parameter
     box and the remaining search settings are module constants
-    (``B_MAX``, ``EIG_MIN``, ``IM_MAX``, ``DE_*``, ``POLISH_TOL``).
+    (``B_MAX``, ``EIG_MIN``, ``IM_MAX``, ``DE_*``); the polish uses
+    scipy's default tolerances.  The seed must lie in [0, 2**32), and
+    the population factor and the generations must be positive.
     """
 
     p: int
@@ -570,6 +592,15 @@ class FitConfig:
     generations: int = 300
     seed: int = 0
     require_identifiable_lags: bool = True
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 32:
+            raise ValidationError(f"seed must lie in [0, 2**32), got {self.seed}")
+        if self.population_factor < 1 or self.generations < 1:
+            raise ValidationError(
+                f"population factor and generations must be positive, got "
+                f"{self.population_factor} and {self.generations}"
+            )
 
 
 def _check_lag_menu(emp, p, q, strict):
@@ -639,17 +670,19 @@ def fit(emp, config):
     """Two-stage WLS fit of CARMA parameters to an empirical variogram.
 
     Differential evolution over the parameter box (seeded, hence
-    deterministic) followed by a Nelder-Mead polish from the best
-    candidate.  Differential evolution evaluates each generation as one
-    batch with deferred updating; the polish calls the same batched
-    evaluator with one vertex at a time.  Output eigenvalues are in
-    canonical order (descending real part, then descending imaginary
-    part).
+    deterministic) followed by a trust-region reflective least-squares
+    polish of sqrt(w) (gamma_hat - gamma(theta)) in the same box, from
+    the best candidate.  Each generation is one batched evaluation with
+    deferred updating; the polish scores its residuals with the same
+    evaluator and takes ``asymptotic_covariance``'s Jacobian.  Output
+    eigenvalues are in canonical order (descending real part, then
+    descending imaginary part).
 
     ``diagnostics`` holds ``de_generations``, ``de_evaluations`` and
     ``polish_evaluations`` (parameter vectors scored by each stage),
-    ``polish_iterations``, ``converged`` (differential evolution's
-    flag), ``polish_converged`` and the lag-set status ``lag_set``.
+    ``polish_iterations`` (Jacobians), ``converged`` (differential
+    evolution's flag), ``polish_converged`` and the lag-set status
+    ``lag_set``.
 
     Raises
     ------
@@ -657,6 +690,8 @@ def fit(emp, config):
         When the lag set is axis-only but misses the minimum required
         for the order (disable with
         ``config.require_identifiable_lags=False``).
+    NumericError
+        When the polish's Jacobian steps leave the model's domain.
     """
     codec = ThetaCodec(p=config.p, q=config.q, d=emp.lags.shape[1],
                        kappa2=config.kappa2, blocks=config.blocks)
@@ -679,36 +714,33 @@ def fit(emp, config):
         vectorized=True,
         updating="deferred",
     )
-    de_evaluations = problem.evaluations
-    polish = optimize.minimize(
-        problem.objective,
+    # residuals sqrt(w) (gamma_hat - gamma(theta)) are NaN where the model
+    # is undefined, which shrinks the trust region
+    root_w = np.sqrt(problem.weights)
+    polish = optimize.least_squares(
+        lambda theta: root_w * (emp.ordinates - problem.ordinates(theta[None])[0][0]),
         de.x,
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={
-            "xatol": POLISH_TOL,
-            "fatol": POLISH_TOL * max(1.0, abs(de.fun)),
-            "maxiter": 20000,
-            "maxfev": 20000,
-        },
+        jac=lambda theta: -root_w[:, None] * _variogram_jacobian(problem.ordinates, theta),
+        bounds=np.transpose(bounds),
+        method="trf",
     )
-    theta, value = (polish.x, polish.fun) if polish.fun <= de.fun else (de.x, de.fun)
-    spec = codec.to_spec(theta).canonical()
+    spec = codec.to_spec(polish.x).canonical()
     theta = codec.from_spec(spec)
+    wss = 2.0 * float(polish.cost)
     p_params = codec.dim
     result = FitResult(
         theta_star=theta,
         spec=spec,
-        wss=float(value),
-        aic=aic_value(float(value), p_params, emp.k),
+        wss=wss,
+        aic=aic_value(wss, p_params, emp.k),
         p_params=p_params,
         k_lags=emp.k,
         diagnostics={
             "converged": bool(de.success),
             "de_generations": int(de.nit),
-            "de_evaluations": de_evaluations,
-            "polish_iterations": int(polish.nit),
-            "polish_evaluations": problem.evaluations - de_evaluations,
+            "de_evaluations": problem.evaluations,
+            "polish_iterations": int(polish.njev),
+            "polish_evaluations": int(polish.nfev + 2 * codec.dim * polish.njev),
             "polish_converged": bool(polish.success),
             "lag_set": lag_status,
         },
@@ -717,28 +749,6 @@ def fit(emp, config):
 
 
 # -- asymptotic covariance ------------------------------------------------------------
-
-def _variogram_jacobian(codec, theta0, lags):
-    """Central finite differences of the model ordinates in theta.
-
-    The 2 dim perturbed vectors are evaluated as one batch.
-
-    Raises
-    ------
-    NumericError
-        If a perturbed vector leaves the model's domain.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    h = JACOBIAN_REL_STEP * np.maximum(np.abs(theta0), 1.0)
-    steps = np.diag(h)
-    ords, failed = _Ordinates(codec, lags)(np.vstack([theta0 + steps, theta0 - steps]))
-    if failed.any():
-        raise NumericError(
-            f"the model is undefined at {int(failed.sum())} of the {2 * theta0.size} "
-            f"perturbed parameter vectors (relative step {JACOBIAN_REL_STEP:g})"
-        )
-    return ((ords[: theta0.size] - ords[theta0.size:]) / (2.0 * h)[:, None]).T
-
 
 def _gamma_pair_sums(m, dl, shifts):
     """T[m1, m2, m3, m4, r] = sum_k I(m1, m2, k dl) I(m3, m4, (k + n_r) dl).
@@ -864,7 +874,7 @@ def asymptotic_covariance(spec, lags, weights, basis, lattice_delta,
     codec = ThetaCodec(p=spec.p, q=spec.q, d=spec.d, kappa2=spec.kappa2,
                        blocks=blocks)
     theta0 = codec.from_spec(spec)
-    jac = _variogram_jacobian(codec, theta0, lags)
+    jac = _variogram_jacobian(_Ordinates(codec, lags), theta0)
     wmat = np.diag(weights)
     normal = jac.T @ wmat @ jac
     cond = np.linalg.cond(normal)

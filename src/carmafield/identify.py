@@ -57,8 +57,8 @@ MONOMIAL_RTOL = 1e-5
 class AxisOrdinates:
     """Variogram ordinates psi(j * delta * e_axis) for j = 0..J.
 
-    ``axis`` is 0-based.  The first ordinate must be zero and none may
-    be negative.
+    ``axis`` is 0-based.  ``delta`` must be positive and finite, the
+    ordinates finite; the first must be zero and none may be negative.
     """
 
     axis: int
@@ -69,13 +69,15 @@ class AxisOrdinates:
         values = tuple(float(v) for v in self.values)
         if len(values) < 2:
             raise ValidationError("need ordinates for at least j = 0, 1")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("variogram ordinates must be finite")
         scale = max(abs(v) for v in values)
         if abs(values[0]) > 1e-12 * max(1.0, scale):
             raise ValidationError("psi(0) must be zero")
         if any(v < -1e-12 * max(1.0, scale) for v in values):
             raise ValidationError("variogram ordinates must be non-negative")
-        if not self.delta > 0:
-            raise ValidationError("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValidationError("delta must be positive and finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "delta", float(self.delta))
 

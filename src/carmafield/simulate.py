@@ -70,7 +70,15 @@ TILE_MAX_EXPONENT = 600.0
 
 
 def substream(seed, stream=0):
-    """Philox generator for one reproducible substream of a master seed."""
+    """Philox generator for one reproducible substream of a master seed.
+
+    Raises
+    ------
+    ValidationError
+        If ``seed`` is negative.
+    """
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -210,6 +210,11 @@ class StudyConfig:
         bad = [c for c in self.cases if c not in STUDY_CASES]
         if bad:
             raise ConfigError(f"unknown study cases {bad}")
+        # the checks of the master seed and of the search settings, made
+        # once here rather than in every replication
+        simulate.substream(self.seed)
+        estimate.FitConfig(p=self.spec.p, q=self.spec.q, generations=self.generations,
+                           population_factor=self.population_factor)
 
 
 def _thin(field, factor):

@@ -6,6 +6,8 @@ workstation (the replicated study runs on a process pool capped by
 CARMA_FIELD_THREADS).
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,7 @@ def test_criterion_07_desk_scale_study():
     # reference's bias and spread on exactly that pair.  No honest
     # configuration satisfies all six bands; the noise-law clause does
     # hold and is asserted independently first.
+    start = time.perf_counter()
     spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
     band_half = 3.0 * TABLE2_STD / np.sqrt(50.0)
     results = {}
@@ -277,7 +280,8 @@ def test_criterion_07_desk_scale_study():
     est_g = results["gaussian"]["estimates"]
     mean_gap = np.abs(est_g.mean(axis=0) - TABLE2_MEAN)
     names = estimate.parameter_names(spec)
-    print("\n[acceptance 7] desk-scale study, Gaussian case 1:")
+    print(f"\n[acceptance 7] desk-scale study, Gaussian case 1 "
+          f"(both studies {time.perf_counter() - start:.1f} s wall time):")
     print(f"  {'param':<9}{'mean':>9}{'ref mean':>10}{'band half':>11}"
           f"{'gap/band':>10}{'rmse gap':>10}")
     for i, name in enumerate(names):

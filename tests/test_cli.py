@@ -414,6 +414,21 @@ class TestCliCommands:
                 ["fit", "--from-variogram", vario, "--output-dir", tmp_path / "fk",
                  "--models", "car1", "--kappa2", kappa2]
             ) == 1
+        # a seed out of range or a search size below one -> validation,
+        # before any simulation or search
+        assert run_cli(["simulate", "--output-dir", tmp_path / "ss", "--seed", -1,
+                        "--b", "1.0", "--eigenvalues", "-1.0;-1.5",
+                        "--n", 8, "--delta", 0.1, "--m", 8]) == 1
+        for flag, value in (("--seed", -1), ("--seed", 2 ** 32),
+                            ("--generations", -3), ("--population", 0)):
+            assert run_cli(
+                ["fit", "--from-variogram", vario, "--output-dir", tmp_path / "fs",
+                 "--models", "car1", flag, value]
+            ) == 1
+            # the study's master seed may be any non-negative integer
+            if value != 2 ** 32:
+                assert run_cli(["study", "--output-dir", tmp_path / "st",
+                                "--replications", 1, flag, value] + self.MODEL_FLAGS) == 1
         # malformed model-selection rows -> validation
         for k, row in enumerate(("car1,abc,3,100", "car1,0.5,3", "car1,0.5,3,0")):
             table = tmp_path / f"models{k}.csv"

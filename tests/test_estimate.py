@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from carmafield import estimate, model, simulate
+from carmafield import estimate, model, simulate, workflows
 from carmafield.errors import (
     InvalidSpec,
     LagOutOfRange,
@@ -319,7 +319,7 @@ class TestBatchedOrdinates:
             codec = _codec_for(spec)
             lags = _lag_menu(d, 0.25).lags
             theta0 = codec.from_spec(spec)
-            jac = estimate._variogram_jacobian(codec, theta0, lags)
+            jac = estimate._variogram_jacobian(estimate._Ordinates(codec, lags), theta0)
             for i in range(theta0.size):
                 h = estimate.JACOBIAN_REL_STEP * max(abs(theta0[i]), 1.0)
                 up, dn = theta0.copy(), theta0.copy()
@@ -333,8 +333,9 @@ class TestBatchedOrdinates:
         # a step of 1e-5 moves the eigenvalue -1e-6 to a positive real part
         codec = estimate.ThetaCodec(p=1, q=0, d=1)
         with pytest.raises(NumericError):
-            estimate._variogram_jacobian(codec, np.array([1.0, -1e-6]),
-                                         np.array([[0.5], [1.0]]))
+            estimate._variogram_jacobian(
+                estimate._Ordinates(codec, np.array([[0.5], [1.0]])), np.array([1.0, -1e-6])
+            )
 
 
 class TestCodec:
@@ -385,6 +386,29 @@ class TestFit:
         assert diag["de_evaluations"] == 10 * 3 * (diag["de_generations"] + 1)
         assert diag["polish_evaluations"] > diag["polish_iterations"] > 0
         assert diag["polish_converged"] is True
+
+    def test_reported_wss_is_exact_at_a_double_root(self):
+        # criterion 7's Gaussian replication 5 with the study's own DE
+        # seed: the least-squares minimum over real eigenvalues is a
+        # double root, where the eigen-expansion cancels
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        fine = simulate.simulate_truncated_discretized(
+            spec, simulate.GaussianBasis(), 300, 1000, 0.02, seed=777, stream=5
+        )
+        coarse = workflows._thin(fine, 2)
+        emp = estimate.empirical_variogram(coarse, estimate.axis_lag_set(2, coarse.delta, 50))
+        de_seed = np.random.SeedSequence(entropy=777, spawn_key=(5, 977)).generate_state(1)[0]
+        config = estimate.FitConfig(p=2, q=1, seed=int(de_seed) + 1,
+                                    require_identifiable_lags=False)
+        result = estimate.fit(emp, config)
+        assert result.diagnostics["polish_converged"] is True
+        # the exact WSS at theta_star, from the state-space form
+        gamma0 = oracles.autocovariance_state_space(result.spec, (0.0, 0.0))
+        exact = np.array([2.0 * (gamma0 - oracles.autocovariance_state_space(result.spec, lag))
+                          for lag in emp.lags])
+        resid = emp.ordinates - exact
+        wss = float(np.sum(estimate.resolve_weights(emp, "quadratic") * resid * resid))
+        assert result.wss == pytest.approx(wss, rel=1e-6)
 
     def test_seeded_carma21_fit_is_bit_identical(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
@@ -496,7 +520,7 @@ class TestEstimatorCovariance:
         spec = model.CarmaSpec(b=(b0,), eigenvalues=((lam,),))
         codec = estimate.ThetaCodec(p=1, q=0, d=1)
         jac = estimate._variogram_jacobian(
-            codec, codec.from_spec(spec), np.array([[tau]])
+            estimate._Ordinates(codec, np.array([[tau]])), codec.from_spec(spec)
         )
         d_b0 = 2 * b0 * (1 - np.exp(lam * tau)) / (-lam)
         d_lam = b0 ** 2 * (

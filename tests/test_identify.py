@@ -40,6 +40,17 @@ class TestAxisOrdinates:
         with pytest.raises(ValidationError):
             identify.AxisOrdinates(axis=0, delta=0.1, values=(0.0, -1.0, 1.5, 2.0))
 
+    @pytest.mark.parametrize("delta, values", [
+        (np.inf, (0.0, 1.0, 1.5, 2.0, 2.2, 2.3)),
+        (np.nan, (0.0, 1.0, 1.5, 2.0, 2.2, 2.3)),
+        (0.1, (0.0, np.nan, 1.5, 2.0, 2.2, 2.3)),
+        (0.1, (0.0, 1.0, 1.5, np.inf, 2.2, 2.3)),
+    ])
+    def test_rejects_non_finite(self, delta, values):
+        # before the check, recovery from these ended in numpy's LinAlgError
+        with pytest.raises(ValidationError):
+            identify.AxisOrdinates(axis=0, delta=delta, values=values)
+
 
 class TestEigenvalueRecovery:
     def test_car1_exact(self):
