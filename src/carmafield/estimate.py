@@ -10,12 +10,18 @@ increments are small against the field's spread).  Parameters are fitted
 by minimizing the weighted squared gap between empirical and model
 ordinates over a compact box: a seeded differential-evolution global
 search followed by a bounded least-squares polish (trust-region
-reflective).  Both call one batched evaluator: differential evolution
-scores each generation in one call, with deferred updating, and the
-polish one residual vector per call and its finite-difference Jacobian
-as one batch.  The sampling covariance of the fitted parameters at the
-optimum is available from the delta-method sandwich built on the
-variogram estimator's own asymptotic covariance and the same Jacobian.
+reflective).  The search is the package's own best1bin driver with a
+Latin-hypercube start and deferred updating.  It draws scipy's random
+stream in scipy's order, so it returns what
+``scipy.optimize.differential_evolution`` returns with the same settings,
+bit for bit, and fit bytes do not depend on scipy's private DE internals,
+which the ``scipy>=1.10`` requirement does not pin.  Both stages call
+one batched evaluator: differential evolution scores each generation in
+one call, and the polish one residual vector per call and its
+finite-difference Jacobian as one batch.  The sampling covariance of the
+fitted parameters at the optimum is available from the delta-method
+sandwich built on the variogram estimator's own asymptotic covariance
+and the same Jacobian.
 """
 
 from __future__ import annotations
@@ -500,10 +506,13 @@ class _Ordinates:
         return out, ~ok
 
 
-def _variogram_jacobian(ordinates, theta0):
-    """Central finite differences of the model ordinates in theta.
+def _variogram_jacobian(ordinates, theta0, bounds=None):
+    """Finite differences of the model ordinates in theta.
 
-    The 2 dim perturbed vectors are one call of ``ordinates``.
+    The differences are central, except that a coordinate whose step
+    would leave ``bounds`` (a (2, dim) array of lows and highs) steps
+    one-sided into the box, from theta0 itself.  The 2 dim perturbed
+    vectors are one call of ``ordinates``.
 
     Raises
     ------
@@ -512,14 +521,17 @@ def _variogram_jacobian(ordinates, theta0):
     """
     theta0 = np.asarray(theta0, dtype=float)
     h = JACOBIAN_REL_STEP * np.maximum(np.abs(theta0), 1.0)
-    steps = np.diag(h)
-    ords, failed = ordinates(np.vstack([theta0 + steps, theta0 - steps]))
+    up, down = h, h
+    if bounds is not None:
+        up = np.where(theta0 + h > bounds[1], 0.0, h)
+        down = np.where(theta0 - h < bounds[0], 0.0, h)
+    ords, failed = ordinates(np.vstack([theta0 + np.diag(up), theta0 - np.diag(down)]))
     if failed.any():
         raise NumericError(
             f"the model is undefined at {int(failed.sum())} of the {2 * theta0.size} "
             f"perturbed parameter vectors (relative step {JACOBIAN_REL_STEP:g})"
         )
-    return ((ords[: theta0.size] - ords[theta0.size:]) / (2.0 * h)[:, None]).T
+    return ((ords[: theta0.size] - ords[theta0.size:]) / (up + down)[:, None]).T
 
 
 class _WlsProblem:
@@ -543,14 +555,13 @@ class _WlsProblem:
         self.evaluations = 0
 
     def objective(self, theta):
-        """WSS at one theta (a float) or at the columns of a (dim, S) array.
+        """WSS at one theta (a float) or at each row of an (S, dim) array.
 
-        The (dim, S) layout is the one ``differential_evolution`` passes
-        with ``vectorized=True``.  Rows where the model is undefined
-        score +inf, so the search steers away.
+        Rows where the model is undefined score +inf, so the search
+        steers away.
         """
         theta = np.asarray(theta, dtype=float)
-        thetas = theta.T if theta.ndim == 2 else theta.reshape(1, -1)
+        thetas = np.atleast_2d(theta)
         ords, failed = self.ordinates(thetas)
         self.evaluations += thetas.shape[0]
         resid = self.emp.ordinates - ords
@@ -574,10 +585,12 @@ class FitConfig:
     """Options for the two-stage WLS fit.
 
     The defaults reproduce the reference setup: quadratic lag weights,
-    population of 10 per parameter and 300 generations.  Each generation
-    is evaluated as one batch, with deferred updating: every trial of a
-    generation is built from the previous generation.  The parameter
-    box and the remaining search settings are module constants
+    population of 10 per parameter and 300 generations.  The search is
+    best1bin differential evolution from a Latin-hypercube start with
+    deferred updating (``_differential_evolution``): every trial of a
+    generation is built from the previous generation, and ``seed``
+    drives the random stream of scipy's ``differential_evolution``.  The
+    parameter box and the remaining search settings are module constants
     (``B_MAX``, ``EIG_MIN``, ``IM_MAX``, ``DE_*``); the polish uses
     scipy's default tolerances.  The seed must lie in [0, 2**32), and
     the population factor and the generations must be positive.
@@ -666,17 +679,82 @@ def aic_value(wss, p_params, k_lags):
     return 2.0 * p_params + k_lags * math.log(wss / k_lags)
 
 
+def _differential_evolution(problem, bounds, config):
+    """Minimize ``problem.objective`` over the box by differential evolution.
+
+    Bit for bit ``scipy.optimize.differential_evolution`` with best1bin,
+    a Latin-hypercube start, deferred updating, no polish and the
+    ``DE_*`` settings: it draws ``RandomState(config.seed)`` in scipy's
+    order (the tests check it against scipy).  A generation is
+    whole-array work and one ``problem.objective`` call on the (S, dim)
+    trial rows, apart from the per-member ``shuffle`` that picks the
+    difference vectors, which the stream needs.  The search stops when
+    no energy is +inf and their standard deviation is at most ``DE_TOL``
+    times the magnitude of their mean.
+
+    Returns the best parameter vector, the generations run and whether
+    the stop test was met.
+    """
+    rng = np.random.RandomState(config.seed)
+    low, high = np.asarray(bounds, dtype=float).T
+    centre, width = 0.5 * (low + high), np.fabs(low - high)
+    dim = low.size
+    size = max(5, config.population_factor * dim)
+    members = np.arange(size)
+    # members live in the unit box: one draw in each of `size` strata per
+    # coordinate, then one permutation of the strata per coordinate
+    strata = ((1.0 / size) * rng.uniform(size=(size, dim))
+              + np.linspace(0.0, 1.0, size, endpoint=False)[:, None])
+    orders = np.array([rng.permutation(size) for _ in range(dim)])
+    population = strata[orders.T, np.arange(dim)]
+    energies = problem.objective(centre + (population - 0.5) * width)
+
+    def promote():  # the best member to row 0
+        best = np.argmin(energies)
+        population[[0, best]] = population[[best, 0]]
+        energies[[0, best]] = energies[[best, 0]]
+
+    promote()
+    index, picks = np.arange(size), np.empty((size, 3), dtype=np.intp)
+    converged = False
+    for generation in range(1, config.generations + 1):
+        for row in range(size):
+            rng.shuffle(index)
+            picks[row] = index[:3]
+        # the first two picks that are not the member itself
+        first = picks[:, 0] == members
+        r0 = np.where(first, picks[:, 1], picks[:, 0])
+        r1 = np.where(first | (picks[:, 1] == members), picks[:, 2], picks[:, 1])
+        mutant = population[0] + DE_DIFFERENTIAL_WEIGHT * (population[r0] - population[r1])
+        fill = rng.randint(dim, size=size)
+        cross = rng.uniform(size=(size, dim)) < DE_CROSSOVER
+        cross[members, fill] = True
+        trial = np.where(cross, mutant, population)
+        outside = (trial > 1) | (trial < 0)
+        trial[outside] = rng.uniform(size=np.count_nonzero(outside))
+        scores = problem.objective(centre + (trial - 0.5) * width)
+        better = scores <= energies
+        population[better], energies[better] = trial[better], scores[better]
+        promote()
+        if not np.isinf(energies).any() and np.std(energies) <= DE_TOL * np.abs(np.mean(energies)):
+            converged = True
+            break
+    return centre + (population[0] - 0.5) * width, generation, converged
+
+
 def fit(emp, config):
     """Two-stage WLS fit of CARMA parameters to an empirical variogram.
 
     Differential evolution over the parameter box (seeded, hence
-    deterministic) followed by a trust-region reflective least-squares
-    polish of sqrt(w) (gamma_hat - gamma(theta)) in the same box, from
-    the best candidate.  Each generation is one batched evaluation with
-    deferred updating; the polish scores its residuals with the same
-    evaluator and takes ``asymptotic_covariance``'s Jacobian.  Output
-    eigenvalues are in canonical order (descending real part, then
-    descending imaginary part).
+    deterministic; ``_differential_evolution``) followed by a
+    trust-region reflective least-squares polish of
+    sqrt(w) (gamma_hat - gamma(theta)) in the same box, from the best
+    candidate.  Each generation is one batched evaluation with deferred
+    updating; the polish scores its residuals with the same evaluator
+    and takes ``asymptotic_covariance``'s Jacobian, stepping one-sided
+    where a central step would leave the box.  Output eigenvalues are in
+    canonical order (descending real part, then descending imaginary
+    part).
 
     ``diagnostics`` holds ``de_generations``, ``de_evaluations`` and
     ``polish_evaluations`` (parameter vectors scored by each stage),
@@ -700,28 +778,16 @@ def fit(emp, config):
     weights = resolve_weights(emp, config.weights)
     problem = _WlsProblem(emp, weights, codec)
     bounds = codec.default_bounds()
-    de = optimize.differential_evolution(
-        problem.objective,
-        bounds=bounds,
-        maxiter=config.generations,
-        popsize=config.population_factor,
-        mutation=DE_DIFFERENTIAL_WEIGHT,
-        recombination=DE_CROSSOVER,
-        tol=DE_TOL,
-        seed=config.seed,
-        init="latinhypercube",
-        polish=False,
-        vectorized=True,
-        updating="deferred",
-    )
+    de_x, de_generations, de_converged = _differential_evolution(problem, bounds, config)
     # residuals sqrt(w) (gamma_hat - gamma(theta)) are NaN where the model
     # is undefined, which shrinks the trust region
     root_w = np.sqrt(problem.weights)
+    box = np.transpose(bounds)
     polish = optimize.least_squares(
         lambda theta: root_w * (emp.ordinates - problem.ordinates(theta[None])[0][0]),
-        de.x,
-        jac=lambda theta: -root_w[:, None] * _variogram_jacobian(problem.ordinates, theta),
-        bounds=np.transpose(bounds),
+        de_x,
+        jac=lambda theta: -root_w[:, None] * _variogram_jacobian(problem.ordinates, theta, box),
+        bounds=box,
         method="trf",
     )
     spec = codec.to_spec(polish.x).canonical()
@@ -736,8 +802,8 @@ def fit(emp, config):
         p_params=p_params,
         k_lags=emp.k,
         diagnostics={
-            "converged": bool(de.success),
-            "de_generations": int(de.nit),
+            "converged": de_converged,
+            "de_generations": de_generations,
             "de_evaluations": problem.evaluations,
             "polish_iterations": int(polish.njev),
             "polish_evaluations": int(polish.nfev + 2 * codec.dim * polish.njev),

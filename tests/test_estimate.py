@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from carmafield import estimate, model, simulate, workflows
 from carmafield.errors import (
@@ -308,7 +308,7 @@ class TestBatchedOrdinates:
         assert expected == [False, True, True, True, True, False]
         np.testing.assert_array_equal(failed, expected)
         assert np.all(np.isnan(ords[failed]))
-        wss = problem.objective(thetas.T)
+        wss = problem.objective(thetas)
         np.testing.assert_array_equal(np.isinf(wss), expected)
         assert problem.objective(vander) == np.inf
         assert problem.objective(valid) == wss[0]
@@ -336,6 +336,27 @@ class TestBatchedOrdinates:
             estimate._variogram_jacobian(
                 estimate._Ordinates(codec, np.array([[0.5], [1.0]])), np.array([1.0, -1e-6])
             )
+
+    def test_jacobian_steps_one_sided_at_the_box_edge(self):
+        # theta + h crosses lambda = 0, where the model is undefined
+        spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,), (-1.4,)))
+        emp = oracles.synthetic_variogram(spec, 0.1, 10)
+        codec = estimate.ThetaCodec(p=1, q=0, d=2)
+        problem = estimate._WlsProblem(emp, np.ones(emp.k), codec)
+        box = np.transpose(codec.default_bounds())
+        theta = np.array([1.0, -5e-6, -1.0])
+        with pytest.raises(NumericError):
+            estimate._variogram_jacobian(problem.ordinates, theta)
+        jac = estimate._variogram_jacobian(problem.ordinates, theta, box)
+        assert np.all(np.isfinite(jac))
+        back = theta.copy()
+        back[1] -= estimate.JACOBIAN_REL_STEP
+        (at, below), _ = problem.ordinates(np.vstack([theta, back]))
+        np.testing.assert_array_equal(jac[:, 1], (at - below) / estimate.JACOBIAN_REL_STEP)
+        # an interior theta keeps its central steps, bit for bit
+        interior = np.array([1.0, -0.5, -1.0])
+        assert (estimate._variogram_jacobian(problem.ordinates, interior, box).tobytes()
+                == estimate._variogram_jacobian(problem.ordinates, interior).tobytes())
 
 
 class TestCodec:
@@ -434,7 +455,7 @@ class TestFit:
         def no_search(*args, **kwargs):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(estimate.optimize, "differential_evolution", no_search)
+        monkeypatch.setattr(estimate, "_differential_evolution", no_search)
         spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,), (-1.4,)))
         emp = oracles.synthetic_variogram(spec, 0.1, 10)
         with pytest.raises(InvalidSpec):
@@ -452,6 +473,68 @@ class TestFit:
                                     generations=5)
         result = estimate.fit(emp, config)
         assert result.diagnostics["lag_set"].startswith("insufficient")
+
+
+class TestDifferentialEvolution:
+    """The package's driver against scipy's, with ``fit``'s settings."""
+
+    def setup_method(self):
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        self.emp = oracles.synthetic_variogram(spec, 0.04, 10)
+        # a deterministic perturbation, so the optimum is not the truth
+        self.emp.ordinates *= 1.0 + 0.02 * np.sin(np.arange(self.emp.k))
+
+    def run_both(self, config, bounds=None):
+        """Both drivers on one problem; returns the package's stop flag and
+        the scores its objective returned, call by call."""
+        codec = estimate.ThetaCodec(p=config.p, q=config.q, d=2, blocks=config.blocks)
+        bounds = codec.default_bounds() if bounds is None else bounds
+        weights = estimate.resolve_weights(self.emp, config.weights)
+        ours = estimate._WlsProblem(self.emp, weights, codec)
+        theirs = estimate._WlsProblem(self.emp, weights, codec)
+        scores = []
+
+        def objective(rows, score=ours.objective):
+            out = score(rows)
+            scores.append(out.copy())  # the driver updates its energies in place
+            return out
+
+        ours.objective = objective
+        x, generations, converged = estimate._differential_evolution(ours, bounds, config)
+        ref = optimize.differential_evolution(
+            lambda columns: theirs.objective(columns.T), bounds=bounds,
+            maxiter=config.generations, popsize=config.population_factor,
+            mutation=estimate.DE_DIFFERENTIAL_WEIGHT, recombination=estimate.DE_CROSSOVER,
+            tol=estimate.DE_TOL, seed=config.seed, init="latinhypercube", polish=False,
+            vectorized=True, updating="deferred",
+        )
+        assert x.tobytes() == ref.x.tobytes()
+        assert generations == ref.nit
+        assert converged == ref.success
+        assert ours.evaluations == theirs.evaluations
+        return converged, scores
+
+    @pytest.mark.parametrize("p, q, blocks, seed", [
+        (1, 0, None, 0), (1, 0, None, 7), (2, 0, None, 5), (2, 1, None, 0),
+        (2, 0, (("c",), ("c",)), 1),
+    ])
+    def test_matches_scipy(self, p, q, blocks, seed):
+        self.run_both(estimate.FitConfig(p=p, q=q, blocks=blocks, seed=seed))
+
+    def test_matches_scipy_through_undefined_rows(self):
+        # an eigenvalue box reaching past 0: rows with a positive
+        # eigenvalue score +inf, from the first population on
+        config = estimate.FitConfig(p=1, q=0, seed=3)
+        bounds = [(0.0, estimate.B_MAX), (estimate.EIG_MIN, 1.0), (estimate.EIG_MIN, 1.0)]
+        _, scores = self.run_both(config, bounds)
+        assert np.isinf(scores[0]).any()
+        assert any(np.isinf(s).any() for s in scores[1:])
+
+    def test_generation_cap_matches_scipy(self):
+        config = estimate.FitConfig(p=2, q=1, seed=4, generations=5)
+        converged, scores = self.run_both(config)
+        assert not converged
+        assert len(scores) == 1 + config.generations
 
 
 class TestAic:
