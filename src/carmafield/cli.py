@@ -508,17 +508,19 @@ _NEGATIVE_VALUE = re.compile(r"^-\d")
 
 
 def _build_parser():
+    # the common flags are declared once and copied into each subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None)
+    for flag in _COMMON_FLAGS:
+        common.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None)
     parser = _Parser(prog="carma-field", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, parents=[common])
         # values like "-1.7,-2.1;-1.3,-2.5" must parse as arguments,
         # not flags
         p._negative_number_matcher = _NEGATIVE_VALUE
-        p.add_argument("--config", default=None)
-        for flag in _COMMON_FLAGS:
-            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None)
     return parser
 
 

@@ -7,12 +7,14 @@ eigen-components are separable, so each jump is deposited into one
 lattice cell and a first-order exponential recursion along each axis
 carries it to every point.  The only error left is the box truncation,
 ``mse_truncation_cp``.  The same draw can be evaluated at arbitrary
-points (``simulate_compound_poisson_at``) by a tiled dominance sum: a
-tile of points sums the jumps below its upper corner, each weighted by
-the kernel's eigen-components carried to that corner, in one matrix
-product with the orthant mask; the corner-to-point factor is kept below
-exp(``TILE_MAX_EXPONENT``) by halving tiles.  It uses no lattice cells
-or recursion, so it checks the lattice field independently.
+points (``simulate_compound_poisson_at``) by a two-level dominance sum.
+An anchor group of points weights the jumps below its upper corner
+once, by the kernel's eigen-components carried to that corner; groups
+are halved until the corner-to-point factor stays below
+exp(``TILE_MAX_EXPONENT``).  Inside a group, mask tiles of at most
+``TILE_PAIRS`` point-jump pairs sum those weights into each point in
+one matrix product with the orthant mask.  It uses no lattice cells or
+recursion, so it checks the lattice field independently.
 
 For general noise the moving average integral is truncated and
 discretized, turning the field into a finite-order moving average of
@@ -63,8 +65,9 @@ __all__ = [
 # hold four times as many) and expected compound-Poisson jumps
 MAX_KERNEL_CELLS = 1 << 26
 
-# point evaluation: point-jump pairs per tile, and the largest exponent
-# of the factor that carries a tile's sums from its corner to a point
+# point evaluation: point-jump pairs per mask tile, and the largest
+# exponent of the factor that carries an anchor group's sums from its
+# corner to a point
 TILE_PAIRS = 1 << 18
 TILE_MAX_EXPONENT = 600.0
 
@@ -375,11 +378,15 @@ def simulate_compound_poisson(spec, basis, m_radius, n, delta, seed, stream=0):
     return LatticeField(delta=delta, values=values, provenance=prov)
 
 
-def _below(sites, points):
-    """mask[t, j]: sites[j] <= points[t] on every axis."""
-    mask = points[:, :1] >= sites[:, 0]
+def _below(coords, points):
+    """mask[t, j]: jump j lies at or below points[t] on every axis.
+
+    ``coords`` holds the jump coordinates as d contiguous rows, so each
+    axis compares one unit-stride row.
+    """
+    mask = points[:, :1] >= coords[0]
     for i in range(1, points.shape[1]):
-        mask &= points[:, i:i + 1] >= sites[:, i]
+        mask &= points[:, i:i + 1] >= coords[i]
     return mask
 
 
@@ -401,19 +408,20 @@ def simulate_compound_poisson_at(spec, basis, m_radius, points, seed, stream=0):
     of ``points``.
 
     Each value is the direct sum over every jump in the orthant below
-    the point, computed as a tiled, anchored dominance sum.  The points
-    are sorted lexicographically and cut into tiles of at most
-    ``TILE_PAIRS`` point-jump pairs.  A tile with upper corner a (the
-    per-axis maximum of its points) weights each jump s <= a with
-    W[j, K] = h_j prod_i exp(lam_{i,K_i} (a_i - s_{j,i})), which is at
-    most |h_j| in modulus; one matrix product with the orthant mask
-    (s_j <= x on every axis) sums the weights into each point x, and
-    the point factor prod_i exp(lam_{i,K_i} (x_i - a_i)) carries them
-    from a to x.  That factor grows like exp(sum_i r_i (a_i - x_i)),
-    r_i the largest decay rate of axis i, so a tile is halved while the
-    exponent could exceed ``TILE_MAX_EXPONENT``; a one-point tile is the
-    plain per-point sum.  No lattice cells, phases or recursion enter,
-    so the result is an independent check on
+    the point, computed as an anchored dominance sum on two levels.
+    The points are sorted lexicographically.  An anchor group with
+    upper corner a (the per-axis maximum of its points) weights each
+    jump s <= a once, with W[j, K] = h_j prod_i exp(lam_{i,K_i}
+    (a_i - s_{j,i})), which is at most |h_j| in modulus.  The point
+    factor prod_i exp(lam_{i,K_i} (x_i - a_i)) carries those weights
+    from a to a point x; it grows like exp(sum_i r_i (a_i - x_i)), r_i
+    the largest decay rate of axis i, so a group is halved while the
+    exponent could exceed ``TILE_MAX_EXPONENT``, and a one-point group
+    is the plain per-point sum.  Inside a group the points are cut into
+    mask tiles of at most ``TILE_PAIRS`` point-jump pairs; one matrix
+    product with a tile's orthant mask (s_j <= x on every axis) sums
+    the group's weights into each of its points.  No lattice cells,
+    phases or recursion enter, so the result is an independent check on
     ``simulate_compound_poisson``.
     """
     if not isinstance(basis, CompoundPoissonBasis):
@@ -430,29 +438,33 @@ def simulate_compound_poisson_at(spec, basis, m_radius, points, seed, stream=0):
     rng = substream(seed, stream)
     sites, heights = _draw_jumps(basis, m_radius, spec.d, rng)
     out = np.zeros(points.shape[0])
-    if sites.shape[0] == 0:
+    if sites.shape[0] == 0 or points.shape[0] == 0:
         return out
     coeff = model._coeff_tensor(spec).ravel()
     lams = [np.asarray(axis, dtype=complex) for axis in spec.eigenvalues]
     rates = np.asarray([-np.min(lam.real) for lam in lams])
-    order = np.lexsort(points.T[::-1])
+    coords = np.ascontiguousarray(sites.T)
     size = max(1, TILE_PAIRS // sites.shape[0])
-    tiles = [order[i:i + size] for i in range(0, order.size, size)]
-    while tiles:
-        tile = tiles.pop()
-        x = points[tile]
-        corner = x.max(axis=0)
-        if tile.size > 1 and rates @ (corner - x.min(axis=0)) > TILE_MAX_EXPONENT:
-            half = tile.size // 2
-            tiles += [tile[:half], tile[half:]]
+    groups = [np.lexsort(points.T[::-1])]
+    while groups:
+        group = groups.pop()
+        x = points[group]
+        anchor = x.max(axis=0)
+        if group.size > 1 and rates @ (anchor - x.min(axis=0)) > TILE_MAX_EXPONENT:
+            half = group.size // 2
+            groups += [group[:half], group[half:]]
             continue
-        below = _below(sites, corner[None])[0]
+        below = _below(coords, anchor[None])[0]
         if not below.any():
             continue
-        s = sites[below]
-        weights = heights[below, None] * _components(corner - s, lams)
-        sums = (_below(s, x).astype(float) @ weights.view(float)).view(complex)
-        out[tile] = ((sums * _components(x - corner, lams)) @ coeff).real
+        # compress keeps the rows contiguous; coords[:, below] would not
+        kept = coords.compress(below, axis=1)
+        weights = heights[below, None] * _components(anchor - kept.T, lams)
+        weights = weights.view(float)
+        for start in range(0, group.size, size):
+            tile, xt = group[start:start + size], x[start:start + size]
+            sums = (_below(kept, xt).astype(float) @ weights).view(complex)
+            out[tile] = ((sums * _components(xt - anchor, lams)) @ coeff).real
     return out
 
 

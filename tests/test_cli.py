@@ -337,6 +337,19 @@ class TestCliCommands:
         manifest = (out / "manifest.txt").read_text()
         assert "seed = 2" in manifest  # flag wins over file
 
+    @pytest.mark.parametrize("command", list(cli._HANDLERS))
+    def test_every_common_flag_parses_in_every_command(self, command):
+        # each flag gets its own value, negative lists included
+        values = {flag: f"-{i}.5,-2.1;-1.3,-2.5" for i, flag in
+                  enumerate(["config"] + cli._COMMON_FLAGS)}
+        argv = [command]
+        for flag, value in values.items():
+            argv += [f"--{flag.replace('_', '-')}", value]
+        args = cli._build_parser().parse_args(argv)
+        assert args.command == command
+        for flag, value in values.items():
+            assert getattr(args, flag) == value
+
     def test_exit_codes(self, tmp_path, monkeypatch):
         # missing input file -> I/O failure
         assert run_cli(["diagnose", "--input", tmp_path / "none.carf",

@@ -94,6 +94,10 @@ class TestCompoundPoisson:
         )
         out = simulate.simulate_compound_poisson(spec, basis, 5.0, 8, 0.5, seed=3)
         assert np.all(out.values == 0.0)
+        at = simulate.simulate_compound_poisson_at(
+            spec, basis, 5.0, [(1.0, 2.0)] * 3, seed=3
+        )
+        assert np.array_equal(at, np.zeros(3))
 
     def test_deterministic_given_seed(self):
         spec = car1_2d()
@@ -148,11 +152,13 @@ class TestCompoundPoisson:
         assert np.count_nonzero(direct) > pts.shape[0] // 2
         np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("tile_pairs", [simulate.TILE_PAIRS, 1])
+    @pytest.mark.parametrize("tile_pairs", [simulate.TILE_PAIRS, 1 << 10, 1])
     def test_points_with_split_tiles(self, monkeypatch, tile_pairs):
-        # a decay rate of 60 over a spread of 24 would carry a tile's
-        # sums by exp(1440), so the tiles must be halved; with one pair
-        # per tile every point is a tile of its own
+        # a decay rate of 60 over a spread of 24 would carry a group's
+        # sums by exp(1440), so the anchor groups must be halved (to four
+        # groups of 10 points); with 1 << 10 pairs and about 300 jumps a
+        # group spans four mask tiles of at most 3 points, and with one
+        # pair per tile every point is a tile of its own
         monkeypatch.setattr(simulate, "TILE_PAIRS", tile_pairs)
         spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-60.0,), (-1.0,)))
         basis = simulate.CompoundPoissonBasis(0.5, simulate.NormalJumps())
@@ -161,6 +167,13 @@ class TestCompoundPoisson:
         direct = oracles.cp_points_direct(spec, basis, 12.0, pts, 4)
         assert np.count_nonzero(np.abs(direct) > 1e-6) >= 20
         np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-12)
+
+    def test_no_points_give_an_empty_array(self):
+        basis = simulate.CompoundPoissonBasis(intensity=1.0)
+        vals = simulate.simulate_compound_poisson_at(
+            car1_2d(), basis, 3.0, np.zeros((0, 2)), 0
+        )
+        assert vals.shape == (0,)
 
     @pytest.mark.parametrize("points", [
         [(0.1, np.nan)],
