@@ -21,7 +21,8 @@ one call, and the polish one residual vector per call and its
 finite-difference Jacobian as one batch.  The sampling covariance of the
 fitted parameters at the optimum is available from the delta-method
 sandwich built on the variogram estimator's own asymptotic covariance
-and the same Jacobian.
+and the same Jacobian.  A real spectrum, the default codec's only
+kind, is evaluated in real arithmetic throughout (see ``model``).
 """
 
 from __future__ import annotations
@@ -174,7 +175,15 @@ class EmpiricalVariogram:
 
 
 def axis_lag_set(d, delta, j_max):
-    """Lags {j * delta * e_i : i = 1..d, j = 1..j_max}, axis-major order."""
+    """Lags {j * delta * e_i : i = 1..d, j = 1..j_max}, axis-major order.
+
+    Raises
+    ------
+    ValidationError
+        If ``j_max`` is below 1.
+    """
+    if j_max < 1:
+        raise ValidationError(f"the lag count per axis must be at least 1, got {j_max}")
     delta = model._per_axis(delta, d, "delta")
     lags = []
     for i in range(d):
@@ -372,28 +381,30 @@ class ThetaCodec:
         """b and eigenvalues of S parameter rows.
 
         ``thetas`` has shape (S, dim).  Returns b as an (S, p) array,
-        zero-padded past b_q, and the eigenvalues as a complex (S, d, p)
-        array; a complex block's imaginary part enters by its magnitude.
+        zero-padded past b_q, and the eigenvalues as an (S, d, p) array
+        of ``model._eigenvalue_array``'s dtype (float64 when every block
+        is real); a complex block's imaginary part enters by its
+        magnitude.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.dim:
             raise ValidationError(f"theta must have {self.dim} entries per row")
         b = np.zeros((thetas.shape[0], self.p))
         b[:, : self.q + 1] = thetas[:, : self.q + 1]
-        lam = np.zeros((thetas.shape[0], self.d, self.p), dtype=complex)
+        re, im = np.zeros((2, thetas.shape[0], self.d, self.p))
         pos = self.q + 1
         for i, axis_blocks in enumerate(self.blocks):
             k = 0
             for kind in axis_blocks:
                 if kind == "r":
-                    lam[:, i, k] = thetas[:, pos]
+                    re[:, i, k] = thetas[:, pos]
                     pos, k = pos + 1, k + 1
                 else:
-                    im = np.abs(thetas[:, pos + 1])
-                    lam.real[:, i, k:k + 2] = thetas[:, pos, None]
-                    lam.imag[:, i, k], lam.imag[:, i, k + 1] = im, -im
+                    re[:, i, k:k + 2] = thetas[:, pos, None]
+                    im[:, i, k] = np.abs(thetas[:, pos + 1])
+                    im[:, i, k + 1] = -im[:, i, k]
                     pos, k = pos + 2, k + 2
-        return b, lam
+        return b, model._eigenvalue_array(re + 1j * im)
 
     def to_spec(self, theta):
         b, lam = self.expand(np.reshape(theta, (1, -1)))
@@ -509,29 +520,42 @@ class _Ordinates:
 def _variogram_jacobian(ordinates, theta0, bounds=None):
     """Finite differences of the model ordinates in theta.
 
-    The differences are central, except that a coordinate whose step
-    would leave ``bounds`` (a (2, dim) array of lows and highs) steps
-    one-sided into the box, from theta0 itself.  The 2 dim perturbed
-    vectors are one call of ``ordinates``.
+    The differences are central.  With ``bounds`` (a (2, dim) array of
+    lows and highs), a coordinate steps one-sided from theta0 itself
+    where its step would leave the box, or where theta0 is defined and
+    the step leaves the model's domain (for instance by moving an
+    eigenvalue within ``model.MIN_EIGENVALUE_GAP`` of its neighbour).
+    The 2 dim perturbed vectors, and theta0 with ``bounds``, are one
+    call of ``ordinates``.
 
     Raises
     ------
     NumericError
-        If a perturbed vector leaves the model's domain.
+        If a perturbed vector leaves the model's domain and no
+        one-sided step replaces it.
     """
     theta0 = np.asarray(theta0, dtype=float)
+    n = theta0.size
     h = JACOBIAN_REL_STEP * np.maximum(np.abs(theta0), 1.0)
-    up, down = h, h
+    up, down, centre = h, h, np.empty((0, n))
     if bounds is not None:
         up = np.where(theta0 + h > bounds[1], 0.0, h)
         down = np.where(theta0 - h < bounds[0], 0.0, h)
-    ords, failed = ordinates(np.vstack([theta0 + np.diag(up), theta0 - np.diag(down)]))
+        centre = theta0[None]
+    ords, failed = ordinates(np.vstack([theta0 + np.diag(up), theta0 - np.diag(down), centre]))
+    if bounds is not None:
+        # a failed step is taken back to theta0; a coordinate left with
+        # no step on either side stays failed
+        back = failed[:2 * n] & ~failed[2 * n]
+        ords[:2 * n][back] = ords[2 * n]
+        up, down = np.where(back[:n], 0.0, up), np.where(back[n:], 0.0, down)
+        failed = (failed[:2 * n] & ~back) | (back & np.tile(up + down == 0.0, 2))
     if failed.any():
         raise NumericError(
-            f"the model is undefined at {int(failed.sum())} of the {2 * theta0.size} "
+            f"the model is undefined at {int(failed.sum())} of the {2 * n} "
             f"perturbed parameter vectors (relative step {JACOBIAN_REL_STEP:g})"
         )
-    return ((ords[: theta0.size] - ords[theta0.size:]) / (up + down)[:, None]).T
+    return ((ords[:n] - ords[n:2 * n]) / (up + down)[:, None]).T
 
 
 class _WlsProblem:
@@ -752,9 +776,9 @@ def fit(emp, config):
     candidate.  Each generation is one batched evaluation with deferred
     updating; the polish scores its residuals with the same evaluator
     and takes ``asymptotic_covariance``'s Jacobian, stepping one-sided
-    where a central step would leave the box.  Output eigenvalues are in
-    canonical order (descending real part, then descending imaginary
-    part).
+    where a central step would leave the box or the model's domain.
+    Output eigenvalues are in canonical order (descending real part,
+    then descending imaginary part).
 
     ``diagnostics`` holds ``de_generations``, ``de_evaluations`` and
     ``polish_evaluations`` (parameter vectors scored by each stage),
@@ -769,7 +793,8 @@ def fit(emp, config):
         for the order (disable with
         ``config.require_identifiable_lags=False``).
     NumericError
-        When the polish's Jacobian steps leave the model's domain.
+        When a coordinate of the polish's Jacobian has no step on either
+        side inside the model's domain.
     """
     codec = ThetaCodec(p=config.p, q=config.q, d=emp.lags.shape[1],
                        kappa2=config.kappa2, blocks=config.blocks)
@@ -870,7 +895,8 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     kappa4 - 3 kappa2^2.  Every factor is exponential in the lattice
     index, so per axis each sum is a few geometric series, summed in
     closed form: nothing is truncated.  Every lag in ``tlist`` must lie
-    on the lattice, a whole number of spacings on each axis.
+    on the lattice, a whole number of spacings on each axis.  The sums
+    take the dtype of the spec's eigenvalues: real for a real spectrum.
     """
     d = spec.d
     if abs(basis.kappa2 - spec.kappa2) > 1e-9 * max(1.0, spec.kappa2):
@@ -881,10 +907,10 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     rows, cols = np.triu_indices(len(steps))
     excess = basis.kappa4 - 3.0 * basis.kappa2 ** 2
     quartic = abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2)
+    tensor, lams = model._expansion(spec)[:2]
     factors = []
-    for axis, dl, si, sj in zip(spec.eigenvalues, delta, steps[rows].T, steps[cols].T):
+    for lam, dl, si, sj in zip(lams, delta, steps[rows].T, steps[cols].T):
         # copy c's view: eigenvalues along dimension c, then the lag pairs
-        lam = np.asarray(axis, dtype=complex)
         m = [lam.reshape((1,) * c + (-1,) + (1,) * (4 - c)) for c in range(4)]
         # both autocovariance products are one lattice sum, shifted by
         # t_i - t_j and by -t_i - t_j
@@ -895,7 +921,7 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
             blocks.append(_quartic_lattice_sums(m, dl, si, sj))
         factors.append(np.concatenate(blocks, axis=-1))
     # the quartic integral uses the bare kernel (no kappa2 factor)
-    sums = model._contract(model._coeff_tensor(spec), factors, copies=4, pointwise=True)
+    sums = model._contract(tensor, factors, copies=4, pointwise=True)
     sums = sums.reshape(-1, rows.size)
     total = spec.kappa2 ** 2 * (sums[0] + sums[1])
     if quartic:

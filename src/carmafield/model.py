@@ -20,6 +20,13 @@ checked by those rules and evaluated as a cached batch of one through
 the same core, so the fit's batched objective and the spec-level
 functions share one implementation.
 
+The eigenvalues' dtype is the arithmetic's: ``_eigenvalue_array`` makes
+a real spectrum a float64 array and any other a complex128 one, and the
+Vandermonde factors, the coefficient tensor, the exponential factors
+and every contraction downstream inherit it.  A real spectrum is
+therefore computed in real arithmetic, with no imaginary half;
+``_real`` guards the results of a complex one.
+
 All functions here are pure and the spec object is immutable, so the
 module is safe for concurrent use without locking.
 """
@@ -322,19 +329,29 @@ def companion_from_eigenvalues(eigs):
     return CompanionMatrix(coeffs=tuple(float(c) for c in coeffs.real[1:]))
 
 
+def _eigenvalue_array(eigenvalues):
+    """Eigenvalues as an array whose dtype every later step inherits.
+
+    float64 when every imaginary part is exactly 0, complex128 otherwise.
+    """
+    lam = np.asarray(eigenvalues, dtype=complex)
+    return lam if lam.imag.any() else lam.real.copy()
+
+
 def _vandermonde(lam):
     """Vandermonde factors of eigenvalue rows, batched over leading dimensions.
 
     ``lam`` has shape (..., p).  Returns V with V[..., j, k] = lam[..., k]^j,
-    V^{-1} and the condition number of each V.  A V whose condition is
-    not finite or exceeds ``VANDERMONDE_COND_MAX`` gets the identity in
-    place of its inverse; for p = 1, V = 1 and no condition is computed.
+    V^{-1} (both of ``lam``'s dtype) and the condition number of each V.
+    A V whose condition is not finite or exceeds ``VANDERMONDE_COND_MAX``
+    gets the identity in place of its inverse; for p = 1, V = 1 and no
+    condition is computed.
     """
     p = lam.shape[-1]
     if p == 1:
-        vmat = np.ones(lam.shape + (1,), dtype=complex)
+        vmat = np.ones(lam.shape + (1,), dtype=lam.dtype)
         return vmat, vmat, np.ones(lam.shape[:-1])
-    vmat = np.ones(lam.shape[:-1] + (p, p), dtype=complex)
+    vmat = np.ones(lam.shape[:-1] + (p, p), dtype=lam.dtype)
     vmat[..., 1:, :] = lam[..., None, :]
     # running products, as np.vander forms the powers
     np.multiply.accumulate(vmat[..., 1:, :], axis=-2, out=vmat[..., 1:, :])
@@ -371,8 +388,9 @@ def _spec_rows(b, lam):
     """Coefficient tensors of S parameter rows: the one route from parameters.
 
     ``b`` has shape (S, p) and ``lam``, conjugate-closed per axis, shape
-    (S, d, p).  A row fails where it breaks a rule of ``_row_rules`` or
-    an axis's Vandermonde condition exceeds ``VANDERMONDE_COND_MAX``.
+    (S, d, p); the tensors take ``lam``'s dtype.  A row fails where it
+    breaks a rule of ``_row_rules`` or an axis's Vandermonde condition
+    exceeds ``VANDERMONDE_COND_MAX``.
     A row breaking a rule is computed on a stand-in valid row, and one
     failing the condition on the identity as V^{-1} (see
     ``_vandermonde``), so every later step stays finite.  Returns the
@@ -388,7 +406,7 @@ def _spec_rows(b, lam):
         lam = np.where(ok[:, None, None], lam, -np.arange(1.0, p + 1))
     vmat, vinv, cond = _vandermonde(lam)
     ok &= (cond <= VANDERMONDE_COND_MAX).all(axis=1)
-    return _coeff_tensors(b.astype(complex), vmat, vinv), lam, ok, (vmat, vinv, cond)
+    return _coeff_tensors(b, vmat, vinv), lam, ok, (vmat, vinv, cond)
 
 
 def _check_condition(cond):
@@ -404,16 +422,17 @@ def _check_condition(cond):
 def _expansion(spec):
     """A spec as a batch of one through ``_spec_rows``.
 
-    Returns its coefficient tensor and the (d, p, p) factors V and
-    V^{-1} of its axes; raises IllConditionedVandermonde where an axis
-    fails the condition test.
+    Returns its coefficient tensor, its (d, p) eigenvalues (see
+    ``_eigenvalue_array``) and the (d, p, p) factors V and V^{-1} of its
+    axes; raises IllConditionedVandermonde where an axis fails the
+    condition test.
     """
-    tensor, _, _, (vmat, vinv, cond) = _spec_rows(
+    tensor, lam, _, (vmat, vinv, cond) = _spec_rows(
         np.asarray(spec.b, dtype=float)[None],
-        np.asarray(spec.eigenvalues, dtype=complex)[None],
+        _eigenvalue_array(spec.eigenvalues)[None],
     )
     _check_condition(cond)
-    return tensor[0], vmat[0], vinv[0]
+    return tensor[0], lam[0], vmat[0], vinv[0]
 
 
 def _coeff_tensor(spec):
@@ -476,7 +495,7 @@ def kernel_coefficients(spec):
         kernel for s >= 0.  The weights of conjugate index tuples are
         conjugate, so the sum is real.  The array is a copy.
     """
-    return _coeff_tensor(spec).copy()
+    return _coeff_tensor(spec).astype(complex)
 
 
 def kernel_eval(spec, s):
@@ -489,11 +508,24 @@ def kernel_eval(spec, s):
         raise InvalidSpec(f"point has {s.size} coordinates, spec has d = {spec.d}")
     if np.any(s < 0):
         return 0.0
-    _, vmats, vinvs = _expansion(spec)
-    w = np.asarray(spec.b, dtype=complex)
-    for axis, vmat, vinv, si in zip(spec.eigenvalues, vmats, vinvs, s):
-        w = (w @ vmat) * np.exp(np.asarray(axis, dtype=complex) * si) @ vinv
+    _, lams, vmats, vinvs = _expansion(spec)
+    w = np.asarray(spec.b, dtype=float)
+    for lam, vmat, vinv, si in zip(lams, vmats, vinvs, s):
+        w = (w @ vmat) * np.exp(lam * si) @ vinv
     return _real(w[-1], "kernel value")
+
+
+def _libm_exp(x):
+    """exp of an array by the C library: the same bits on every CPU.
+
+    numpy's float64 exp loop is vectorized for AVX-512 and rounds some
+    entries differently there; its complex exp is not.  The kernel grid
+    is what a truncated-discretized field is made from, so its bytes
+    must not depend on the CPU.
+    """
+    if np.iscomplexobj(x):
+        return np.exp(x)
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def kernel_on_grid(spec, axes_points):
@@ -511,13 +543,15 @@ def kernel_on_grid(spec, axes_points):
     """
     if len(axes_points) != spec.d:
         raise InvalidSpec("one coordinate array per axis required")
+    tensor, lams = _expansion(spec)[:2]
     factors = []
-    for axis, pts in zip(spec.eigenvalues, axes_points):
+    for lam, pts in zip(lams, axes_points):
         pts = np.asarray(pts, dtype=float)
-        emat = np.exp(np.outer(np.asarray(axis, dtype=complex), pts))
+        # negative coordinates are zeroed below; exp(0) cannot overflow
+        emat = _libm_exp(np.outer(lam, np.maximum(pts, 0.0)))
         emat[:, pts < 0] = 0.0
         factors.append(emat)
-    return _real(_contract(_coeff_tensor(spec), factors), "kernel grid")
+    return _real(_contract(tensor, factors), "kernel grid")
 
 
 def _pair_sums(lam):
@@ -538,11 +572,10 @@ def _lag_rows(spec, t):
 def _gamma_factors(lam, pts):
     """Per-axis factor I(lam, lam', tau) of gamma, shape (..., p, p, len(pts)).
 
-    ``lam`` holds one axis's eigenvalues along its last dimension,
-    after any leading batch dimensions.
+    ``lam`` is an array of one axis's eigenvalues along its last
+    dimension, after any leading batch dimensions.
     """
     pts = np.asarray(pts, dtype=float)
-    lam = np.asarray(lam, dtype=complex)
     pos = np.exp(lam[..., None, :, None] * np.where(pts >= 0, pts, 0.0))
     neg = np.exp(-lam[..., :, None, None] * np.where(pts < 0, pts, 0.0))
     return np.where(pts >= 0, pos, neg) / -_pair_sums(lam)[..., None]
@@ -550,11 +583,12 @@ def _gamma_factors(lam, pts):
 
 def _rows_of(spec):
     """A spec as a batch of one row: its coefficient tensor and eigenvalues."""
-    return _coeff_tensor(spec)[None], np.asarray(spec.eigenvalues, dtype=complex)[None]
+    tensor, lam = _expansion(spec)[:2]
+    return tensor[None], lam[None]
 
 
 def _gammas(tensor, lam, kappa2, lags):
-    """Complex gamma of S rows at (k, d) lags, shape (S, k).
+    """gamma of S rows at (k, d) lags, shape (S, k), in the tensor's dtype.
 
     ``tensor`` holds the rows' coefficient tensors and ``lam`` their
     (S, d, p) eigenvalues.
@@ -605,8 +639,9 @@ def autocovariance_grid(spec, axes_points):
     """gamma on a tensor-product grid of lags (vectorized over the grid)."""
     if len(axes_points) != spec.d:
         raise InvalidSpec("one lag array per axis required")
-    mats = [_gamma_factors(a, pts) for a, pts in zip(spec.eigenvalues, axes_points)]
-    vals = spec.kappa2 * _contract(_coeff_tensor(spec), mats, copies=2)
+    tensor, lams = _expansion(spec)[:2]
+    mats = [_gamma_factors(lam, pts) for lam, pts in zip(lams, axes_points)]
+    vals = spec.kappa2 * _contract(tensor, mats, copies=2)
     return _real(vals, "autocovariance")
 
 
@@ -642,7 +677,8 @@ def axis_variogram_coefficients(spec, axis):
     spec's eigenvalue order on that axis.
     """
     _check_axis(spec, axis)
-    return list(zip(spec.eigenvalues[axis], _axis_weights(*_rows_of(spec))[axis][0]))
+    weights = _axis_weights(*_rows_of(spec))[axis][0].astype(complex)
+    return list(zip(spec.eigenvalues[axis], weights))
 
 
 def axis_variogram(spec, axis, taus):

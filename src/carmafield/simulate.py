@@ -22,6 +22,10 @@ i.i.d. cell increments, evaluated as a d-dimensional FFT convolution of
 the kernel array with the noise array, with error
 ``mse_discretization``.  Both errors have closed forms.
 
+The compound-Poisson sums run in the dtype of the spec's eigenvalues
+(``model._eigenvalue_array``): real arithmetic for a real spectrum, and
+complex only where some eigenvalue is complex.
+
 Randomness comes from numpy's counter-based Philox generator; every
 public sampler takes a ``seed`` plus a ``stream`` index and derives a
 substream via ``SeedSequence(seed, spawn_key=(stream,))``, so outputs
@@ -318,7 +322,9 @@ def simulate_compound_poisson(spec, basis, m_radius, n, delta, seed, stream=0):
     c_i = max(1, ceil(s_i / delta_i)), with the phase
     prod_i exp(lam_{i,K_i} (c_i delta_i - s_i)); then along each axis
     z[k] = exp(lam delta) z[k - 1] + deposit[k], and the field is the
-    real part of sum_K C[K] z_K.
+    real part of sum_K C[K] z_K.  Phases, deposits and the recursion
+    take the eigenvalues' dtype, so a real spectrum is summed in real
+    arithmetic.
 
     Parameters
     ----------
@@ -345,28 +351,31 @@ def simulate_compound_poisson(spec, basis, m_radius, n, delta, seed, stream=0):
     cells, sites, heights = cells[reach].astype(int), sites[reach], heights[reach]
     flat = np.ravel_multi_index(tuple((cells - 1).T), n)
     size = math.prod(n)
+    tensor, lams = model._expansion(spec)[:2]
     # phases[i][k, j]: eigenvalue k of axis i carried from jump j to its cell
     phases = [
         np.exp(np.outer(lam, cells[:, i] * di - sites[:, i]))
-        for i, (lam, di) in enumerate(zip(spec.eigenvalues, delta))
+        for i, (lam, di) in enumerate(zip(lams, delta))
     ]
     # z[K]: the deposits of component K, then the recursion's sums
-    z = np.empty((spec.p,) * d + n, dtype=complex)
+    z = np.empty((spec.p,) * d + n, dtype=lams.dtype)
     for idx in np.ndindex(*z.shape[:d]):
         w = heights * np.prod([phases[i][k] for i, k in enumerate(idx)], axis=0)
-        dep = np.bincount(flat, w.real, size) + 1j * np.bincount(flat, w.imag, size)
-        z[idx] = dep.reshape(n)
+        # one bincount per float column: the real part, then any imaginary
+        deposit = z[idx].reshape(size, 1).view(float)
+        for col, weights in enumerate(w.reshape(-1, 1).view(float).T):
+            deposit[:, col] = np.bincount(flat, weights, size)
     # z[k] = r z[k - 1] + deposit[k] along each lattice axis, r = exp(lam
     # delta) per component, by doubling: after the pass with shift s,
     # z[k] holds the deposits k - 2s < j <= k, each times r^(k - j)
-    for i, (lam, di) in enumerate(zip(spec.eigenvalues, delta)):
+    for i, (lam, di) in enumerate(zip(lams, delta)):
         zi = np.moveaxis(z, d + i, 0)
-        ratio = np.exp(np.asarray(lam) * di).reshape((-1,) + (1,) * (2 * d - i - 2))
+        ratio = np.exp(lam * di).reshape((-1,) + (1,) * (2 * d - i - 2))
         shift = 1
         while shift < n[i]:
             zi[shift:] += ratio ** shift * zi[:-shift]
             shift *= 2
-    values = np.tensordot(model._coeff_tensor(spec), z, axes=d)
+    values = np.tensordot(tensor, z, axes=d)
     values = np.ascontiguousarray(model._real(values, "compound-Poisson field"))
     prov = {
         "algorithm": "compound-poisson",
@@ -391,8 +400,11 @@ def _below(coords, points):
 
 
 def _components(offsets, lams):
-    """out[t, K] = prod_i exp(lams[i][K_i] * offsets[t, i]), K row-major."""
-    out = np.ones((offsets.shape[0], 1), dtype=complex)
+    """out[t, K] = prod_i exp(lams[i, K_i] * offsets[t, i]), K row-major.
+
+    ``lams`` is the (d, p) eigenvalue array, whose dtype ``out`` takes.
+    """
+    out = np.ones((offsets.shape[0], 1), dtype=lams.dtype)
     for i, lam in enumerate(lams):
         out = out[:, :, None] * np.exp(np.outer(offsets[:, i], lam))[:, None, :]
         out = out.reshape(offsets.shape[0], -1)
@@ -420,8 +432,10 @@ def simulate_compound_poisson_at(spec, basis, m_radius, points, seed, stream=0):
     is the plain per-point sum.  Inside a group the points are cut into
     mask tiles of at most ``TILE_PAIRS`` point-jump pairs; one matrix
     product with a tile's orthant mask (s_j <= x on every axis) sums
-    the group's weights into each of its points.  No lattice cells,
-    phases or recursion enter, so the result is an independent check on
+    the group's weights into each of its points; it runs on the float
+    view of the weights, real and imaginary parts side by side when the
+    spectrum is complex.  No lattice cells, phases or recursion enter,
+    so the result is an independent check on
     ``simulate_compound_poisson``.
     """
     if not isinstance(basis, CompoundPoissonBasis):
@@ -440,9 +454,9 @@ def simulate_compound_poisson_at(spec, basis, m_radius, points, seed, stream=0):
     out = np.zeros(points.shape[0])
     if sites.shape[0] == 0 or points.shape[0] == 0:
         return out
-    coeff = model._coeff_tensor(spec).ravel()
-    lams = [np.asarray(axis, dtype=complex) for axis in spec.eigenvalues]
-    rates = np.asarray([-np.min(lam.real) for lam in lams])
+    tensor, lams = model._expansion(spec)[:2]
+    coeff = tensor.ravel()
+    rates = -lams.real.min(axis=1)
     coords = np.ascontiguousarray(sites.T)
     size = max(1, TILE_PAIRS // sites.shape[0])
     groups = [np.lexsort(points.T[::-1])]
@@ -460,10 +474,10 @@ def simulate_compound_poisson_at(spec, basis, m_radius, points, seed, stream=0):
         # compress keeps the rows contiguous; coords[:, below] would not
         kept = coords.compress(below, axis=1)
         weights = heights[below, None] * _components(anchor - kept.T, lams)
-        weights = weights.view(float)
         for start in range(0, group.size, size):
             tile, xt = group[start:start + size], x[start:start + size]
-            sums = (_below(kept, xt).astype(float) @ weights).view(complex)
+            mask = _below(kept, xt).astype(float)
+            sums = (mask @ weights.view(float)).view(weights.dtype)
             out[tile] = ((sums * _components(xt - anchor, lams)) @ coeff).real
     return out
 
@@ -540,15 +554,14 @@ def mse_truncation_cp(spec, m_radius):
     Exact double eigen-sum: the error is the noise variance times the
     squared-kernel mass outside [0, M]^d, which is O(exp(-2 |l_max| M)).
     """
+    tensor, lams = model._expansion(spec)[:2]
     full, boxed = [], []
-    for axis in spec.eigenvalues:
-        lam = np.asarray(axis, dtype=complex)
+    for lam in lams:
         s = lam[:, None] + lam[None, :]
         full.append(1.0 / (-s))
         boxed.append(-np.expm1(s * m_radius) / (-s))
-    tensor = model._coeff_tensor(spec)
     full_mass, boxed_mass = (
-        spec.kappa2 * complex(model._contract(tensor, mats, copies=2))
+        spec.kappa2 * model._contract(tensor, mats, copies=2)
         for mats in (full, boxed)
     )
     return max(model._real(full_mass - boxed_mass, "truncation error"), 0.0)
@@ -569,9 +582,9 @@ def mse_discretization(spec, delta, m_steps):
     if m_steps < 1:
         raise ValidationError("m_steps must be at least 1")
     delta = float(delta)
+    tensor, lams = model._expansion(spec)[:2]
     term_a, term_b, term_c = [], [], []
-    for axis in spec.eigenvalues:
-        lam = np.asarray(axis, dtype=complex)
+    for lam in lams:
         pair = lam[:, None] + lam[None, :]
         s = pair * delta
         geom = np.expm1((m_steps + 1) * s) / np.expm1(s)
@@ -579,9 +592,8 @@ def mse_discretization(spec, delta, m_steps):
         # lam rows: kernel factor; columns: step-function factor
         term_b.append(geom * (np.expm1(lam[:, None] * delta) / lam[:, None]))
         term_c.append(delta * geom)
-    tensor = model._coeff_tensor(spec)
     a, b, c = (
-        spec.kappa2 * complex(model._contract(tensor, mats, copies=2))
+        spec.kappa2 * model._contract(tensor, mats, copies=2)
         for mats in (term_a, term_b, term_c)
     )
     return max(model._real(a - 2.0 * b + c, "discretization error"), 0.0)

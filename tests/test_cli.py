@@ -442,6 +442,12 @@ class TestCliCommands:
             if value != 2 ** 32:
                 assert run_cli(["study", "--output-dir", tmp_path / "st",
                                 "--replications", 1, flag, value] + self.MODEL_FLAGS) == 1
+        # no lags per axis -> validation naming the lag count
+        field = tmp_path / "lags.carf"
+        gridio.write_carf(simulate.LatticeField(delta=0.1, values=np.ones((8, 8))), field)
+        for command, lags in (("variogram", 0), ("fit", -3)):
+            assert run_cli([command, "--input", field, "--output-dir", tmp_path / "lg",
+                            "--lags", lags]) == 1
         # malformed model-selection rows -> validation
         for k, row in enumerate(("car1,abc,3,100", "car1,0.5,3", "car1,0.5,3,0")):
             table = tmp_path / f"models{k}.csv"

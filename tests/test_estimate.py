@@ -132,6 +132,12 @@ class TestEmpiricalVariogram:
             with pytest.raises(ValidationError):
                 estimate.empirical_variogram(field, lags)
 
+    def test_axis_lag_set_needs_a_lag(self):
+        for j_max in (0, -3):
+            with pytest.raises(ValidationError, match=f"at least 1, got {j_max}"):
+                estimate.axis_lag_set(2, 0.5, j_max)
+        np.testing.assert_array_equal(estimate.axis_lag_set(2, 0.5, 1), [[0.5, 0.0], [0.0, 0.5]])
+
     def test_spacing_needs_one_entry_per_axis(self, tmp_path):
         with pytest.raises(ValidationError):
             estimate.axis_lag_set(2, (0.5,), 2)
@@ -358,6 +364,35 @@ class TestBatchedOrdinates:
         assert (estimate._variogram_jacobian(problem.ordinates, interior, box).tobytes()
                 == estimate._variogram_jacobian(problem.ordinates, interior).tobytes())
 
+    def test_jacobian_steps_one_sided_at_the_gap_edge(self):
+        # theta's first-axis gap is one step of lambda12 plus half of
+        # MIN_EIGENVALUE_GAP: lambda11 - h and lambda12 + h each end
+        # within the gap of the other eigenvalue, where the model is undefined
+        spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-1.5, -2.5), (-1.2, -2.0)))
+        emp = oracles.synthetic_variogram(spec, 0.1, 10)
+        codec = estimate.ThetaCodec(p=2, q=0, d=2)
+        problem = estimate._WlsProblem(emp, np.ones(emp.k), codec)
+        box = np.transpose(codec.default_bounds())
+        lam12 = (-1.5 - 0.5 * model.MIN_EIGENVALUE_GAP) / (1.0 - estimate.JACOBIAN_REL_STEP)
+        theta = np.array([1.0, -1.5, lam12, -1.2, -2.0])
+        h = estimate.JACOBIAN_REL_STEP * np.maximum(np.abs(theta), 1.0)
+        assert abs(abs(theta[2] - theta[1]) - h[2]) < model.MIN_EIGENVALUE_GAP
+        with pytest.raises(NumericError):
+            estimate._variogram_jacobian(problem.ordinates, theta)
+        jac = estimate._variogram_jacobian(problem.ordinates, theta, box)
+        ahead, behind = theta.copy(), theta.copy()
+        ahead[1] += h[1]
+        behind[2] -= h[2]
+        (at, forward, backward), failed = problem.ordinates(np.vstack([theta, ahead, behind]))
+        assert not failed.any()
+        np.testing.assert_array_equal(jac[:, 1], (forward - at) / h[1])
+        np.testing.assert_array_equal(jac[:, 2], (at - backward) / h[2])
+        # the other coordinates keep their central steps
+        central = np.vstack([theta + np.diag(h), theta - np.diag(h)])
+        ords, _ = problem.ordinates(central)
+        for i in (0, 3, 4):
+            np.testing.assert_array_equal(jac[:, i], (ords[i] - ords[5 + i]) / (2.0 * h[i]))
+
 
 class TestCodec:
     def test_real_round_trip(self):
@@ -378,6 +413,15 @@ class TestCodec:
         np.testing.assert_allclose(theta, [1.0, 0.5, -1.0, 2.0, -0.5, -2.0])
         back = codec.to_spec(theta)
         assert back.eigenvalues == spec.eigenvalues
+
+    def test_expand_dtype(self):
+        thetas = np.array([[1.0, 0.5, -1.0, 2.0, -0.5, -2.0]])
+        real = estimate.ThetaCodec(p=2, q=1, d=2)
+        mixed = estimate.ThetaCodec(p=2, q=1, d=2, blocks=(("c",), ("r", "r")))
+        assert real.expand(thetas)[1].dtype == np.float64
+        lam = mixed.expand(thetas)[1]
+        assert lam.dtype == np.complex128
+        np.testing.assert_array_equal(lam[0, 0], [-1.0 + 2.0j, -1.0 - 2.0j])
 
     def test_default_bounds_shape(self):
         codec = estimate.ThetaCodec(p=2, q=1, d=2)

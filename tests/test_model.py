@@ -153,6 +153,30 @@ class TestKernel:
                 assert grid[i, j] == pytest.approx(expected, abs=1e-12)
 
 
+class TestEigenvalueDtype:
+    def test_real_spectrum_gives_real_tensor(self, rng):
+        for d, p in [(1, 1), (2, 2), (2, 3), (3, 2)]:
+            spec = oracles.random_spec(rng, d=d, p=p, allow_complex=False)
+            b = np.asarray(spec.b)[None]
+            lam = np.asarray(spec.eigenvalues, dtype=complex)[None]
+            as_float = model._spec_rows(b, lam.real.copy())[0]
+            as_complex = model._spec_rows(b, lam)[0]
+            assert as_float.dtype == np.float64
+            assert as_complex.dtype == np.complex128
+            np.testing.assert_allclose(as_float, as_complex, rtol=1e-13, atol=0.0)
+
+    def test_eigenvalue_array_dtype(self):
+        real, mixed = ref_spec(), model.CarmaSpec(
+            b=(1.0,), eigenvalues=((-0.9 + 2.1j, -0.9 - 2.1j), (-1.5, -0.6)))
+        assert model._eigenvalue_array(real.eigenvalues).dtype == np.float64
+        assert model._eigenvalue_array(mixed.eigenvalues).dtype == np.complex128
+        # the public types stay complex
+        assert model.kernel_coefficients(real).dtype == np.complex128
+        assert all(isinstance(e, complex) for axis in real.eigenvalues for e in axis)
+        assert all(isinstance(w, complex)
+                   for _, w in model.axis_variogram_coefficients(real, 0))
+
+
 class TestAutocovariance:
     def test_car1_closed_form(self):
         spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,),))
