@@ -831,7 +831,7 @@ def fit(emp, config):
             "de_generations": de_generations,
             "de_evaluations": problem.evaluations,
             "polish_iterations": int(polish.njev),
-            "polish_evaluations": int(polish.nfev + 2 * codec.dim * polish.njev),
+            "polish_evaluations": int(polish.nfev + (2 * codec.dim + 1) * polish.njev),
             "polish_converged": bool(polish.success),
             "lag_set": lag_status,
         },

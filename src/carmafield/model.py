@@ -515,19 +515,6 @@ def kernel_eval(spec, s):
     return _real(w[-1], "kernel value")
 
 
-def _libm_exp(x):
-    """exp of an array by the C library: the same bits on every CPU.
-
-    numpy's float64 exp loop is vectorized for AVX-512 and rounds some
-    entries differently there; its complex exp is not.  The kernel grid
-    is what a truncated-discretized field is made from, so its bytes
-    must not depend on the CPU.
-    """
-    if np.iscomplexobj(x):
-        return np.exp(x)
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def kernel_on_grid(spec, axes_points):
     """Kernel values on a tensor-product grid of coordinates.
 
@@ -547,8 +534,12 @@ def kernel_on_grid(spec, axes_points):
     factors = []
     for lam, pts in zip(lams, axes_points):
         pts = np.asarray(pts, dtype=float)
-        # negative coordinates are zeroed below; exp(0) cannot overflow
-        emat = _libm_exp(np.outer(lam, np.maximum(pts, 0.0)))
+        # negative coordinates are zeroed below; exp(0) cannot overflow.
+        # complex exp: truncated-discretized fields are pinned to its bits,
+        # and numpy's float64 exp rounds some entries differently
+        emat = np.exp(np.outer(lam, np.maximum(pts, 0.0)).astype(complex))
+        if not np.iscomplexobj(lam):
+            emat = emat.real
         emat[:, pts < 0] = 0.0
         factors.append(emat)
     return _real(_contract(tensor, factors), "kernel grid")

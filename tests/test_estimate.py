@@ -442,7 +442,11 @@ class TestFit:
         assert result.wss < 1e-12
         assert result.diagnostics["lag_set"] == "axis-verified"
 
-    def test_diagnostics_count_evaluated_rows(self):
+    def test_diagnostics_count_evaluated_rows(self, monkeypatch):
+        scored = []
+        call = estimate._Ordinates.__call__
+        monkeypatch.setattr(estimate._Ordinates, "__call__",
+                            lambda self, thetas: scored.append(len(thetas)) or call(self, thetas))
         spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,), (-1.4,)))
         emp = oracles.synthetic_variogram(spec, 0.1, 10)
         result = estimate.fit(emp, estimate.FitConfig(p=1, q=0, seed=2))
@@ -450,6 +454,7 @@ class TestFit:
         # one population of 10 per parameter, drawn once and then once a generation
         assert diag["de_evaluations"] == 10 * 3 * (diag["de_generations"] + 1)
         assert diag["polish_evaluations"] > diag["polish_iterations"] > 0
+        assert diag["de_evaluations"] + diag["polish_evaluations"] == sum(scored)
         assert diag["polish_converged"] is True
 
     def test_reported_wss_is_exact_at_a_double_root(self):
