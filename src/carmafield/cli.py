@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -507,7 +508,9 @@ _COMMON_FLAGS = [
 _NEGATIVE_VALUE = re.compile(r"^-\d")
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    # built once per process (parse_args returns a fresh namespace per call);
     # the common flags are declared once and copied into each subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None)

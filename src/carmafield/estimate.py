@@ -309,6 +309,21 @@ def _axis_structure(emp):
     return classes
 
 
+def _checked_weights(weights, k):
+    """``weights`` as a float array of shape (k,), finite and strictly positive."""
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("weights must be numbers") from None
+    if w.shape != (k,):
+        raise ValidationError(f"weights need shape ({k},), one per lag, got {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("weights must be finite")
+    if np.any(w <= 0):
+        raise ValidationError("weights must be strictly positive")
+    return w
+
+
 def resolve_weights(emp, scheme):
     """Per-lag weights from a scheme name or an explicit array.
 
@@ -317,12 +332,7 @@ def resolve_weights(emp, scheme):
     set.
     """
     if not isinstance(scheme, str):
-        w = np.asarray(scheme, dtype=float)
-        if w.shape != (emp.k,):
-            raise ValidationError("custom weights must match the lag count")
-        if np.any(w <= 0):
-            raise ValidationError("weights must be strictly positive")
-        return w
+        return _checked_weights(scheme, emp.k)
     classes = _axis_structure(emp)
     if any(c is None for c in classes):
         raise ValidationError(
@@ -568,11 +578,7 @@ class _WlsProblem:
 
     def __init__(self, emp, weights, codec):
         self.emp = emp
-        self.weights = np.asarray(weights, dtype=float)
-        if self.weights.shape != (emp.k,):
-            raise ValidationError("weights length must equal the lag count")
-        if np.any(self.weights <= 0):
-            raise ValidationError("weights must be strictly positive")
+        self.weights = _checked_weights(weights, emp.k)
         axis_lags = [None if c is None else (c[0], c[1] * emp.delta[c[0]])
                      for c in _axis_structure(emp)]
         self.ordinates = _Ordinates(codec, emp.lags, axis_lags)
@@ -848,24 +854,29 @@ def _gamma_pair_sums(m, dl, shifts):
     and n = ``shifts`` counts steps.  For k >= max(0, -n) both arguments
     are >= 0, for k < min(0, -n) both are negative: two geometric tails
     with ratios exp((m2 + m4) dl) and exp((m1 + m3) dl).  The |n| terms
-    in between are summed directly, as their ratio can be exactly 1.
+    in between are summed directly, as their ratio can be exactly 1:
+    all of them at once, step s (k = s - max(0, n)) on a trailing axis,
+    zero past a shift's own |n| steps, and added in step order by one
+    cumulative sum.
     """
     m1, m2, m3, m4 = m
     pos, neg = np.maximum(shifts, 0), np.maximum(-shifts, 0)
 
-    def terms(k):  # the summand times (m1 + m2) (m3 + m4), in one exponent
-        j = k + shifts
+    def terms(k, n, m):  # the summand times (m1 + m2) (m3 + m4), in one exponent
+        m1, m2, m3, m4 = m
+        j = k + n
         first = np.where(k >= 0, m2 * k, -m1 * k)
         return np.exp(dl * (first + np.where(j >= 0, m4 * j, -m3 * j)))
 
-    up = terms(neg) / -np.expm1(dl * (m2 + m4))
-    down = terms(-pos - 1) / -np.expm1(dl * (m1 + m3))
-    # the offsets in between, k = -pos ... neg - 1: one shift-vector per step
-    mid = 0.0
-    for step in range(np.max(np.abs(shifts), initial=0)):
-        k = step - pos
-        mid = mid + np.where(k < neg, terms(k), 0.0)
-    return (up + down + mid) / ((m1 + m2) * (m3 + m4))
+    up = terms(neg, shifts, m) / -np.expm1(dl * (m2 + m4))
+    down = terms(-pos - 1, shifts, m) / -np.expm1(dl * (m1 + m3))
+    total = up + down
+    steps = np.max(np.abs(shifts), initial=0)
+    if steps:
+        k = np.arange(steps) - pos[:, None]
+        mid = terms(k, shifts[:, None], [mc[..., None] for mc in m])
+        total = total + np.where(k < neg[:, None], mid, 0.0).cumsum(axis=-1)[..., -1]
+    return total / ((m1 + m2) * (m3 + m4))
 
 
 def _quartic_lattice_sums(m, dl, si, sj):
@@ -897,6 +908,15 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     closed form: nothing is truncated.  Every lag in ``tlist`` must lie
     on the lattice, a whole number of spacings on each axis.  The sums
     take the dtype of the spec's eigenvalues: real for a real spectrum.
+
+    Each axis's sums are whole-array passes over (eigenvalues^4, lag
+    pairs): the terms between the two tails of every shift sit on one
+    step axis, added in step order by one cumulative sum, so the cost
+    has no per-step Python loop.  The four tensor copies are then
+    contracted with every axis's factor pairwise, in einsum's optimal
+    order, computed once per layout and operand shapes and cached
+    (``model._contract``): about six times fewer products than the
+    single ten-index einsum at p = 2, d = 2.
     """
     d = spec.d
     if abs(basis.kappa2 - spec.kappa2) > 1e-9 * max(1.0, spec.kappa2):
@@ -956,13 +976,22 @@ def asymptotic_covariance(spec, lags, weights, basis, lattice_delta,
     Jacobian of the model ordinates.  Scaled for N^{d/2} (theta* -
     theta0): divide by N^d for the covariance of theta* itself.
 
+    Sigma inherits the conditioning of the weighted normal matrix
+    J' W J, whose inverse enters it twice.  At the ref spec with 5 axis
+    lags per axis and delta = 0.04 its condition number is 3.0e9, so
+    Sigma there has about four significant digits (3.2e7 at 50 lags per
+    axis); the variogram covariance and J are far more accurate.
+
     Raises
     ------
+    ValidationError
+        If the weights are not one finite, strictly positive value per
+        lag.
     SingularDesign
         If the weighted normal matrix is numerically singular.
     """
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
-    weights = np.asarray(weights, dtype=float)
+    weights = _checked_weights(weights, lags.shape[0])
     codec = ThetaCodec(p=spec.p, q=spec.q, d=spec.d, kappa2=spec.kappa2,
                        blocks=blocks)
     theta0 = codec.from_spec(spec)

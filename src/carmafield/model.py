@@ -464,6 +464,29 @@ def _subscripts(copies, ndims, keep_axis, pointwise, batch):
     return ",".join(subs) + "->" + out
 
 
+@lru_cache(maxsize=64)
+def _pairwise_steps(subs, shapes):
+    """``subs`` split into pairwise einsum steps, in einsum's optimal order.
+
+    Each step is (positions, subscripts): pop the operands at those
+    positions (descending), contract them, and append the result.  An
+    intermediate keeps, in label order, the labels still needed later.
+    """
+    dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
+    path = np.einsum_path(subs, *dummies, optimize="optimal")[0][1:]
+    inputs, out = subs.split("->")
+    terms = inputs.split(",")
+    steps = []
+    for positions in path:
+        positions = tuple(sorted(positions, reverse=True))
+        picked = [terms.pop(i) for i in positions]
+        needed = set("".join(terms) + out)
+        result = "".join(sorted(set("".join(picked)) & needed)) if terms else out
+        terms.append(result)
+        steps.append((positions, ",".join(picked) + "->" + result))
+    return tuple(steps)
+
+
 def _contract(tensor, factors, copies=1, keep_axis=None, pointwise=False,
               batch=False):
     """Contract copies of a coefficient tensor C with one factor per axis.
@@ -477,11 +500,18 @@ def _contract(tensor, factors, copies=1, keep_axis=None, pointwise=False,
     the last copy's index on that axis free, ahead of the trailing
     dimensions.  With ``batch``, the tensor and every factor carry one
     more leading dimension, S rows contracted side by side, and the
-    result leads with it.
+    result leads with it.  One or two copies run as one einsum; more
+    (the estimator covariance's four) run pairwise, in the order that
+    ``_pairwise_steps`` caches.
     """
     ndims = tuple(f.ndim - batch for f in factors)
     subs = _subscripts(copies, ndims, keep_axis, pointwise, batch)
-    return np.einsum(subs, *(tensor,) * copies, *factors)
+    operands = [tensor] * copies + list(factors)
+    if copies <= 2:
+        return np.einsum(subs, *operands)
+    for positions, step in _pairwise_steps(subs, tuple(op.shape for op in operands)):
+        operands.append(np.einsum(step, *[operands.pop(i) for i in positions]))
+    return operands[0]
 
 
 def kernel_coefficients(spec):

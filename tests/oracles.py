@@ -9,7 +9,8 @@ Lyapunov solves, no eigen-expansion), the empirical variogram is
 summed from squared differences lag by lag,
 the explicit CARMA(2,1) coefficient tables are transcribed directly,
 and the estimator covariance V is summed lattice offset by lattice
-offset over a truncated window.
+offset over a truncated window (its per-axis gamma pair sums also step
+by step, for a bit-for-bit check of the package's array sum).
 """
 
 import math
@@ -422,6 +423,30 @@ def _quartic_axis_sums(spec, ti, tj, ell_values):
             total += np.exp(m2 * a2 + m3 * a3 + m4 * a4 + s * low) / (-s)
         tensors.append(total)
     return tensors
+
+
+def gamma_pair_sums_stepwise(m, dl, shifts):
+    """``estimate._gamma_pair_sums`` with its middle terms added step by step.
+
+    The two geometric tails are the package's; the |n| middle terms of
+    each shift are added one step at a time, in step order, the
+    reference for the package's single cumulative sum over a step axis.
+    """
+    m1, m2, m3, m4 = m
+    pos, neg = np.maximum(shifts, 0), np.maximum(-shifts, 0)
+
+    def terms(k):
+        j = k + shifts
+        first = np.where(k >= 0, m2 * k, -m1 * k)
+        return np.exp(dl * (first + np.where(j >= 0, m4 * j, -m3 * j)))
+
+    up = terms(neg) / -np.expm1(dl * (m2 + m4))
+    down = terms(-pos - 1) / -np.expm1(dl * (m1 + m3))
+    mid = 0.0
+    for step in range(np.max(np.abs(shifts), initial=0)):
+        k = step - pos
+        mid = mid + np.where(k < neg, terms(k), 0.0)
+    return (up + down + mid) / ((m1 + m2) * (m3 + m4))
 
 
 def covariance_v_direct(spec, tlist, basis, lattice_delta):

@@ -319,6 +319,17 @@ class TestCliCommands:
         assert manifest["sha256:field.carf"] == digest
         assert manifest["command"] == "simulate"
 
+    def test_flags_do_not_carry_into_the_next_call(self, tmp_path):
+        # the parser is built once per process; each call parses afresh
+        base = ["simulate", "--n", 16, "--delta", 0.1, "--m", 20] + self.MODEL_FLAGS
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(base + ["--output-dir", first, "--seed", 5]) == 0
+        assert run_cli(base + ["--output-dir", second]) == 0
+        assert "seed = 5" in (first / "manifest.txt").read_text()
+        manifest = (second / "manifest.txt").read_text()
+        assert "seed =" not in manifest
+        assert f"output_dir = {second}" in manifest
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text(

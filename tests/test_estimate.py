@@ -777,6 +777,46 @@ class TestEstimatorCovariance:
         np.testing.assert_allclose(vmat, direct, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize(
+        "basis", [simulate.GaussianBasis(), simulate.VarianceGammaBasis()],
+        ids=["gaussian", "variance-gamma"],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS),
+            model.CarmaSpec(
+                b=(1.2, 0.7), eigenvalues=((-0.9 + 2.1j, -0.9 - 2.1j), (-1.1, -2.3))
+            ),
+        ],
+        ids=["ref-carma21", "complex-carma21"],
+    )
+    def test_v_matrix_on_long_lags_matches_direct_lattice_sum(self, spec, basis):
+        # off-axis lags of both signs; the shifts t_i - t_j and -t_i - t_j
+        # reach 24 steps on axis 0 and 22 on axis 1
+        delta = 0.25
+        steps = np.array([[0, 0], [10, 0], [0, 11], [4, -3], [-6, 9], [12, -10]])
+        vmat = estimate.covariance_v_matrix(spec, delta * steps, basis, delta)
+        direct = oracles.covariance_v_direct(spec, delta * steps, basis, delta)
+        np.testing.assert_allclose(vmat, direct, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "shifts", [[0], [-1, 0, 1], [-25, -7, -1, 0, 1, 3, 25]],
+        ids=["zero", "unit", "long"],
+    )
+    @pytest.mark.parametrize(
+        "lam", [[-1.7776, -2.0948], [-0.9 + 2.1j, -0.9 - 2.1j]], ids=["real", "complex"],
+    )
+    def test_gamma_pair_sums_equal_the_stepwise_sum(self, lam, shifts):
+        lam = model._eigenvalue_array(lam)
+        m = [lam.reshape((1,) * c + (-1,) + (1,) * (4 - c)) for c in range(4)]
+        shifts = np.asarray(shifts)
+        for dl in (0.04, 0.3):
+            got = estimate._gamma_pair_sums(m, dl, shifts)
+            want = oracles.gamma_pair_sums_stepwise(m, dl, shifts)
+            assert got.dtype == want.dtype == lam.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
         "basis", [simulate.GaussianBasis(sigma2=0.598),
                   simulate.VarianceGammaBasis(variance=0.598)],
         ids=["gaussian", "variance-gamma"],
@@ -835,6 +875,24 @@ class TestEstimatorCovariance:
         np.testing.assert_allclose(sigma, sigma.T)
         eig = np.linalg.eigvalsh(sigma)
         assert np.all(eig > -1e-10)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0], [[1.0, 0.8]], [1.0, 0.0], [1.0, -0.8], [1.0, np.nan]],
+        ids=["short", "2-d", "zero", "negative", "nan"],
+    )
+    def test_bad_weights_rejected(self, weights):
+        spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,),))
+        lags = np.array([[0.5], [1.0]])
+        with pytest.raises(ValidationError):
+            estimate.asymptotic_covariance(
+                spec, lags, weights, simulate.GaussianBasis(), 0.5
+            )
+        emp = estimate.EmpiricalVariogram(
+            lags=lags, ordinates=[0.5, 0.8], pair_counts=[10, 9], delta=(0.5,), n=(11,)
+        )
+        with pytest.raises(ValidationError):
+            estimate.wls_objective([1.3, -0.8], emp, weights, p=1, q=0)
 
     def test_single_lag_design_is_singular(self):
         from carmafield.errors import SingularDesign
