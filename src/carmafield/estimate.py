@@ -913,9 +913,9 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     pairs): the terms between the two tails of every shift sit on one
     step axis, added in step order by one cumulative sum, so the cost
     has no per-step Python loop.  The four tensor copies are then
-    contracted with every axis's factor pairwise, in einsum's optimal
+    contracted with every axis's factor pairwise, in einsum's greedy
     order, computed once per layout and operand shapes and cached
-    (``model._contract``): about six times fewer products than the
+    (``model._contract``): about five times fewer products than the
     single ten-index einsum at p = 2, d = 2.
     """
     d = spec.d

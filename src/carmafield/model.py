@@ -466,14 +466,17 @@ def _subscripts(copies, ndims, keep_axis, pointwise, batch):
 
 @lru_cache(maxsize=64)
 def _pairwise_steps(subs, shapes):
-    """``subs`` split into pairwise einsum steps, in einsum's optimal order.
+    """``subs`` split into pairwise einsum steps, in einsum's greedy order.
 
     Each step is (positions, subscripts): pop the operands at those
     positions (descending), contract them, and append the result.  An
     intermediate keeps, in label order, the labels still needed later.
+    Greedy, not einsum's optimal search: the covariance takes as long
+    either way, and the optimal search grows the heap by about 3.5 MiB
+    on its first call.
     """
     dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
-    path = np.einsum_path(subs, *dummies, optimize="optimal")[0][1:]
+    path = np.einsum_path(subs, *dummies, optimize="greedy")[0][1:]
     inputs, out = subs.split("->")
     terms = inputs.split(",")
     steps = []

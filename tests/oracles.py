@@ -14,6 +14,7 @@ by step, for a bit-for-bit check of the package's array sum).
 """
 
 import math
+import string
 
 import numpy as np
 from scipy import integrate, linalg
@@ -425,6 +426,19 @@ def _quartic_axis_sums(spec, ti, tj, ell_values):
     return tensors
 
 
+def _four_copy_sum(coeff, tensors):
+    """sum over K1..K4 of C[K1] C[K2] C[K3] C[K4] prod_i T_i[K1_i, .., K4_i].
+
+    One einsum over all indices at once, without a contraction order,
+    so that the package's pairwise contraction has a reference.
+    """
+    d = coeff.ndim
+    labels = string.ascii_uppercase
+    copies = [labels[c * d:(c + 1) * d] for c in range(4)]
+    axes = [labels[i:4 * d:d] for i in range(d)]
+    return np.einsum(",".join(copies + axes) + "->", *[coeff] * 4, *tensors)
+
+
 def gamma_pair_sums_stepwise(m, dl, shifts):
     """``estimate._gamma_pair_sums`` with its middle terms added step by step.
 
@@ -505,7 +519,7 @@ def covariance_v_direct(spec, tlist, basis, lattice_delta):
             )
             if abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2):
                 tensors = _quartic_axis_sums(spec, ti, tj, axes_sum)
-                quartic = model._contract(coeff, tensors, copies=4)
+                quartic = _four_copy_sum(coeff, tensors)
                 total += excess * float(np.real(quartic))
             vmat[i, j] = vmat[j, i] = total
     return vmat

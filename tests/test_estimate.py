@@ -878,8 +878,8 @@ class TestEstimatorCovariance:
 
     @pytest.mark.parametrize(
         "weights",
-        [[1.0], [[1.0, 0.8]], [1.0, 0.0], [1.0, -0.8], [1.0, np.nan]],
-        ids=["short", "2-d", "zero", "negative", "nan"],
+        [[1.0], [[1.0, 0.8]], [1.0, 0.0], [1.0, -0.8], [1.0, np.nan], ["a", "b"]],
+        ids=["short", "2-d", "zero", "negative", "nan", "text"],
     )
     def test_bad_weights_rejected(self, weights):
         spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,),))
