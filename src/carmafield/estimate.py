@@ -927,7 +927,7 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     rows, cols = np.triu_indices(len(steps))
     excess = basis.kappa4 - 3.0 * basis.kappa2 ** 2
     quartic = abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2)
-    tensor, lams = model._expansion(spec)[:2]
+    tensor, lams = model._expansion(spec)
     factors = []
     for lam, dl, si, sj in zip(lams, delta, steps[rows].T, steps[cols].T):
         # copy c's view: eigenvalues along dimension c, then the lag pairs

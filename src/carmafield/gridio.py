@@ -102,8 +102,11 @@ def _parse_canonical_header(cells):
 
 
 def read_field_csv(path, default_delta=None):
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError:
+        raise MalformedHeader(f"{path} is not a text grid file") from None
     if not lines:
         raise MalformedHeader(f"{path} is empty")
     header = _parse_canonical_header(lines[0].split(","))

@@ -242,7 +242,7 @@ def _quadratic_form_rows(eigenvalues_per_axis, kappa2, q):
     for row, (i, j) in enumerate(pairs):
         probes[row, [i, j]] = 1.0
     lam = np.broadcast_to(np.asarray(eigs, dtype=complex), (len(pairs), d, p))
-    tensor, lam, _, (_, _, cond) = model._spec_rows(probes, lam)
+    tensor, lam, _, cond = model._spec_rows(probes, lam)
     model._check_condition(cond)
     weights = np.concatenate(model._axis_weights(tensor, lam), axis=1)
     unit = {i: w for (i, j), w in zip(pairs, weights) if i == j}
@@ -321,8 +321,13 @@ def recover_spec(ordinates_per_axis, p, q, kappa2):
     """Full pipeline: axis ordinates -> CarmaSpec of order (p, q).
 
     Eigenvalues per axis from the Hankel step, the axis weights for
-    those eigenvalues, then b from ``recover_b``.
+    those eigenvalues, then b from ``recover_b``.  The order must meet
+    0 <= q < p and kappa2 must be finite and positive; both are checked
+    before any recovery step.
     """
+    if not 0 <= q < p:
+        raise ValidationError(f"need 0 <= q < p, got q = {q} for p = {p}")
+    kappa2 = model._check_kappa2(kappa2)
     eigs = tuple(
         recover_axis_eigenvalues(ords, p) for ords in ordinates_per_axis
     )

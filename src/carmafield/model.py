@@ -7,11 +7,16 @@ Lévy basis against the kernel
 
 where the A_i are p x p companion matrices with stable, pairwise
 distinct eigenvalues and b = (b_0, ..., b_{p-1}) with b_q != 0 and
-b_i = 0 for i > q.  Everything second-order about the field (kernel,
-autocovariance, variogram) is available in closed form through the
-eigen-expansion of the kernel; this module computes those forms.  The
-spectral density is the resolvent chain b' (i w_1 - A_1)^{-1} ...
-(i w_d - A_d)^{-1} e_p.
+b_i = 0 for i > q.  This module reaches the kernel in two forms:
+
+- the companion form, the definition itself: ``_companion`` builds each
+  A_i, ``kernel_eval`` chains their matrix exponentials and
+  ``spectral_density`` their resolvents b' (i w_1 - A_1)^{-1} ...
+  (i w_d - A_d)^{-1} e_p;
+- the eigen form, for everything else: the kernel's eigen-expansion,
+  whose coefficient tensor gives the kernel grid, autocovariance and
+  variogram in closed form.  ``kernel_eval`` is independent of it, so
+  it cross-checks those closed forms.
 
 One batched core, ``_spec_rows``, turns S parameter rows (b,
 eigenvalues) into the expansion's coefficient tensors, and
@@ -39,6 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import linalg
 
 from .errors import (
     DuplicateEigenvalue,
@@ -50,9 +56,7 @@ from .errors import (
 
 __all__ = [
     "CarmaSpec",
-    "CompanionMatrix",
     "canonical_order",
-    "companion_from_eigenvalues",
     "kernel_eval",
     "kernel_coefficients",
     "kernel_on_grid",
@@ -65,12 +69,9 @@ __all__ = [
 ]
 
 # Tolerances (absolute unless noted).  IMAG_TOL guards the imaginary
-# residue of public real-valued results, COEFF_IMAG_TOL the polynomial
-# coefficients built from conjugate-closed eigenvalue sets.
+# residue of public real-valued results.
 IMAG_TOL = 1e-9
-COEFF_IMAG_TOL = 1e-10
 CONJUGATE_TOL = 1e-9
-DUPLICATE_TOL = 1e-12
 MIN_EIGENVALUE_GAP = 1e-6
 VANDERMONDE_COND_MAX = 1e12
 
@@ -94,16 +95,6 @@ def _check_conjugate_closed(eigs, tol=CONJUGATE_TOL):
                 f"eigenvalue {lam} has no complex-conjugate partner"
             )
         pending.pop(match)
-
-
-def _check_distinct(eigs, gap):
-    eigs = [complex(e) for e in eigs]
-    for i in range(len(eigs)):
-        for j in range(i + 1, len(eigs)):
-            if abs(eigs[i] - eigs[j]) < gap:
-                raise DuplicateEigenvalue(
-                    f"eigenvalues {eigs[i]} and {eigs[j]} are closer than {gap}"
-                )
 
 
 def _residue(values, axis=None):
@@ -278,55 +269,21 @@ class CarmaSpec:
         return max(e.real for axis in self.eigenvalues for e in axis)
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """Monic-polynomial coefficients (a_1, ..., a_p) of one companion matrix.
+@lru_cache(maxsize=128)
+def _companion(eigs):
+    """Real companion matrix of prod(z - lam_k) over one axis's eigenvalues.
 
-    The matrix itself has ones on the superdiagonal and
-    (-a_p, ..., -a_1) as its last row.
+    With prod(z - lam_k) = z^p + a_1 z^{p-1} + ... + a_p, the matrix has
+    ones on the superdiagonal and (-a_p, ..., -a_1) as its last row.  A
+    conjugate-closed axis makes the a_k real up to rounding; the real
+    part is kept.  ``eigs`` is a tuple, as in ``CarmaSpec.eigenvalues``;
+    the cached matrix is read-only.
     """
-
-    coeffs: tuple
-
-    @property
-    def p(self):
-        return len(self.coeffs)
-
-    def matrix(self):
-        p = self.p
-        a = np.zeros((p, p))
-        if p > 1:
-            a[:-1, 1:] = np.eye(p - 1)
-        a[-1, :] = -np.asarray(self.coeffs)[::-1]
-        return a
-
-    def polynomial(self, z):
-        """Evaluate the monic polynomial z^p + a_1 z^{p-1} + ... + a_p."""
-        return np.polyval(np.concatenate(([1.0], np.asarray(self.coeffs))), z)
-
-
-def companion_from_eigenvalues(eigs):
-    """Build the companion matrix whose eigenvalues are `eigs`.
-
-    The coefficients come from expanding prod(z - lambda_k); conjugate
-    closure of the input makes them real up to floating-point residue,
-    which is stripped below ``COEFF_IMAG_TOL``.
-
-    Raises
-    ------
-    DuplicateEigenvalue
-        If two entries coincide within ``DUPLICATE_TOL``.
-    NonConjugateSet
-        If the list is not closed under conjugation.
-    """
-    eigs = [complex(e) for e in eigs]
-    _check_distinct(eigs, DUPLICATE_TOL)
-    _check_conjugate_closed(eigs)
-    coeffs = np.poly(np.asarray(eigs))  # [1, a_1, ..., a_p]
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if np.max(np.abs(coeffs.imag)) > COEFF_IMAG_TOL * scale:
-        raise NonConjugateSet("polynomial coefficients have non-real residue")
-    return CompanionMatrix(coeffs=tuple(float(c) for c in coeffs.real[1:]))
+    coeffs = np.poly(np.asarray(eigs)).real  # [1, a_1, ..., a_p]
+    amat = np.eye(len(coeffs) - 1, k=1)
+    amat[-1] = -coeffs[:0:-1]
+    amat.flags.writeable = False
+    return amat
 
 
 def _eigenvalue_array(eigenvalues):
@@ -395,7 +352,7 @@ def _spec_rows(b, lam):
     failing the condition on the identity as V^{-1} (see
     ``_vandermonde``), so every later step stays finite.  Returns the
     (S, p, ..., p) tensors, ``lam`` with the stand-ins, the mask of rows
-    that passed and the ``_vandermonde`` triple (V, V^{-1}, condition).
+    that passed and the (S, d) Vandermonde condition numbers.
     """
     p = b.shape[1]
     ok = np.ones(b.shape[0], dtype=bool)
@@ -406,7 +363,7 @@ def _spec_rows(b, lam):
         lam = np.where(ok[:, None, None], lam, -np.arange(1.0, p + 1))
     vmat, vinv, cond = _vandermonde(lam)
     ok &= (cond <= VANDERMONDE_COND_MAX).all(axis=1)
-    return _coeff_tensors(b, vmat, vinv), lam, ok, (vmat, vinv, cond)
+    return _coeff_tensors(b, vmat, vinv), lam, ok, cond
 
 
 def _check_condition(cond):
@@ -422,22 +379,16 @@ def _check_condition(cond):
 def _expansion(spec):
     """A spec as a batch of one through ``_spec_rows``.
 
-    Returns its coefficient tensor, its (d, p) eigenvalues (see
-    ``_eigenvalue_array``) and the (d, p, p) factors V and V^{-1} of its
-    axes; raises IllConditionedVandermonde where an axis fails the
-    condition test.
+    Returns its (p,)*d coefficient tensor (see ``_coeff_tensors``) and
+    its (d, p) eigenvalues (see ``_eigenvalue_array``); raises
+    IllConditionedVandermonde where an axis fails the condition test.
     """
-    tensor, lam, _, (vmat, vinv, cond) = _spec_rows(
+    tensor, lam, _, cond = _spec_rows(
         np.asarray(spec.b, dtype=float)[None],
         _eigenvalue_array(spec.eigenvalues)[None],
     )
     _check_condition(cond)
-    return tensor[0], lam[0], vmat[0], vinv[0]
-
-
-def _coeff_tensor(spec):
-    """The (p,)*d coefficient tensor of a spec (see ``_coeff_tensors``)."""
-    return _expansion(spec)[0]
+    return tensor[0], lam[0]
 
 
 @lru_cache(maxsize=None)
@@ -528,24 +479,28 @@ def kernel_coefficients(spec):
         kernel for s >= 0.  The weights of conjugate index tuples are
         conjugate, so the sum is real.  The array is a copy.
     """
-    return _coeff_tensor(spec).astype(complex)
+    return _expansion(spec)[0].astype(complex)
 
 
 def kernel_eval(spec, s):
-    """Kernel value g(s) via Vandermonde-diagonalized matrix exponentials.
+    """Kernel value g(s) = b' exp(A_1 s_1) ... exp(A_d s_d) e_p, by definition.
 
-    Zero whenever any coordinate of ``s`` is negative.
+    The matrix exponentials of the companion matrices (``_companion``)
+    use no eigen-expansion, so they keep full accuracy at close
+    eigenvalues and cross-check the closed forms.  Zero whenever any coordinate of ``s``
+    is negative; non-finite coordinates are rejected.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.size != spec.d:
         raise InvalidSpec(f"point has {s.size} coordinates, spec has d = {spec.d}")
+    if not np.all(np.isfinite(s)):
+        raise ValidationError("kernel coordinates must be finite")
     if np.any(s < 0):
         return 0.0
-    _, lams, vmats, vinvs = _expansion(spec)
     w = np.asarray(spec.b, dtype=float)
-    for lam, vmat, vinv, si in zip(lams, vmats, vinvs, s):
-        w = (w @ vmat) * np.exp(lam * si) @ vinv
-    return _real(w[-1], "kernel value")
+    for axis, si in zip(spec.eigenvalues, s):
+        w = w @ linalg.expm(_companion(axis) * si)
+    return float(w[-1])
 
 
 def kernel_on_grid(spec, axes_points):
@@ -563,7 +518,7 @@ def kernel_on_grid(spec, axes_points):
     """
     if len(axes_points) != spec.d:
         raise InvalidSpec("one coordinate array per axis required")
-    tensor, lams = _expansion(spec)[:2]
+    tensor, lams = _expansion(spec)
     factors = []
     for lam, pts in zip(lams, axes_points):
         pts = np.asarray(pts, dtype=float)
@@ -607,7 +562,7 @@ def _gamma_factors(lam, pts):
 
 def _rows_of(spec):
     """A spec as a batch of one row: its coefficient tensor and eigenvalues."""
-    tensor, lam = _expansion(spec)[:2]
+    tensor, lam = _expansion(spec)
     return tensor[None], lam[None]
 
 
@@ -663,7 +618,7 @@ def autocovariance_grid(spec, axes_points):
     """gamma on a tensor-product grid of lags (vectorized over the grid)."""
     if len(axes_points) != spec.d:
         raise InvalidSpec("one lag array per axis required")
-    tensor, lams = _expansion(spec)[:2]
+    tensor, lams = _expansion(spec)
     mats = [_gamma_factors(lam, pts) for lam, pts in zip(lams, axes_points)]
     vals = spec.kappa2 * _contract(tensor, mats, copies=2)
     return _real(vals, "autocovariance")
@@ -737,8 +692,7 @@ def spectral_density(spec, omega):
     )
     eye = np.eye(spec.p)
     for i, axis in enumerate(spec.eigenvalues):
-        amat = companion_from_eigenvalues(axis).matrix()
-        shifted = 1j * omega[..., i, None, None] * eye - amat
+        shifted = 1j * omega[..., i, None, None] * eye - _companion(axis)
         # row vector times R_i: solve with the transposed matrix
         vec = np.linalg.solve(np.swapaxes(shifted, -1, -2), vec[..., None])[..., 0]
     dens = spec.kappa2 / (2.0 * np.pi) ** spec.d * np.abs(vec[..., -1]) ** 2

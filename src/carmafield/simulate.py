@@ -97,6 +97,13 @@ class NormalJumps:
     mean: float = 0.0
     std: float = 1.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.std) and self.std > 0):
+            raise ValidationError(
+                f"jump mean must be finite and jump std finite and positive, "
+                f"got mean {self.mean} and std {self.std}"
+            )
+
     @property
     def first_moment(self):
         return self.mean
@@ -130,6 +137,14 @@ class RademacherJumps:
 class UniformJumps:
     low: float = -1.0
     high: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.low) and math.isfinite(self.high)
+                and self.low < self.high):
+            raise ValidationError(
+                f"jump bounds must be finite with low < high, got {self.low} "
+                f"and {self.high}"
+            )
 
     @property
     def first_moment(self):
@@ -351,7 +366,7 @@ def simulate_compound_poisson(spec, basis, m_radius, n, delta, seed, stream=0):
     cells, sites, heights = cells[reach].astype(int), sites[reach], heights[reach]
     flat = np.ravel_multi_index(tuple((cells - 1).T), n)
     size = math.prod(n)
-    tensor, lams = model._expansion(spec)[:2]
+    tensor, lams = model._expansion(spec)
     # phases[i][k, j]: eigenvalue k of axis i carried from jump j to its cell
     phases = [
         np.exp(np.outer(lam, cells[:, i] * di - sites[:, i]))
@@ -454,7 +469,7 @@ def simulate_compound_poisson_at(spec, basis, m_radius, points, seed, stream=0):
     out = np.zeros(points.shape[0])
     if sites.shape[0] == 0 or points.shape[0] == 0:
         return out
-    tensor, lams = model._expansion(spec)[:2]
+    tensor, lams = model._expansion(spec)
     coeff = tensor.ravel()
     rates = -lams.real.min(axis=1)
     coords = np.ascontiguousarray(sites.T)
@@ -554,7 +569,7 @@ def mse_truncation_cp(spec, m_radius):
     Exact double eigen-sum: the error is the noise variance times the
     squared-kernel mass outside [0, M]^d, which is O(exp(-2 |l_max| M)).
     """
-    tensor, lams = model._expansion(spec)[:2]
+    tensor, lams = model._expansion(spec)
     full, boxed = [], []
     for lam in lams:
         s = lam[:, None] + lam[None, :]
@@ -582,7 +597,7 @@ def mse_discretization(spec, delta, m_steps):
     if m_steps < 1:
         raise ValidationError("m_steps must be at least 1")
     delta = float(delta)
-    tensor, lams = model._expansion(spec)[:2]
+    tensor, lams = model._expansion(spec)
     term_a, term_b, term_c = [], [], []
     for lam in lams:
         pair = lam[:, None] + lam[None, :]

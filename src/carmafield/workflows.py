@@ -80,6 +80,8 @@ def diagnose(field, bins=100):
     sample statistics, and any warnings (for instance a degenerate
     histogram on constant data).
     """
+    if bins < 1:
+        raise ValidationError(f"the histogram needs at least 1 bin, got {bins}")
     values = field.values
     axis_means = []
     for ax in range(values.ndim):
@@ -207,12 +209,19 @@ class StudyConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("need at least one replication")
+        if self.fine_factor < 1:
+            raise ConfigError(f"fine_factor must be at least 1, got {self.fine_factor}")
+        if self.m_steps < 1:
+            raise ConfigError(f"m_steps must be at least 1, got {self.m_steps}")
         bad = [c for c in self.cases if c not in STUDY_CASES]
         if bad:
             raise ConfigError(f"unknown study cases {bad}")
-        # the checks of the master seed and of the search settings, made
-        # once here rather than in every replication
+        # the checks of the master seed, the grid size, the spacing, the
+        # lag count and the search settings, made once here rather than
+        # in every replication
         simulate.substream(self.seed)
+        model._per_axis(self.n, self.spec.d, "n")
+        estimate.axis_lag_set(self.spec.d, self.delta, self.j_max)
         estimate.FitConfig(p=self.spec.p, q=self.spec.q, generations=self.generations,
                            population_factor=self.population_factor)
 

@@ -168,8 +168,8 @@ def cp_field_direct(spec, basis, m_radius, n, delta, seed, stream=0):
 
     Redraws the jumps of ``simulate.simulate_compound_poisson`` and adds
     w * g(x - s) for every jump at every lattice point x, with g from
-    ``model.kernel_eval`` (Vandermonde matrix exponentials, not the
-    coefficient tensor the simulator uses).
+    ``model.kernel_eval`` (companion-matrix exponentials, independent of
+    the eigen-expansion the simulator uses).
     """
     from carmafield import simulate
 
@@ -191,7 +191,8 @@ def cp_points_direct(spec, basis, m_radius, points, seed, stream=0):
     """Compound-Poisson field at arbitrary points, summed jump by jump.
 
     The same draw as ``cp_field_direct``, w * g(x - s) with g from
-    ``model.kernel_eval``, at each row x of ``points``.
+    ``model.kernel_eval`` (companion-matrix exponentials, independent of
+    the eigen-expansion), at each row x of ``points``.
     """
     from carmafield import simulate
 
@@ -504,7 +505,7 @@ def covariance_v_direct(spec, tlist, basis, lattice_delta):
     excess = basis.kappa4 - 3.0 * basis.kappa2 ** 2
     if abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2):
         # the quartic integral uses the bare kernel (no kappa2 factor)
-        coeff = model._coeff_tensor(spec)
+        coeff = model._expansion(spec)[0]
     vmat = np.empty((k + 1, k + 1))
     gamma0_view = gamma_view([0] * d)
     for i in range(k + 1):

@@ -466,6 +466,32 @@ class TestCliCommands:
             assert run_cli(
                 ["select", "--input", table, "--output-dir", tmp_path / "sel"]
             ) == 1
+        # no histogram bins -> validation, not numpy's ValueError
+        for bins in (0, -3):
+            assert run_cli(["diagnose", "--input", field, "--output-dir", tmp_path / "dg",
+                            "--bins", bins]) == 1
+        # a binary file read as CSV -> validation, not a decoding error
+        assert run_cli(["variogram", "--input", field, "--output-dir", tmp_path / "vb",
+                        "--format", "csv"]) == 1
+        # a jump law numpy would refuse to draw from -> validation
+        for law in (["--cp-jumps", "normal", "--jump-std", -1],
+                    ["--cp-jumps", "uniform", "--jump-low", 1, "--jump-high", -1]):
+            assert run_cli(["simulate", "--output-dir", tmp_path / "cj", "--noise", "cp",
+                            "--n", 8, "--delta", 0.1, "--m", 8] + law
+                           + self.MODEL_FLAGS) == 1
+        # study settings every replication would reject -> validation, before
+        # any replication runs
+        for flag, value in (("--fine-factor", 0), ("--fine-factor", -1), ("--n", 0),
+                            ("--m", 0), ("--lags", 0), ("--delta", 0)):
+            assert run_cli(["study", "--output-dir", tmp_path / "sv", "--replications", 1,
+                            flag, value] + self.MODEL_FLAGS) == 1
+        # an order or noise variance recovery cannot use -> validation, before
+        # the Hankel step (which fails on this variogram with exit 2)
+        oracles.synthetic_variogram(bad, 0.2, 7).to_csv(vario)
+        for order in (["--p", -1], ["--p", 0], ["--p", 2, "--q", 2],
+                      ["--p", 2, "--q", 3], ["--p", 2, "--kappa2", 0]):
+            assert run_cli(["recover", "--input", vario, "--output-dir", tmp_path / "ro"]
+                           + order) == 1
 
 
 class TestInputsUntouched:

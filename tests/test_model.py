@@ -23,43 +23,33 @@ def ref_spec(kappa2=1.0):
 
 class TestCompanion:
     def test_single_real_root(self):
-        comp = model.companion_from_eigenvalues([-1.0])
-        assert comp.coeffs == (1.0,)
-        np.testing.assert_allclose(comp.matrix(), [[-1.0]])
+        np.testing.assert_array_equal(model._companion((-1.0,)), [[-1.0]])
 
     def test_two_real_roots(self):
         # (z + 2)(z + 6) = z^2 + 8 z + 12
-        comp = model.companion_from_eigenvalues([-2.0, -6.0])
-        assert comp.coeffs == pytest.approx((8.0, 12.0))
         np.testing.assert_allclose(
-            comp.matrix(), [[0.0, 1.0], [-12.0, -8.0]]
+            model._companion((-2.0, -6.0)), [[0.0, 1.0], [-12.0, -8.0]]
         )
 
     def test_conjugate_pair_real_output(self):
         # (z + 1 - 2i)(z + 1 + 2i) = z^2 + 2 z + 5
-        comp = model.companion_from_eigenvalues([-1 + 2j, -1 - 2j])
-        assert comp.coeffs == pytest.approx((2.0, 5.0))
-        assert all(isinstance(c, float) for c in comp.coeffs)
+        pair = model._companion((-1 + 2j, -1 - 2j))
+        assert pair.dtype == np.float64
+        np.testing.assert_allclose(pair, [[0.0, 1.0], [-5.0, -2.0]])
 
     def test_polynomial_vanishes_at_eigenvalues(self, rng):
         for _ in range(20):
             spec = oracles.random_spec(rng)
             for axis in spec.eigenvalues:
-                comp = model.companion_from_eigenvalues(axis)
+                amat = model._companion(axis)
+                # the last row holds -(a_p, ..., a_1)
+                poly = np.concatenate(([1.0], -amat[-1, ::-1]))
                 for lam in axis:
-                    assert abs(comp.polynomial(lam)) < 1e-9
-                recovered = np.linalg.eigvals(comp.matrix())
+                    assert abs(np.polyval(poly, lam)) < 1e-9
+                recovered = np.linalg.eigvals(amat)
                 assert sorted(recovered, key=lambda z: (z.real, z.imag)) == pytest.approx(
                     sorted(axis, key=lambda z: (z.real, z.imag)), abs=1e-8
                 )
-
-    def test_rejects_non_conjugate(self):
-        with pytest.raises(NonConjugateSet):
-            model.companion_from_eigenvalues([-1 + 2j, -3.0])
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(DuplicateEigenvalue):
-            model.companion_from_eigenvalues([-1.0, -1.0 + 1e-14])
 
 
 class TestSpecValidation:
@@ -70,6 +60,10 @@ class TestSpecValidation:
     def test_rejects_near_coincident(self):
         with pytest.raises(DuplicateEigenvalue):
             model.CarmaSpec(b=(1.0, 0.5), eigenvalues=((-1.0, -1.0 + 1e-8),))
+
+    def test_rejects_non_conjugate(self):
+        with pytest.raises(NonConjugateSet):
+            model.CarmaSpec(b=(1.0,), eigenvalues=((-1 + 2j, -3.0),))
 
     def test_rejects_zero_b(self):
         with pytest.raises(InvalidSpec):
@@ -133,6 +127,21 @@ class TestKernel:
                 assert grid.item() == pytest.approx(
                     model.kernel_eval(spec, s), abs=1e-9
                 )
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-5, 2e-6])
+    def test_near_confluent_eigenvalues(self, gap):
+        # the divided-difference form of g for one axis with two eigenvalues
+        b, l1, l2 = (0.6786, -1.2827), -2.0, -2.0 - gap
+        spec = model.CarmaSpec(b=b, eigenvalues=((l1, l2),), kappa2=0.598)
+        for s in (0.3, 0.7, 2.0):
+            phi = np.exp(l2 * s) * np.expm1((l1 - l2) * s) / (l1 - l2)
+            exact = b[0] * phi + b[1] * (l2 * phi + np.exp(l1 * s))
+            assert model.kernel_eval(spec, (s,)) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("point", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.5)])
+    def test_rejects_non_finite_point(self, point):
+        with pytest.raises(ValidationError):
+            model.kernel_eval(ref_spec(), point)
 
     def test_car1_separable_coefficient(self):
         spec = model.CarmaSpec(b=(1.7,), eigenvalues=((-1.0,), (-2.0,)))
