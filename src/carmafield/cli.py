@@ -4,6 +4,8 @@ Usage: ``carma-field <subcommand> [--config PATH] [flag overrides...]``.
 Subcommands: simulate, variogram, fit, recover, select, diagnose,
 study.  Options come from a flat ``key = value`` config file (``#``
 comments allowed) mirrored one-to-one by command line flags; flags win.
+A subcommand accepts only the keys it reads; any other key is a
+``ConfigError``.
 Every run writes a manifest (config echo, versions, output checksums)
 into the output directory and never mutates its inputs.
 
@@ -494,15 +496,27 @@ _HANDLERS = {
     "study": _cmd_study,
 }
 
-# flags shared by every subcommand; each maps straight onto a config key
-_COMMON_FLAGS = [
-    "output_dir", "input", "format", "seed", "delta", "n", "m", "b",
-    "eigenvalues", "kappa2", "noise", "sigma2", "vg_variance", "vg_shape",
-    "cp_intensity", "cp_jumps", "jump_mean", "jump_std", "jump_low",
-    "jump_high", "algorithm", "lags", "weights", "models", "normalize",
-    "from_variogram", "p", "q", "bins", "replications", "fine_factor",
-    "cases", "generations", "population", "plot", "csv",
-]
+# the config keys each subcommand reads, through its handler and helpers
+_MODEL_KEYS = {"b", "eigenvalues", "kappa2"}
+_NOISE_KEYS = {"noise", "sigma2", "vg_variance", "vg_shape", "cp_intensity",
+               "cp_jumps", "jump_mean", "jump_std", "jump_low", "jump_high"}
+_INGEST_KEYS = {"input", "format", "delta"}
+_COMMAND_KEYS = {
+    "simulate": {"output_dir", *_MODEL_KEYS, *_NOISE_KEYS, "algorithm", "n",
+                 "delta", "m", "seed", "csv", "plot"},
+    "variogram": {"output_dir", *_INGEST_KEYS, "lags", "plot"},
+    "fit": {"output_dir", *_INGEST_KEYS, "from_variogram", "normalize", "lags",
+            "models", "weights", "kappa2", "seed", "generations", "population",
+            "plot"},
+    "recover": {"output_dir", "input", "p", "q", "kappa2"},
+    "select": {"output_dir", "input"},
+    "diagnose": {"output_dir", *_INGEST_KEYS, "bins", "plot"},
+    "study": {"output_dir", *_MODEL_KEYS, *_NOISE_KEYS, "replications", "n",
+              "delta", "fine_factor", "m", "lags", "cases", "seed",
+              "generations", "population"},
+}
+# every subcommand parses every flag; each maps straight onto a config key
+_COMMON_FLAGS = sorted(set().union(*_COMMAND_KEYS.values()))
 
 
 _NEGATIVE_VALUE = re.compile(r"^-\d")
@@ -536,6 +550,9 @@ def run(argv=None):
         value = getattr(args, flag, None)
         if value is not None:
             options[flag] = value
+    unread = sorted(set(options) - _COMMAND_KEYS[args.command])
+    if unread:
+        raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
     cfg = RunConfig(args.command, options)
     return _HANDLERS[args.command](cfg)
 

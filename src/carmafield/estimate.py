@@ -2,13 +2,14 @@
 
 The empirical variogram is the method-of-moments average of squared
 increments over all lattice pairs at each lag.  It is computed without
-forming the increments: each lag's sum of squares comes from corner
-lookups in one summed-area table of the squared field, less twice one
-cross product of the two overlapping views, which agrees with the
-direct sum to about 1e-13 relative (the expansion cancels where the
-increments are small against the field's spread).  Parameters are fitted
-by minimizing the weighted squared gap between empirical and model
-ordinates over a compact box: a seeded differential-evolution global
+forming the increments: each lag's sum of squares is two box sums of
+the squared field less twice the lag's cross product, and one FFT
+autocorrelation gives the cross products of every lag that moves on the
+same axes.  It agrees with the direct sum to about 1e-13 relative (the
+expansion cancels where the increments are small against the field's
+spread).  Parameters are fitted by minimizing the weighted squared gap
+between empirical and model ordinates over a compact box: a seeded
+differential-evolution global
 search followed by a bounded least-squares polish (trust-region
 reflective).  The search is the package's own best1bin driver with a
 Latin-hypercube start and deferred updating.  It draws scipy's random
@@ -29,10 +30,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import optimize
 
 from . import model
@@ -68,6 +69,8 @@ __all__ = [
 
 DESIGN_COND_MAX = 1e12
 LAG_INTEGER_TOL = 1e-6
+# spectrum cells held by one slab of the empirical variogram's transforms
+FFT_SLAB_CELLS = 1 << 16
 
 # Fit search box [0, B_MAX] x [-B_MAX, B_MAX]^q x [EIG_MIN, 0]^{dp}, with
 # imaginary parts of complex eigenvalue blocks in [0, IM_MAX].
@@ -215,13 +218,22 @@ def empirical_variogram(field, lags):
 
     The sum of squared increments is computed as Q(dst) + Q(src)
     - 2 sum_s Y(s+t) Y(s), where dst and src are the boxes of the later
-    and earlier pair ends and Q(box) is the sum of Y^2 over a box.
-    Every Q is 2^d corner lookups in one summed-area table of Y^2,
-    gathered for all lags at once; each cross term is one einsum over
-    the two overlapping views, so no field-sized temporary is made per
-    lag.  The field is first shifted by its own cell value nearest its
-    mean: the variogram is shift-invariant, the shift keeps the squares
-    near the field's spread, and a constant field becomes exactly zero.
+    and earlier pair ends and Q(box) is the sum of Y^2 over a box.  The
+    lags are grouped by the set of axes they move on, and each group
+    takes one FFT path (Wiener-Khinchin; Marcotte 1996): the field is
+    transformed along the group's axes, zero-padded past the group's
+    widest step, its power spectrum is summed over the other axes, and
+    one inverse transform gives the cross term of every lag in the
+    group, a negative step at its wrapped index.  The two Q of a lag
+    are corner lookups in a summed-area table of Y^2 summed over the
+    other axes, which for axis lags is one cumulative sum.  The
+    transforms run over slabs of the other axes, of about
+    ``FFT_SLAB_CELLS`` spectrum cells each, so the transient memory stays
+    bounded.  No step calls BLAS, so the bytes do not depend on its
+    thread count.  The field is first shifted by its own cell value
+    nearest its mean: the variogram is shift-invariant, the shift keeps
+    the squares near the field's spread, and a constant field becomes
+    exactly zero.
     The expansion cancels where increments are small against that
     spread, so ordinates agree with the direct sum of squared
     differences to about 1e-13 relative rather than to the last bit.
@@ -244,31 +256,14 @@ def empirical_variogram(field, lags):
     y = values - values.mean()
     np.abs(y, out=y)
     np.subtract(values, values.flat[np.argmin(y)], out=y)
-    # table[k] = sum of y^2 over the box [0, k_1) x ... x [0, k_d)
-    table = np.zeros(shape + 1)
-    np.square(y, out=table[(slice(1, None),) * y.ndim])
-    for axis in range(y.ndim):
-        np.cumsum(table, axis=axis, out=table)
-    # per lag, rows [0, k) are the dst boxes [lo, hi) and rows [k, 2k)
-    # the src boxes
-    ahead, behind = np.maximum(steps, 0), np.maximum(-steps, 0)
-    lo = np.concatenate([ahead, behind])
-    hi = np.concatenate([shape - behind, shape - ahead])
-    boxes = np.zeros(lo.shape[0])
-    for corner in itertools.product((False, True), repeat=y.ndim):
-        index = tuple(hi[:, i] if c else lo[:, i] for i, c in enumerate(corner))
-        boxes += (-1) ** (y.ndim - sum(corner)) * table[index]
-    k = steps.shape[0]
-    sums = boxes[:k] + boxes[k:]
-    moving = np.any(steps, axis=1)
-    axes = string.ascii_lowercase[:y.ndim]
-    subscripts = f"{axes},{axes}->"
-    starts, stops = lo.tolist(), hi.tolist()
-    for row in np.flatnonzero(moving).tolist():
-        dst = tuple(map(slice, starts[row], stops[row]))
-        src = tuple(map(slice, starts[k + row], stops[k + row]))
-        sums[row] -= 2.0 * np.einsum(subscripts, y[dst], y[src])
-    sums[~moving] = 0.0
+    # group code: bit i set when the lag moves on axis i; code 0 (the
+    # zero lag) keeps its sum of 0
+    codes = np.sum((steps != 0) << np.arange(y.ndim), axis=1)
+    sums = np.zeros(steps.shape[0])
+    for code in np.unique(codes[codes > 0]).tolist():
+        rows = np.flatnonzero(codes == code)
+        axes = tuple(i for i in range(y.ndim) if code >> i & 1)
+        sums[rows] = _group_square_sums(y, axes, steps[np.ix_(rows, axes)])
     counts = np.prod(shape - np.abs(steps), axis=1).astype(np.int64)
     return EmpiricalVariogram(
         lags=lags,
@@ -277,6 +272,48 @@ def empirical_variogram(field, lags):
         delta=field.delta,
         n=field.n,
     )
+
+
+def _group_square_sums(y, axes, steps):
+    """Sum of (Y(s+t) - Y(s))^2 over all pairs, for lags moving on ``axes``.
+
+    ``steps`` holds one row per lag: its nonzero steps on ``axes``.
+    """
+    others = tuple(i for i in range(y.ndim) if i not in axes)
+    sizes = np.array([y.shape[a] for a in axes])
+    # zero padding past the widest step keeps each product clear of the wrap
+    lengths = [sfft.next_fast_len(int(n + w), real=True)
+               for n, w in zip(sizes, np.abs(steps).max(axis=0))]
+    slabs = [y]
+    if others:
+        cells = math.prod(lengths[:-1]) * (lengths[-1] // 2 + 1)
+        cells *= math.prod(y.shape[i] for i in others[1:])
+        width = max(1, FFT_SLAB_CELLS // cells)
+        slabs = [y[(slice(None),) * others[0] + (slice(k, k + width),)]
+                 for k in range(0, y.shape[others[0]], width)]
+    # power spectrum along axes and Y^2, each summed over the other axes
+    power = marginal = 0.0
+    for slab in slabs:
+        spectrum = sfft.rfftn(slab, lengths, axes=axes)
+        power = power + np.sum(spectrum.real ** 2 + spectrum.imag ** 2, axis=others)
+        marginal = marginal + np.sum(np.square(slab), axis=others)
+    products = sfft.irfftn(power, lengths)
+    cross = products[tuple((steps % lengths).T)]
+    # table[k] = sum of the marginal over the box [0, k_1) x ... x [0, k_m)
+    table = np.zeros(sizes + 1)
+    table[(slice(1, None),) * len(axes)] = marginal
+    for axis in range(len(axes)):
+        np.cumsum(table, axis=axis, out=table)
+    # rows [0, k) are the dst boxes [lo, hi) and rows [k, 2k) the src boxes
+    ahead, behind = np.maximum(steps, 0), np.maximum(-steps, 0)
+    lo = np.concatenate([ahead, behind])
+    hi = np.concatenate([sizes - behind, sizes - ahead])
+    boxes = np.zeros(lo.shape[0])
+    for corner in itertools.product((False, True), repeat=len(axes)):
+        index = tuple(hi[:, i] if c else lo[:, i] for i, c in enumerate(corner))
+        boxes += (-1) ** (len(axes) - sum(corner)) * table[index]
+    k = steps.shape[0]
+    return boxes[:k] + boxes[k:] - 2.0 * cross
 
 
 # -- weights ---------------------------------------------------------------------
@@ -299,14 +336,11 @@ def weights_exponential(j_max, delta):
 def _axis_structure(emp):
     """Classify lags: (axis, j) for axis lags, None otherwise."""
     steps = _lag_steps(emp.delta, emp.lags)
-    classes = []
-    for kvec in steps:
-        nz = np.nonzero(kvec)[0]
-        if nz.size == 1 and kvec[nz[0]] > 0:
-            classes.append((int(nz[0]), int(kvec[nz[0]])))
-        else:
-            classes.append(None)
-    return classes
+    axis = np.argmax(steps != 0, axis=1)
+    j = steps[np.arange(steps.shape[0]), axis]
+    on_axis = (np.count_nonzero(steps, axis=1) == 1) & (j > 0)
+    return [(a, s) if ok else None
+            for a, s, ok in zip(axis.tolist(), j.tolist(), on_axis.tolist())]
 
 
 def _checked_weights(weights, k):

@@ -320,17 +320,19 @@ def carma21_axis_reference(b0, b1, l11, l12, l21, l22, kappa2=1.0):
     return (d1_l11, d1_l12), (d2_l21, d2_l22)
 
 
-def empirical_variogram_direct(field, lags):
+def empirical_variogram_direct(field, lags, dtype=float):
     """Matheron variogram summed lag by lag from squared differences.
 
     Each ordinate is the mean of (Y(s+t) - Y(s))^2 over the two
-    overlapping slices of the field, with no summed-area table and no
-    cross product; the check on ``estimate.empirical_variogram``.
+    overlapping slices of the field, with no box sums and no cross
+    product; the check on ``estimate.empirical_variogram``.  The
+    differences and their mean are taken in ``dtype`` (``np.longdouble``
+    for an extended-precision reference).
     """
     from carmafield import estimate
     from carmafield.errors import LagOutOfRange
 
-    values = field.values
+    values = field.values.astype(dtype)
     steps = estimate._lag_steps(field.delta, lags)
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     ordinates = np.empty(steps.shape[0])

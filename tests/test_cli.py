@@ -1,5 +1,9 @@
 """Grid I/O, data workflows, and the command line surface."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -286,6 +290,48 @@ class TestCliCommands:
              "--models", "car1", "--generations", 10, "--population", 5]
         ) == 0
         assert (out / "params_car1.txt").exists()
+
+    def test_unread_flags_and_config_keys_rejected(self, tmp_path):
+        field = simulate.LatticeField(delta=0.1, values=np.arange(64.0).reshape(8, 8))
+        grid = tmp_path / "grid.carf"
+        gridio.write_carf(field, grid)
+        out = tmp_path / "vario"
+        # variogram reads neither bins nor models
+        assert run_cli(["variogram", "--input", grid, "--output-dir", out,
+                        "--lags", 3, "--bins", 5, "--models", "car9"]) == 1
+        assert not out.exists()
+        config = tmp_path / "run.conf"
+        config.write_text("lags = 3\nbins = 5\n")
+        assert run_cli(["variogram", "--config", config, "--input", grid,
+                        "--output-dir", out]) == 1
+        assert not out.exists()
+        config.write_text("lags = 3\n")
+        assert run_cli(["variogram", "--config", config, "--input", grid,
+                        "--output-dir", out]) == 0
+
+    def test_fit_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        field = simulate.simulate_truncated_discretized(
+            spec, simulate.GaussianBasis(), 100, 200, 0.04, seed=4
+        )
+        grid = tmp_path / "field.carf"
+        gridio.write_carf(field, grid)
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"fit{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "carmafield.cli", "fit", "--input", str(grid),
+                 "--output-dir", str(out), "--models", "car1,carma21", "--lags", "10",
+                 "--generations", "30", "--seed", "3"],
+                env=env, check=True, timeout=300,
+            )
+            digests.append([line for line in (out / "manifest.txt").read_text().splitlines()
+                            if line.startswith("sha256:")])
+        assert len(digests[0]) == 6  # variogram, two params, summary, two overlays
+        assert digests[0] == digests[1]
 
     def test_select_reproduces_reference_ranking(self, tmp_path):
         table = tmp_path / "models.csv"

@@ -60,11 +60,12 @@ class TestEmpiricalVariogram:
             assert emp.pair_counts[0] == (7 - abs(kvec[0])) * (9 - abs(kvec[1]))
 
     @pytest.mark.parametrize(
-        "case", ["d1", "d2-axis", "d2-mixed", "d3", "shifted-1e3", "smooth-td"]
+        "case", ["d1", "d2-axis", "d2-mixed", "d3", "shifted-1e3", "smooth-td",
+                 "widest-n-1", "d3-axis", "d2-two-slabs", "d3-slabs"]
     )
-    def test_matches_direct_sum(self, case):
-        # the summed-area expansion against the slice-by-slice sum of
-        # squared differences, axis and mixed-sign lags, d = 1..3
+    def test_matches_direct_sum(self, case, monkeypatch):
+        # the FFT cross terms and box sums against the slice-by-slice sum
+        # of squared differences, axis and mixed-sign lags, d = 1..3
         rng = np.random.default_rng(sum(map(ord, case)))
         delta = 0.25
         if case == "d1":
@@ -79,6 +80,26 @@ class TestEmpiricalVariogram:
         elif case == "d3":
             values = rng.normal(size=(9, 11, 13))
             steps = [(1, 0, 0), (0, 2, 0), (0, 0, 3), (2, -1, 4), (-3, 5, -2), (8, 10, 12)]
+        elif case == "widest-n-1":
+            # each group's widest step is n_i - 1 on each of its axes
+            values = rng.normal(size=(30, 40))
+            steps = [(1, 0), (2, 0), (29, 0), (0, 1), (0, 39), (29, -39), (-29, 39),
+                     (1, 1), (-3, 2)]
+        elif case == "d3-axis":
+            values = rng.normal(size=(9, 11, 13))
+            steps = ([(j, 0, 0) for j in range(1, 9)] + [(0, j, 0) for j in range(1, 11)]
+                     + [(0, 0, j) for j in range(1, 13)])
+        elif case == "d2-two-slabs":
+            # 400^2: each axis group's transforms take two slabs of the
+            # default budget
+            values = rng.normal(size=(400, 400))
+            steps = [(j, 0) for j in range(1, 11)] + [(0, j) for j in range(1, 11)] + [(3, -5)]
+        elif case == "d3-slabs":
+            # a budget of 40 spectrum cells: one slab per index, or a few
+            monkeypatch.setattr(estimate, "FFT_SLAB_CELLS", 40)
+            values = rng.normal(size=(9, 11, 13))
+            steps = [(1, 0, 0), (0, 4, 0), (0, 0, 12), (2, -1, 0), (-3, 0, 5),
+                     (0, 10, -2), (8, -10, 12), (1, 1, 1)]
         elif case == "shifted-1e3":
             values = rng.normal(size=(30, 40)) + 1e3
             steps = [(1, 0), (0, 3), (-4, 6), (12, 0)]
@@ -99,6 +120,26 @@ class TestEmpiricalVariogram:
         np.testing.assert_allclose(got.ordinates, want.ordinates, rtol=1e-10, atol=0.0)
         np.testing.assert_array_equal(got.pair_counts, want.pair_counts)
         np.testing.assert_array_equal(got.lags, want.lags)
+
+    @pytest.mark.parametrize("case", ["td-500", "smooth-td"])
+    def test_accuracy_against_extended_precision(self, case):
+        # against the direct sum in np.longdouble; the bound was fixed
+        # before the first run
+        if case == "td-500":
+            spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+            field = simulate.simulate_truncated_discretized(
+                spec, simulate.GaussianBasis(), 300, 500, 0.04, seed=17
+            )
+            lags = estimate.axis_lag_set(2, field.delta, 50)
+        else:
+            spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0, -1.5), (-1.2, -2.0)))
+            field = simulate.simulate_truncated_discretized(
+                spec, simulate.GaussianBasis(sigma2=1.0), m_steps=600, n=80, delta=0.01, seed=3,
+            )
+            lags = estimate.axis_lag_set(2, field.delta, 10)
+        got = estimate.empirical_variogram(field, lags)
+        want = oracles.empirical_variogram_direct(field, lags, dtype=np.longdouble)
+        np.testing.assert_allclose(got.ordinates, want.ordinates, rtol=1e-12, atol=0.0)
 
     def test_near_constant_field(self, rng):
         # increments at the last bits of the values: the expansion may

@@ -39,15 +39,44 @@ def test_imports_only_stdlib_numpy_and_scipy(path):
 READERS = {"get", "get_float", "get_int", "get_bool", "get_list", "require"}
 
 
+def _keys_read_by_each_function(tree):
+    """Config keys each function of ``tree`` reads, itself or through the
+    functions and ``cfg``/``self`` methods of the same module it calls."""
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    keys, callees = {}, {}
+    for name, function in functions.items():
+        keys[name], callees[name] = set(), set()
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in ("cfg", "self")):
+                if (func.attr in READERS and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    keys[name].add(node.args[0].value)
+                else:
+                    callees[name].add(func.attr)
+            elif isinstance(func, ast.Name):
+                callees[name].add(func.id)
+    changed = True
+    while changed:
+        changed = False
+        for name in functions:
+            for callee in callees[name] & functions.keys():
+                if not keys[callee] <= keys[name]:
+                    keys[name] |= keys[callee]
+                    changed = True
+    return keys
+
+
 def test_every_flag_has_a_reader_and_every_read_key_a_flag():
-    read = set()
-    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in READERS
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("cfg", "self")
-                and node.args and isinstance(node.args[0], ast.Constant)):
-            read.add(node.args[0].value)
+    read = _keys_read_by_each_function(ast.parse((SRC / "cli.py").read_text()))
     flags = set(cli._COMMON_FLAGS)
-    assert sorted(flags - read) == []
-    assert sorted(read - flags) == []
+    for command, handler in cli._HANDLERS.items():
+        # a command accepts exactly the keys its handler and helpers read
+        assert sorted(cli._COMMAND_KEYS[command]) == sorted(read[handler.__name__]), command
+    every_read = set().union(*(read[h.__name__] for h in cli._HANDLERS.values()))
+    assert sorted(flags - every_read) == []
+    assert sorted(every_read - flags) == []
