@@ -70,7 +70,7 @@ __all__ = [
 DESIGN_COND_MAX = 1e12
 LAG_INTEGER_TOL = 1e-6
 # spectrum cells held by one slab of the empirical variogram's transforms
-FFT_SLAB_CELLS = 1 << 16
+FFT_SLAB_CELLS = 1 << 15
 
 # Fit search box [0, B_MAX] x [-B_MAX, B_MAX]^q x [EIG_MIN, 0]^{dp}, with
 # imaginary parts of complex eigenvalue blocks in [0, IM_MAX].
@@ -291,12 +291,15 @@ def _group_square_sums(y, axes, steps):
         width = max(1, FFT_SLAB_CELLS // cells)
         slabs = [y[(slice(None),) * others[0] + (slice(k, k + width),)]
                  for k in range(0, y.shape[others[0]], width)]
-    # power spectrum along axes and Y^2, each summed over the other axes
+    # power spectrum along axes and Y^2, each summed over the other axes;
+    # the spectrum is squared in place as (real, imaginary) pairs
     power = marginal = 0.0
     for slab in slabs:
-        spectrum = sfft.rfftn(slab, lengths, axes=axes)
-        power = power + np.sum(spectrum.real ** 2 + spectrum.imag ** 2, axis=others)
         marginal = marginal + np.sum(np.square(slab), axis=others)
+        spectrum = sfft.rfftn(slab, lengths, axes=axes)
+        pairs = spectrum.view(np.float64).reshape(spectrum.shape + (2,))
+        np.square(pairs, out=pairs)
+        power = power + np.sum(pairs, axis=others + (y.ndim,))
     products = sfft.irfftn(power, lengths)
     cross = products[tuple((steps % lengths).T)]
     # table[k] = sum of the marginal over the box [0, k_1) x ... x [0, k_m)

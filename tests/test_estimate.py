@@ -90,8 +90,8 @@ class TestEmpiricalVariogram:
             steps = ([(j, 0, 0) for j in range(1, 9)] + [(0, j, 0) for j in range(1, 11)]
                      + [(0, 0, j) for j in range(1, 13)])
         elif case == "d2-two-slabs":
-            # 400^2: each axis group's transforms take two slabs of the
-            # default budget
+            # 400^2: each axis group's transforms take several slabs of
+            # the default budget
             values = rng.normal(size=(400, 400))
             steps = [(j, 0) for j in range(1, 11)] + [(0, j) for j in range(1, 11)] + [(3, -5)]
         elif case == "d3-slabs":
