@@ -296,11 +296,12 @@ def _group_square_sums(y, axes, steps):
     power = marginal = 0.0
     for slab in slabs:
         marginal = marginal + np.sum(np.square(slab), axis=others)
-        spectrum = sfft.rfftn(slab, lengths, axes=axes)
-        pairs = spectrum.view(np.float64).reshape(spectrum.shape + (2,))
-        np.square(pairs, out=pairs)
-        power = power + np.sum(pairs, axis=others + (y.ndim,))
-    products = sfft.irfftn(power, lengths)
+        spectrum = np.fft.rfftn(slab, lengths, axes=axes)
+        squares = spectrum.view(np.float64)
+        np.square(squares, out=squares)
+        half = tuple(spectrum.shape[a] for a in axes)
+        power = power + np.sum(squares, axis=others).reshape(half + (-1,)).sum(axis=-1)
+    products = np.fft.irfftn(power, lengths, axes=range(len(axes)))
     cross = products[tuple((steps % lengths).T)]
     # table[k] = sum of the marginal over the box [0, k_1) x ... x [0, k_m)
     table = np.zeros(sizes + 1)
