@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 from scipy import optimize
+from scipy.fft import next_fast_len
 
 from . import model
 from .errors import (
@@ -282,7 +282,7 @@ def _group_square_sums(y, axes, steps):
     others = tuple(i for i in range(y.ndim) if i not in axes)
     sizes = np.array([y.shape[a] for a in axes])
     # zero padding past the widest step keeps each product clear of the wrap
-    lengths = [sfft.next_fast_len(int(n + w), real=True)
+    lengths = [next_fast_len(int(n + w), real=True)
                for n, w in zip(sizes, np.abs(steps).max(axis=0))]
     slabs = [y]
     if others:
@@ -292,7 +292,8 @@ def _group_square_sums(y, axes, steps):
         slabs = [y[(slice(None),) * others[0] + (slice(k, k + width),)]
                  for k in range(0, y.shape[others[0]], width)]
     # power spectrum along axes and Y^2, each summed over the other axes;
-    # the spectrum is squared in place as (real, imaginary) pairs
+    # the spectrum's float view holds (real, imaginary) pairs on its last
+    # axis, squared in place and added after the sum over the other axes
     power = marginal = 0.0
     for slab in slabs:
         marginal = marginal + np.sum(np.square(slab), axis=others)
