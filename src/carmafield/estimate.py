@@ -9,11 +9,11 @@ same axes.  It agrees with the direct sum to about 1e-13 relative (the
 expansion cancels where the increments are small against the field's
 spread).  Parameters are fitted by minimizing the weighted squared gap
 between empirical and model ordinates over a compact box: a seeded
-differential-evolution global
-search followed by a bounded least-squares polish (trust-region
-reflective).  The search is the package's own best1bin driver with a
-Latin-hypercube start and deferred updating.  It draws scipy's random
-stream in scipy's order, so it returns what
+differential-evolution global search followed by a bounded
+least-squares polish (trust-region reflective).  The search is the
+package's own best1bin driver with a Latin-hypercube start and
+deferred updating.  It draws scipy's random stream in scipy's order,
+so it returns what
 ``scipy.optimize.differential_evolution`` returns with the same settings,
 bit for bit, and fit bytes do not depend on scipy's private DE internals,
 which the ``scipy>=1.10`` requirement does not pin.  Both stages call
@@ -233,10 +233,10 @@ def empirical_variogram(field, lags):
     thread count.  The field is first shifted by its own cell value
     nearest its mean: the variogram is shift-invariant, the shift keeps
     the squares near the field's spread, and a constant field becomes
-    exactly zero.
-    The expansion cancels where increments are small against that
-    spread, so ordinates agree with the direct sum of squared
-    differences to about 1e-13 relative rather than to the last bit.
+    exactly zero.  The expansion cancels where increments are small
+    against that spread, so ordinates agree with the direct sum of
+    squared differences to about 1e-13 relative rather than to the last
+    bit.
     After rounding each ordinate is clamped at 0, and the zero lag is
     exactly 0.
 
