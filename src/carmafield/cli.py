@@ -515,9 +515,6 @@ _COMMAND_KEYS = {
               "delta", "fine_factor", "m", "lags", "cases", "seed",
               "generations", "population"},
 }
-# every subcommand parses every flag; each maps straight onto a config key
-_COMMON_FLAGS = sorted(set().union(*_COMMAND_KEYS.values()))
-
 
 _NEGATIVE_VALUE = re.compile(r"^-\d")
 
@@ -525,16 +522,17 @@ _NEGATIVE_VALUE = re.compile(r"^-\d")
 @lru_cache(maxsize=None)
 def _build_parser():
     # built once per process (parse_args returns a fresh namespace per call);
-    # the common flags are declared once and copied into each subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None)
-    for flag in _COMMON_FLAGS:
-        common.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None)
+    # each subcommand has a flag per config key it reads, so argparse
+    # rejects any other flag; no abbreviations, or a flag of another
+    # command could pass as the prefix of one of this command's
     parser = _Parser(prog="carma-field", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", default=None)
+        for flag in sorted(_COMMAND_KEYS[name]):
+            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None)
         # values like "-1.7,-2.1;-1.3,-2.5" must parse as arguments,
         # not flags
         p._negative_number_matcher = _NEGATIVE_VALUE
@@ -546,10 +544,11 @@ def run(argv=None):
     options = {}
     if args.config:
         options.update(_load_config_file(args.config))
-    for flag in _COMMON_FLAGS:
-        value = getattr(args, flag, None)
+    for flag in sorted(_COMMAND_KEYS[args.command]):
+        value = getattr(args, flag)
         if value is not None:
             options[flag] = value
+    # only a config file can hold a key the command does not read
     unread = sorted(set(options) - _COMMAND_KEYS[args.command])
     if unread:
         raise ConfigError(f"{args.command} does not read {', '.join(unread)}")

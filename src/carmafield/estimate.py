@@ -226,11 +226,14 @@ def empirical_variogram(field, lags):
     one inverse transform gives the cross term of every lag in the
     group, a negative step at its wrapped index.  The two Q of a lag
     are corner lookups in a summed-area table of Y^2 summed over the
-    other axes, which for axis lags is one cumulative sum.  The
-    transforms run over slabs of the other axes, of about
-    ``FFT_SLAB_CELLS`` spectrum cells each, so the transient memory stays
-    bounded.  No step calls BLAS, so the bytes do not depend on its
-    thread count.  The field is first shifted by its own cell value
+    other axes, which for axis lags is one cumulative sum.  When the
+    group leaves some axis out, its transforms run over slabs of the
+    other axes, of about ``FFT_SLAB_CELLS`` spectrum cells each, so the
+    transient memory stays bounded; a group that moves on every axis
+    (any lag in d = 1, mixed lags on all axes) transforms the whole
+    zero-padded field at once, a spectrum of up to about 2^d times the
+    field's bytes.  No step calls BLAS, so the bytes do not depend on
+    its thread count.  The field is first shifted by its own cell value
     nearest its mean: the variogram is shift-invariant, the shift keeps
     the squares near the field's spread, and a constant field becomes
     exactly zero.  The expansion cancels where increments are small
@@ -291,17 +294,12 @@ def _group_square_sums(y, axes, steps):
         width = max(1, FFT_SLAB_CELLS // cells)
         slabs = [y[(slice(None),) * others[0] + (slice(k, k + width),)]
                  for k in range(0, y.shape[others[0]], width)]
-    # power spectrum along axes and Y^2, each summed over the other axes;
-    # the spectrum's float view holds (real, imaginary) pairs on its last
-    # axis, squared in place and added after the sum over the other axes
+    # power spectrum along axes and Y^2, each summed over the other axes
     power = marginal = 0.0
     for slab in slabs:
         marginal = marginal + np.sum(np.square(slab), axis=others)
         spectrum = np.fft.rfftn(slab, lengths, axes=axes)
-        squares = spectrum.view(np.float64)
-        np.square(squares, out=squares)
-        half = tuple(spectrum.shape[a] for a in axes)
-        power = power + np.sum(squares, axis=others).reshape(half + (-1,)).sum(axis=-1)
+        power = power + np.sum(spectrum.real ** 2 + spectrum.imag ** 2, axis=others)
     products = np.fft.irfftn(power, lengths, axes=range(len(axes)))
     cross = products[tuple((steps % lengths).T)]
     # table[k] = sum of the marginal over the box [0, k_1) x ... x [0, k_m)

@@ -11,6 +11,7 @@ import pytest
 
 from carmafield import cli, estimate, gridio, model, simulate, workflows
 from carmafield.errors import (
+    ConfigError,
     LengthMismatch,
     MalformedHeader,
     SingularDesign,
@@ -396,9 +397,10 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", list(cli._HANDLERS))
     def test_every_common_flag_parses_in_every_command(self, command):
-        # each flag gets its own value, negative lists included
+        # each flag of the command gets its own value, negative lists
+        # included; a flag of another command is refused
         values = {flag: f"-{i}.5,-2.1;-1.3,-2.5" for i, flag in
-                  enumerate(["config"] + cli._COMMON_FLAGS)}
+                  enumerate(["config"] + sorted(cli._COMMAND_KEYS[command]))}
         argv = [command]
         for flag, value in values.items():
             argv += [f"--{flag.replace('_', '-')}", value]
@@ -406,6 +408,10 @@ class TestCliCommands:
         assert args.command == command
         for flag, value in values.items():
             assert getattr(args, flag) == value
+        other = sorted(set().union(*cli._COMMAND_KEYS.values()) - cli._COMMAND_KEYS[command])
+        for flag in other:
+            with pytest.raises(ConfigError):
+                cli._build_parser().parse_args([command, f"--{flag.replace('_', '-')}", "1"])
 
     def test_exit_codes(self, tmp_path, monkeypatch):
         # missing input file -> I/O failure

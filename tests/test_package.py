@@ -1,5 +1,6 @@
 """Package-wide invariants: exported names exist, dependencies stay few."""
 
+import argparse
 import ast
 import importlib
 import pathlib
@@ -73,10 +74,12 @@ def _keys_read_by_each_function(tree):
 
 def test_every_flag_has_a_reader_and_every_read_key_a_flag():
     read = _keys_read_by_each_function(ast.parse((SRC / "cli.py").read_text()))
-    flags = set(cli._COMMON_FLAGS)
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
     for command, handler in cli._HANDLERS.items():
-        # a command accepts exactly the keys its handler and helpers read
+        # a command accepts exactly the keys its handler and helpers read,
+        # each as a flag of its own
         assert sorted(cli._COMMAND_KEYS[command]) == sorted(read[handler.__name__]), command
-    every_read = set().union(*(read[h.__name__] for h in cli._HANDLERS.values()))
-    assert sorted(flags - every_read) == []
-    assert sorted(every_read - flags) == []
+        flags = {a.dest for a in subparsers[command]._actions} - {"help", "config"}
+        assert sorted(flags) == sorted(read[handler.__name__]), command
