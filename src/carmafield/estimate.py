@@ -294,12 +294,19 @@ def _group_square_sums(y, axes, steps):
         width = max(1, FFT_SLAB_CELLS // cells)
         slabs = [y[(slice(None),) * others[0] + (slice(k, k + width),)]
                  for k in range(0, y.shape[others[0]], width)]
-    # power spectrum along axes and Y^2, each summed over the other axes
+    # power spectrum along axes and Y^2, each summed over the other axes;
+    # the spectrum's float view holds (real, imaginary) pairs on its last
+    # axis, squared in place (no temporaries) and added after the sum over
+    # the other axes.  numpy 1.x returns a transform along a leading axis
+    # as a strided view, which has no float view until made contiguous.
     power = marginal = 0.0
     for slab in slabs:
         marginal = marginal + np.sum(np.square(slab), axis=others)
-        spectrum = np.fft.rfftn(slab, lengths, axes=axes)
-        power = power + np.sum(spectrum.real ** 2 + spectrum.imag ** 2, axis=others)
+        spectrum = np.ascontiguousarray(np.fft.rfftn(slab, lengths, axes=axes))
+        squares = spectrum.view(np.float64)
+        np.square(squares, out=squares)
+        half = tuple(spectrum.shape[a] for a in axes)
+        power = power + np.sum(squares, axis=others).reshape(half + (-1,)).sum(axis=-1)
     products = np.fft.irfftn(power, lengths, axes=range(len(axes)))
     cross = products[tuple((steps % lengths).T)]
     # table[k] = sum of the marginal over the box [0, k_1) x ... x [0, k_m)
