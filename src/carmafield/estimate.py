@@ -231,15 +231,15 @@ def empirical_variogram(field, lags):
     other axes, of about ``FFT_SLAB_CELLS`` spectrum cells each, so the
     transient memory stays bounded; a group that moves on every axis
     (any lag in d = 1, mixed lags on all axes) transforms the whole
-    zero-padded field at once, a spectrum of up to about 2^d times the
-    field's bytes.  No step calls BLAS, so the bytes do not depend on
-    its thread count.  The field is first shifted by its own cell value
-    nearest its mean: the variogram is shift-invariant, the shift keeps
-    the squares near the field's spread, and a constant field becomes
-    exactly zero.  The expansion cancels where increments are small
-    against that spread, so ordinates agree with the direct sum of
-    squared differences to about 1e-13 relative rather than to the last
-    bit.
+    zero-padded field at once, with transients of up to about 16 times
+    the field's bytes at d = 2.  No step calls BLAS, so the bytes do not
+    depend on its thread count.  The field is first shifted by its own
+    cell value nearest its mean: the variogram is shift-invariant, the
+    shift keeps the squares near the field's spread, and a constant
+    field becomes exactly zero.  The expansion cancels where increments
+    are small against that spread, so ordinates agree with the direct
+    sum of squared differences to about 1e-13 relative rather than to
+    the last bit.
     After rounding each ordinate is clamped at 0, and the zero lag is
     exactly 0.
 
