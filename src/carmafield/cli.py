@@ -4,7 +4,9 @@ Usage: ``carma-field <subcommand> [--config PATH] [flag overrides...]``.
 Subcommands: simulate, variogram, fit, recover, select, diagnose,
 study.  Options come from a flat ``key = value`` config file (``#``
 comments allowed) mirrored one-to-one by command line flags; flags win.
-A subcommand accepts only the keys it reads; any other key is a
+A subcommand accepts only the keys it reads, and a key that only
+another branch of it reads (a noise family's key under another
+family, a field key of ``fit --from-variogram``); any other key is a
 ``ConfigError``.
 Every run writes a manifest (config echo, versions, output checksums)
 into the output directory and never mutates its inputs.
@@ -99,6 +101,12 @@ class RunConfig:
 
         return self._parse(key, default, parts, f"a list of {kind.__name__} values")
 
+    def refuse(self, keys, branch):
+        """ConfigError if any of ``keys`` is set: ``branch`` does not read them."""
+        unread = sorted(set(keys) & set(self.options))
+        if unread:
+            raise ConfigError(f"{self.command} {branch} does not read {', '.join(unread)}")
+
     def output_dir(self):
         out = Path(self.get("output_dir", "."))
         out.mkdir(parents=True, exist_ok=True)
@@ -125,16 +133,24 @@ def _model_from_config(cfg):
 
 
 def _basis_from_config(cfg):
+    # each family reads only its own noise keys; the others are refused
     family = cfg.get("noise", "gaussian").lower()
     if family == "gaussian":
+        cfg.refuse(_NOISE_KEYS - {"noise", "sigma2"}, "with gaussian noise")
         return simulate.GaussianBasis(sigma2=cfg.get_float("sigma2", 1.0))
     if family in ("vg", "variance-gamma", "variancegamma"):
+        cfg.refuse(_NOISE_KEYS - {"noise", "vg_variance", "vg_shape"},
+                   "with variance-gamma noise")
         return simulate.VarianceGammaBasis(
             variance=cfg.get_float("vg_variance", 1.0),
             shape=cfg.get_float("vg_shape", 1.0),
         )
     if family in ("cp", "compound-poisson", "compoundpoisson"):
         law_name = cfg.get("cp_jumps", "rademacher").lower()
+        if law_name not in _JUMP_KEYS:
+            raise ConfigError(f"unknown jump law {law_name!r}")
+        cfg.refuse(_NOISE_KEYS - {"noise", "cp_intensity", "cp_jumps"} - _JUMP_KEYS[law_name],
+                   f"with compound-Poisson noise and {law_name} jumps")
         if law_name == "normal":
             law = simulate.NormalJumps(
                 mean=cfg.get_float("jump_mean", 0.0),
@@ -142,13 +158,11 @@ def _basis_from_config(cfg):
             )
         elif law_name == "rademacher":
             law = simulate.RademacherJumps()
-        elif law_name == "uniform":
+        else:
             law = simulate.UniformJumps(
                 low=cfg.get_float("jump_low", -1.0),
                 high=cfg.get_float("jump_high", 1.0),
             )
-        else:
-            raise ConfigError(f"unknown jump law {law_name!r}")
         return simulate.CompoundPoissonBasis(
             intensity=cfg.get_float("cp_intensity", 1.0), jumps=law
         )
@@ -191,9 +205,9 @@ def _ingest(cfg):
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_simulate(cfg):
-    out = cfg.output_dir()
     spec = _model_from_config(cfg)
     basis = _basis_from_config(cfg)
+    out = cfg.output_dir()
     algorithm = cfg.get("algorithm", "grid").lower()
     n = cfg.get_int("n")
     delta = cfg.get_float("delta")
@@ -244,6 +258,8 @@ def _cmd_variogram(cfg):
 
 
 def _cmd_fit(cfg):
+    if cfg.get("from_variogram"):
+        cfg.refuse(_FIELD_KEYS, "with from_variogram")
     out = cfg.output_dir()
     if cfg.get("from_variogram"):
         delta = None
@@ -440,9 +456,9 @@ def _cmd_diagnose(cfg):
 
 
 def _cmd_study(cfg):
-    out = cfg.output_dir()
     spec = _model_from_config(cfg)
     basis = _basis_from_config(cfg)
+    out = cfg.output_dir()
     study = workflows.StudyConfig(
         spec=spec,
         basis=basis,
@@ -500,7 +516,12 @@ _HANDLERS = {
 _MODEL_KEYS = {"b", "eigenvalues", "kappa2"}
 _NOISE_KEYS = {"noise", "sigma2", "vg_variance", "vg_shape", "cp_intensity",
                "cp_jumps", "jump_mean", "jump_std", "jump_low", "jump_high"}
+# the jump keys each compound-Poisson jump law reads
+_JUMP_KEYS = {"normal": {"jump_mean", "jump_std"}, "rademacher": set(),
+              "uniform": {"jump_low", "jump_high"}}
 _INGEST_KEYS = {"input", "format", "delta"}
+# the keys only fit's field branch reads, not its from_variogram branch
+_FIELD_KEYS = {"input", "format", "normalize", "lags"}
 _COMMAND_KEYS = {
     "simulate": {"output_dir", *_MODEL_KEYS, *_NOISE_KEYS, "algorithm", "n",
                  "delta", "m", "seed", "csv", "plot"},

@@ -368,16 +368,18 @@ def _checked_weights(weights, k):
     return w
 
 
-def resolve_weights(emp, scheme):
+def resolve_weights(emp, scheme, classes=None):
     """Per-lag weights from a scheme name or an explicit array.
 
     Named schemes ("quadratic", "exponential") assign the j-th axis lag
     the j-th weight regardless of axis, which requires a pure axis lag
-    set.
+    set.  ``classes`` is ``_axis_structure(emp)`` where the caller has
+    it already.
     """
     if not isinstance(scheme, str):
         return _checked_weights(scheme, emp.k)
-    classes = _axis_structure(emp)
+    if classes is None:
+        classes = _axis_structure(emp)
     if any(c is None for c in classes):
         raise ValidationError(
             "named weight schemes need axis lags; pass explicit weights"
@@ -426,6 +428,21 @@ class ThetaCodec:
             width = sum(1 if b == "r" else 2 for b in axis_blocks)
             if width != self.p:
                 raise ValidationError("blocks must cover p eigenvalues per axis")
+        # per eigenvalue, in (axis, k) order, the theta column of its real
+        # part; per complex block, its first eigenvalue's place and the
+        # column of its imaginary part
+        real_columns, pair_places, imag_columns = [], [], []
+        pos = self.q + 1
+        for kind in itertools.chain.from_iterable(self.blocks):
+            if kind == "c":
+                pair_places.append(len(real_columns))
+                imag_columns.append(pos + 1)
+                real_columns.append(pos)
+            real_columns.append(pos)
+            pos += 1 if kind == "r" else 2
+        for name, value in (("_real_columns", real_columns), ("_pair_places", pair_places),
+                            ("_imag_columns", imag_columns)):
+            object.__setattr__(self, name, np.array(value, dtype=np.intp))
 
     @property
     def dim(self):
@@ -437,28 +454,22 @@ class ThetaCodec:
         ``thetas`` has shape (S, dim).  Returns b as an (S, p) array,
         zero-padded past b_q, and the eigenvalues as an (S, d, p) array
         of ``model._eigenvalue_array``'s dtype (float64 when every block
-        is real); a complex block's imaginary part enters by its
-        magnitude.
+        is real: then they are the theta columns themselves, one
+        ``take``); a complex block's imaginary part enters by its magnitude.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.dim:
             raise ValidationError(f"theta must have {self.dim} entries per row")
-        b = np.zeros((thetas.shape[0], self.p))
+        rows = thetas.shape[0]
+        b = np.zeros((rows, self.p))
         b[:, : self.q + 1] = thetas[:, : self.q + 1]
-        re, im = np.zeros((2, thetas.shape[0], self.d, self.p))
-        pos = self.q + 1
-        for i, axis_blocks in enumerate(self.blocks):
-            k = 0
-            for kind in axis_blocks:
-                if kind == "r":
-                    re[:, i, k] = thetas[:, pos]
-                    pos, k = pos + 1, k + 1
-                else:
-                    re[:, i, k:k + 2] = thetas[:, pos, None]
-                    im[:, i, k] = np.abs(thetas[:, pos + 1])
-                    im[:, i, k + 1] = -im[:, i, k]
-                    pos, k = pos + 2, k + 2
-        return b, model._eigenvalue_array(re + 1j * im)
+        re = thetas.take(self._real_columns, axis=1).reshape(rows, self.d, self.p)
+        if not self._imag_columns.size:
+            return b, re
+        im = np.zeros((rows, self.d * self.p))
+        im[:, self._pair_places] = np.abs(thetas.take(self._imag_columns, axis=1))
+        im[:, self._pair_places + 1] = -im[:, self._pair_places]
+        return b, model._eigenvalue_array(re + 1j * im.reshape(re.shape))
 
     def to_spec(self, theta):
         b, lam = self.expand(np.reshape(theta, (1, -1)))
@@ -523,6 +534,14 @@ def parameter_lines(spec):
 
 # -- objective and fit --------------------------------------------------------------
 
+def _columns(rows):
+    """Output columns ``rows`` as a slice where they are contiguous and ascending."""
+    rows = np.asarray(rows)
+    if np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
+        return slice(int(rows[0]), int(rows[0]) + rows.size)
+    return rows
+
+
 class _Ordinates:
     """Model variogram ordinates at fixed lags, for S parameter rows at once.
 
@@ -533,6 +552,16 @@ class _Ordinates:
     ``axis_lags`` gives per lag an (axis, distance) pair or None: a
     pair is evaluated by that axis's exponential sum at the distance,
     None (every lag by default) through gamma.
+
+    The lag layout is built at construction: per axis, the output
+    columns of its lags (a slice where they are contiguous, as in an
+    axis-major lag set) and their distances |tau| as a column.  A call
+    on S rows of a real codec then makes about 35 array passes at
+    p = 1, whatever S: 3 to expand the codec, about 20 in
+    ``model._spec_rows``, 3 plus one einsum per axis for the axis
+    weights, 7 per axis group (the exponentials in place, one batched
+    matmul, the scaling, the store and the row mask; real values pass
+    ``model._real_rows`` untouched) and 4 to mark the failed rows.
     """
 
     def __init__(self, codec, lags, axis_lags=None):
@@ -544,12 +573,13 @@ class _Ordinates:
             if cls is not None:
                 groups.setdefault(cls[0], []).append((row, cls[1]))
         self.axis_groups = [
-            (axis, np.array([r for r, _ in rows]), np.array([t for _, t in rows]))
+            (axis, _columns([r for r, _ in rows]), np.abs([t for _, t in rows])[:, None])
             for axis, rows in groups.items()
         ]
-        self.general = np.flatnonzero([c is None for c in axis_lags])
+        general = np.flatnonzero([c is None for c in axis_lags])
+        self.general = _columns(general) if general.size else None
         # gamma at the zero lag, then at the general lags
-        self.gamma_lags = np.vstack([np.zeros((1, lags.shape[1])), lags[self.general]])
+        self.gamma_lags = np.vstack([np.zeros((1, lags.shape[1])), lags[general]])
 
     def __call__(self, thetas):
         b, lam = self.codec.expand(thetas)
@@ -558,11 +588,11 @@ class _Ordinates:
         out = np.empty((b.shape[0], self.k))
         if self.axis_groups:
             dstar = model._axis_weights(tensor, lam)
-        for axis, rows, taus in self.axis_groups:
-            vals = model._axis_sums(dstar[axis], lam[:, axis], kappa2, taus)
-            out[:, rows], row_ok = model._real_rows(vals)
+        for axis, columns, spans in self.axis_groups:
+            vals = model._axis_sums(dstar[axis], lam[:, axis], kappa2, spans)
+            out[:, columns], row_ok = model._real_rows(vals)
             ok &= row_ok
-        if self.general.size:
+        if self.general is not None:
             vals = model._gammas(tensor, lam, kappa2, self.gamma_lags)
             gam, row_ok = model._real_rows(vals)
             out[:, self.general] = 2.0 * (gam[:, :1] - gam[:, 1:])
@@ -617,14 +647,17 @@ class _WlsProblem:
 
     One ``ordinates`` call evaluates a whole DE generation or a polish
     step in a few batched contractions.  ``evaluations`` counts the
-    rows ``objective`` evaluated so far.
+    rows ``objective`` evaluated so far.  ``classes`` is
+    ``_axis_structure(emp)`` where the caller has it already.
     """
 
-    def __init__(self, emp, weights, codec):
+    def __init__(self, emp, weights, codec, classes=None):
         self.emp = emp
         self.weights = _checked_weights(weights, emp.k)
+        if classes is None:
+            classes = _axis_structure(emp)
         axis_lags = [None if c is None else (c[0], c[1] * emp.delta[c[0]])
-                     for c in _axis_structure(emp)]
+                     for c in classes]
         self.ordinates = _Ordinates(codec, emp.lags, axis_lags)
         self.evaluations = 0
 
@@ -638,8 +671,10 @@ class _WlsProblem:
         thetas = np.atleast_2d(theta)
         ords, failed = self.ordinates(thetas)
         self.evaluations += thetas.shape[0]
-        resid = self.emp.ordinates - ords
-        wss = np.where(failed, np.inf, np.sum(self.weights * resid * resid, axis=1))
+        resid = np.subtract(self.emp.ordinates, ords, out=ords)
+        squares = self.weights * resid
+        squares *= resid
+        wss = np.where(failed, np.inf, np.add.reduce(squares, axis=1))
         return wss if theta.ndim == 2 else float(wss[0])
 
 
@@ -690,14 +725,13 @@ class FitConfig:
             )
 
 
-def _check_lag_menu(emp, p, q, strict):
-    """Identifiability status of the lag set for the chosen order.
+def _check_lag_menu(classes, d, p, q, strict):
+    """Identifiability status of a lag set, classed by ``_axis_structure``
+    on d axes, for the chosen order.
 
     Every order needs the axis lags j = 1..2p+1 that
     ``identify.recover_axis_eigenvalues`` needs.
     """
-    classes = _axis_structure(emp)
-    d = emp.lags.shape[1]
     if any(c is None for c in classes):
         return "unverified (non-axis lags present)"
     needed = 2 * p + 1
@@ -759,12 +793,19 @@ def _differential_evolution(problem, bounds, config):
     Bit for bit ``scipy.optimize.differential_evolution`` with best1bin,
     a Latin-hypercube start, deferred updating, no polish and the
     ``DE_*`` settings: it draws ``RandomState(config.seed)`` in scipy's
-    order (the tests check it against scipy).  A generation is
-    whole-array work and one ``problem.objective`` call on the (S, dim)
-    trial rows, apart from the per-member ``shuffle`` that picks the
-    difference vectors, which the stream needs.  The search stops when
-    no energy is +inf and their standard deviation is at most ``DE_TOL``
-    times the magnitude of their mean.
+    order (the tests check it against scipy).  A generation on S
+    members costs S ``shuffle`` calls, which pick the difference
+    vectors and are the stream's own cost, one ``problem.objective``
+    call on the (S, dim) trial rows and about 30 whole-array passes,
+    whatever S: 15 for mutation and crossover, 4 to find the
+    coordinates outside the box (2 more to redraw them, only when
+    there are some: an empty draw would take nothing from the stream),
+    3 to map the trials into the box, 3 for the update, 1 to find the
+    best member (2 more to swap it into row 0, only when it moved) and
+    4 for the stop test.  The search stops when no energy is +inf and
+    their standard deviation is at most ``DE_TOL`` times the magnitude
+    of their mean, computed as ``np.std`` and ``np.mean`` compute them
+    (``_de_converged``).
 
     Returns the best parameter vector, the generations run and whether
     the stop test was met.
@@ -783,18 +824,20 @@ def _differential_evolution(problem, bounds, config):
     population = strata[orders.T, np.arange(dim)]
     energies = problem.objective(centre + (population - 0.5) * width)
 
-    def promote():  # the best member to row 0
-        best = np.argmin(energies)
-        population[[0, best]] = population[[best, 0]]
-        energies[[0, best]] = energies[[best, 0]]
+    def promote():  # the best member to row 0, where it is not already
+        best = energies.argmin()
+        if best:
+            population[[0, best]] = population[[best, 0]]
+            energies[0], energies[best] = energies[best], energies[0]
 
     promote()
     index, picks = np.arange(size), np.empty((size, 3), dtype=np.intp)
+    head = index[:3]  # a view: the first three after each shuffle
     converged = False
     for generation in range(1, config.generations + 1):
         for row in range(size):
             rng.shuffle(index)
-            picks[row] = index[:3]
+            picks[row] = head
         # the first two picks that are not the member itself
         first = picks[:, 0] == members
         r0 = np.where(first, picks[:, 1], picks[:, 0])
@@ -805,15 +848,35 @@ def _differential_evolution(problem, bounds, config):
         cross[members, fill] = True
         trial = np.where(cross, mutant, population)
         outside = (trial > 1) | (trial < 0)
-        trial[outside] = rng.uniform(size=np.count_nonzero(outside))
+        redraws = np.count_nonzero(outside)
+        if redraws:  # an empty draw would take nothing from the stream
+            trial[outside] = rng.uniform(size=redraws)
         scores = problem.objective(centre + (trial - 0.5) * width)
         better = scores <= energies
-        population[better], energies[better] = trial[better], scores[better]
+        np.copyto(population, trial, where=better[:, None])
+        np.copyto(energies, scores, where=better)
         promote()
-        if not np.isinf(energies).any() and np.std(energies) <= DE_TOL * np.abs(np.mean(energies)):
+        if _de_converged(energies):
             converged = True
             break
     return centre + (population[0] - 0.5) * width, generation, converged
+
+
+def _de_converged(energies):
+    """``not isinf(e).any() and std(e) <= DE_TOL * |mean(e)|``, as numpy computes it.
+
+    The sums are ``np.std``'s and ``np.mean``'s own: one pairwise
+    ``add.reduce`` of the energies, divided by their count, and one of
+    the squared deviations.  An infinite energy makes the mean infinite
+    or NaN, so the energies are scanned for one only then.
+    """
+    size = energies.size
+    mean = np.add.reduce(energies) / size
+    if not math.isfinite(mean) and np.isinf(energies).any():
+        return False
+    spread = energies - mean
+    np.square(spread, out=spread)
+    return math.sqrt(np.add.reduce(spread) / size) <= DE_TOL * abs(mean)
 
 
 def fit(emp, config):
@@ -846,12 +909,14 @@ def fit(emp, config):
         When a coordinate of the polish's Jacobian has no step on either
         side inside the model's domain.
     """
-    codec = ThetaCodec(p=config.p, q=config.q, d=emp.lags.shape[1],
-                       kappa2=config.kappa2, blocks=config.blocks)
-    lag_status = _check_lag_menu(emp, config.p, config.q,
+    d = emp.lags.shape[1]
+    codec = ThetaCodec(p=config.p, q=config.q, d=d, kappa2=config.kappa2,
+                       blocks=config.blocks)
+    classes = _axis_structure(emp)
+    lag_status = _check_lag_menu(classes, d, config.p, config.q,
                                  config.require_identifiable_lags)
-    weights = resolve_weights(emp, config.weights)
-    problem = _WlsProblem(emp, weights, codec)
+    weights = resolve_weights(emp, config.weights, classes)
+    problem = _WlsProblem(emp, weights, codec, classes)
     bounds = codec.default_bounds()
     de_x, de_generations, de_converged = _differential_evolution(problem, bounds, config)
     # residuals sqrt(w) (gamma_hat - gamma(theta)) are NaN where the model

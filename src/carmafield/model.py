@@ -115,9 +115,13 @@ def _real(values, what):
     Conjugate index tuples make every closed form real up to rounding;
     an imaginary residue above tolerance (see ``_residue``) means the
     eigen-expansion is unreliable.  Scalars come back as float, arrays
-    as their real part.
+    as their real part.  Real input (a real spectrum's results) passes
+    through untouched, with no scan: the same array, or a 0-d one as a
+    float.
     """
     values = np.asarray(values)
+    if values.dtype.kind != "c":
+        return values if values.ndim else float(values)
     resid, ok = _residue(values)
     if not ok:
         raise IllConditionedVandermonde(
@@ -127,7 +131,12 @@ def _real(values, what):
 
 
 def _real_rows(values):
-    """``_real`` row by row: the real part, and which rows pass the guard."""
+    """``_real`` row by row: the real part, and which rows pass the guard.
+
+    Real ``values`` pass through untouched, and every row passes.
+    """
+    if values.dtype.kind != "c":
+        return values, np.ones(values.shape[0], dtype=bool)
     return values.real, _residue(values, axis=tuple(range(1, values.ndim)))[1]
 
 
@@ -587,12 +596,15 @@ def _axis_weights(tensor, lam):
             for i in range(lam.shape[1])]
 
 
-def _axis_sums(dstar, lam, kappa2, taus):
-    """2 kappa2 sum_k dstar_k (1 - exp(lam_k |tau|)) for S rows, shape (S, len(taus)).
+def _axis_sums(dstar, lam, kappa2, spans):
+    """2 kappa2 sum_k dstar_k (1 - exp(lam_k |tau|)) for S rows, shape (S, k).
 
-    ``dstar`` and ``lam`` are one axis's (S, p) weights and eigenvalues.
+    ``dstar`` and ``lam`` are one axis's (S, p) weights and eigenvalues,
+    ``spans`` the k distances |tau| as a (k, 1) column.
     """
-    growth = 1.0 - np.exp(np.abs(taus)[:, None] * lam[:, None, :])
+    growth = spans * lam[:, None, :]
+    np.exp(growth, out=growth)
+    np.subtract(1.0, growth, out=growth)
     return 2.0 * kappa2 * (growth @ dstar[:, :, None])[:, :, 0]
 
 
@@ -665,8 +677,8 @@ def axis_variogram(spec, axis, taus):
     _check_axis(spec, axis)
     tensor, lam = _rows_of(spec)
     dstar = _axis_weights(tensor, lam)[axis]
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    return _real(_axis_sums(dstar, lam[:, axis], spec.kappa2, taus)[0], "axis variogram")
+    spans = np.abs(np.atleast_1d(np.asarray(taus, dtype=float)))[:, None]
+    return _real(_axis_sums(dstar, lam[:, axis], spec.kappa2, spans)[0], "axis variogram")
 
 
 def spectral_density(spec, omega):

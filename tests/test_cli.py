@@ -310,6 +310,56 @@ class TestCliCommands:
         assert run_cli(["variogram", "--config", config, "--input", grid,
                         "--output-dir", out]) == 0
 
+    SIMULATE = ["simulate", "--b", "1.0", "--eigenvalues", "-1;-1.5", "--n", 20,
+                "--delta", 0.1, "--m", 10]
+
+    @pytest.mark.parametrize("noise", [
+        ["--noise", "gaussian", "--vg-shape", "abc"],
+        ["--vg-shape", "2.0"],  # gaussian is the default family
+        ["--noise", "vg", "--sigma2", "2.0"],
+        ["--noise", "cp", "--jump-std", "2.0"],  # rademacher is the default law
+        ["--noise", "cp", "--cp-jumps", "uniform", "--jump-mean", "0.5"],
+        ["--noise", "cp", "--cp-jumps", "normal", "--vg-variance", "2.0"],
+    ])
+    def test_noise_keys_of_another_family_rejected(self, tmp_path, capsys, noise):
+        out = tmp_path / "sim"
+        assert run_cli(self.SIMULATE + noise + ["--output-dir", out]) == 1
+        assert "does not read" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="does not read"):
+            cli.run([str(a) for a in self.SIMULATE + noise + ["--output-dir", out]])
+
+    @pytest.mark.parametrize("noise", [
+        ["--noise", "gaussian", "--sigma2", "2.0"],
+        ["--noise", "vg", "--vg-shape", "2.0", "--vg-variance", "1.5"],
+        ["--noise", "cp", "--cp-jumps", "normal", "--jump-std", "2.0", "--cp-intensity", "3"],
+        ["--noise", "cp", "--cp-jumps", "uniform", "--jump-low", "-2", "--jump-high", "2"],
+    ])
+    def test_noise_keys_of_the_chosen_family_accepted(self, tmp_path, noise):
+        assert run_cli(self.SIMULATE + noise + ["--output-dir", tmp_path / "sim"]) == 0
+
+    def test_study_rejects_noise_keys_of_another_family(self, tmp_path):
+        out = tmp_path / "study"
+        with pytest.raises(ConfigError, match="variance-gamma noise does not read jump_std"):
+            cli.run(["study", "--b", "1.0", "--eigenvalues", "-1;-1.5", "--noise", "vg",
+                     "--jump-std", "2.0", "--replications", "1", "--output-dir", str(out)])
+        assert not out.exists()
+
+    def test_fit_from_variogram_rejects_field_keys(self, tmp_path):
+        spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.2,), (-0.8,)))
+        vario = tmp_path / "v.csv"
+        oracles.synthetic_variogram(spec, 0.05, 8).to_csv(vario)
+        out = tmp_path / "fit"
+        base = ["fit", "--from-variogram", vario, "--models", "car1",
+                "--generations", 5, "--population", 5, "--output-dir", out]
+        for extra in (["--lags", 30, "--normalize", "true"], ["--format", "csv"],
+                      ["--input", vario]):
+            assert run_cli(base + extra) == 1
+            with pytest.raises(ConfigError, match="from_variogram does not read"):
+                cli.run([str(a) for a in base + extra])
+            assert not out.exists()
+        assert run_cli(base + ["--delta", 0.05]) == 0
+
     def test_fit_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
         field = simulate.simulate_truncated_discretized(

@@ -636,6 +636,61 @@ class TestDifferentialEvolution:
         assert len(scores) == 1 + config.generations
 
 
+class TestDeStopTest:
+    """The driver's stop decision against ``np.std`` and ``np.mean``."""
+
+    @staticmethod
+    def reference(energies):
+        return bool(not np.isinf(energies).any()
+                    and np.std(energies) <= estimate.DE_TOL * np.abs(np.mean(energies)))
+
+    def vectors(self, size, rng):
+        """Energy vectors of ``size`` members: (name, vector) pairs."""
+        half = np.where(np.arange(size) % 2, 1.0, -1.0)
+        if size % 2:
+            half[-1] = 0.0
+        # mean 1 and a spread of exactly DE_TOL, then one ulp either side
+        at = 1.0 + estimate.DE_TOL * half * np.sqrt(size / np.count_nonzero(half))
+        cases = [
+            ("equal", np.full(size, 3.25)),
+            ("one-inf", np.r_[rng.uniform(1.0, 1.001, size - 1), np.inf]),
+            ("all-inf", np.full(size, np.inf)),
+            ("nan", np.r_[np.ones(size - 1), np.nan]),
+            ("overflowing-sum", np.full(size, 1.5e308)),
+            ("threshold", at),
+            ("threshold-down", np.nextafter(at, 1.0)),
+            ("threshold-up", np.nextafter(at, np.where(at > 1.0, 2.0, 0.0))),
+            ("wide", rng.uniform(1.0, 2.0, size)),
+            ("tight", rng.uniform(1.0, 1.0 + 1e-3, size)),
+        ]
+        for scale in (1e300, 1e-300):
+            cases += [(f"{name}*{scale:g}", vec * scale) for name, vec in cases[5:]]
+        return cases
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("size", [5, 30])
+    def test_matches_numpy(self, size, rng):
+        decisions = set()
+        for name, energies in self.vectors(size, rng):
+            want = self.reference(energies)
+            got = estimate._de_converged(energies.copy())
+            assert got == want, name
+            decisions.add(want)
+        assert decisions == {True, False}
+
+    def test_threshold_cases_reach_both_decisions(self, rng):
+        # the spread at the threshold is resolved by its last bit
+        cases = dict(self.vectors(30, rng))
+        near = [self.reference(cases[k]) for k in ("threshold-down", "threshold", "threshold-up")]
+        assert True in near and False in near
+
+    def test_leaves_the_energies_alone(self, rng):
+        energies = rng.uniform(1.0, 1.001, 30)
+        before = energies.copy()
+        estimate._de_converged(energies)
+        assert energies.tobytes() == before.tobytes()
+
+
 class TestAic:
     # Reference AIC values correspond to unrounded sums of squares; the
     # 5-digit WSS inputs determine the criterion only to ~2.5e-3

@@ -6,6 +6,7 @@ import pytest
 from carmafield import model
 from carmafield.errors import (
     DuplicateEigenvalue,
+    IllConditionedVandermonde,
     InvalidSpec,
     NonConjugateSet,
     ValidationError,
@@ -184,6 +185,31 @@ class TestEigenvalueDtype:
         assert all(isinstance(e, complex) for axis in real.eigenvalues for e in axis)
         assert all(isinstance(w, complex)
                    for _, w in model.axis_variogram_coefficients(real, 0))
+
+    def test_real_input_passes_the_residue_guard_untouched(self, rng):
+        values = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+        values[0, 0], values[1, 1] = -0.0, np.nan
+        for real in (model._real(values, "test"), model._real_rows(values)[0]):
+            assert real.dtype == np.float64
+            assert real.tobytes() == values.tobytes()
+        passed = model._real_rows(values)[1]
+        assert passed.dtype == bool and passed.shape == (7,) and passed.all()
+        for scalar in (np.float64(-2.5), np.array(-2.5), -2.5):
+            out = model._real(scalar, "test")
+            assert type(out) is float and out == -2.5
+
+    def test_complex_input_keeps_the_residue_guard(self):
+        values = np.array([[1.0 + 0.0j, 2.0 + 1e-12j], [1.0 + 1e-6j, 3.0 + 0.0j]])
+        real, passed = model._real_rows(values)
+        assert real.dtype == np.float64
+        assert real.tolist() == [[1.0, 2.0], [1.0, 3.0]]
+        assert passed.tolist() == [True, False]
+        assert model._real(values[0], "test").tolist() == [1.0, 2.0]
+        assert type(model._real(np.complex128(4.0 + 1e-12j), "test")) is float
+        with pytest.raises(IllConditionedVandermonde, match="imaginary residue"):
+            model._real(values, "test")
+        with pytest.raises(IllConditionedVandermonde):
+            model._real(np.complex128(4.0 + 1e-6j), "test")
 
 
 class TestAutocovariance:
