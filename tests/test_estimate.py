@@ -637,7 +637,7 @@ class TestDifferentialEvolution:
 
 
 class TestDeStopTest:
-    """The driver's stop decision against ``np.std`` and ``np.mean``."""
+    """Differential evolution's stop decision against ``np.std`` and ``np.mean``."""
 
     @staticmethod
     def reference(energies):
