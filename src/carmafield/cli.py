@@ -329,28 +329,21 @@ def _cmd_recover(cfg):
     p = cfg.get_int("p")
     q = cfg.get_int("q", 0)
     kappa2 = cfg.get_float("kappa2", 1.0)
-    classes = estimate._axis_structure(emp)
-    if any(c is None for c in classes):
+    axes, others = emp.axes
+    if others.size:
         raise ValidationError("recovery needs ordinates on the principal axes")
-    d = emp.lags.shape[1]
     ordinates = []
-    for axis in range(d):
-        pairs = sorted(
-            (j, emp.ordinates[i])
-            for i, (ax, j) in enumerate(classes)
-            if ax == axis
-        )
-        if not pairs:
+    for axis in range(emp.lags.shape[1]):
+        if axis not in axes:
             raise ValidationError(f"no ordinates on axis {axis + 1}")
-        js = [j for j, _ in pairs]
-        if js != list(range(1, len(js) + 1)):
+        rows, steps = axes[axis]
+        if not np.array_equal(steps, np.arange(1, steps.size + 1)):
             raise ValidationError(f"axis {axis + 1} ordinates must cover j = 1..J")
-        delta = emp.lags[classes.index((axis, 1))][axis]
         ordinates.append(
             identify.AxisOrdinates(
                 axis=axis,
-                delta=float(delta),
-                values=(0.0,) + tuple(v for _, v in pairs),
+                delta=float(emp.lags[rows[0], axis]),
+                values=(0.0,) + tuple(emp.ordinates[rows].tolist()),
             )
         )
     spec = identify.recover_spec(ordinates, p, q, kappa2)

@@ -53,10 +53,6 @@ class LagOutOfRange(ValidationError):
     """A requested lag exceeds the extent of the observed lattice."""
 
 
-class NonIdentifiableLagSet(ValidationError):
-    """The lag set does not meet the minimum for the chosen model order."""
-
-
 class MixedLagSets(ValidationError):
     """Model selection requires fits sharing one lag set."""
 

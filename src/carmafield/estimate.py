@@ -7,7 +7,11 @@ the squared field less twice the lag's cross product, and one FFT
 autocorrelation gives the cross products of every lag that moves on the
 same axes.  It agrees with the direct sum to about 1e-13 relative (the
 expansion cancels where the increments are small against the field's
-spread).  Parameters are fitted by minimizing the weighted squared gap
+spread).  Which lag lies on which principal axis, and at how many
+steps, is worked out once per variogram (``EmpiricalVariogram.axes``,
+from ``_axis_layout``): the weights, the lag-set check, the model
+ordinates, the overlay tables, recovery and the study read it there.
+Parameters are fitted by minimizing the weighted squared gap
 between empirical and model ordinates over a compact box: a seeded
 differential-evolution global search followed by a bounded
 least-squares polish (trust-region reflective).  The search is the
@@ -28,6 +32,7 @@ kind, is evaluated in real arithmetic throughout (see ``model``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,7 +45,6 @@ from . import model
 from .errors import (
     LagOutOfRange,
     MixedLagSets,
-    NonIdentifiableLagSet,
     NumericError,
     SingularDesign,
     ValidationError,
@@ -93,7 +97,9 @@ class EmpiricalVariogram:
 
     ``lags`` holds k physical lag vectors (multiples of the spacing),
     ``ordinates`` one average per lag and ``pair_counts`` the exact
-    number of lattice pairs entering each average.
+    number of lattice pairs entering each average.  ``axes`` is the
+    lags' layout on the principal axes (``_axis_layout``), computed on
+    first read.
     """
 
     lags: np.ndarray
@@ -124,6 +130,10 @@ class EmpiricalVariogram:
     @property
     def k(self):
         return self.lags.shape[0]
+
+    @functools.cached_property
+    def axes(self):
+        return _axis_layout(self.delta, self.lags)
 
     def to_csv(self, path):
         d = self.lags.shape[1]
@@ -207,6 +217,33 @@ def _lag_steps(delta, lags):
     if not np.all(np.abs(steps - rounded) <= LAG_INTEGER_TOL):
         raise ValidationError("lags must be integer multiples of the spacing")
     return rounded.astype(int)
+
+
+def _axis_layout(delta, lags):
+    """The lags grouped by the principal axis they lie on.
+
+    Returns ``({axis: (rows, steps)}, other_rows)``.  An axis lag moves
+    a positive number of steps along one axis only; per axis, in
+    ascending axis order, ``rows`` are its lags' row indices and
+    ``steps`` their steps, both in ascending step order (equal steps in
+    row order).  ``other_rows`` holds every other lag (the zero lag, a
+    negative step, a lag on several axes) in row order.
+
+    Raises
+    ------
+    ValidationError
+        If the lags are not whole multiples of the spacing.
+    """
+    steps = _lag_steps(delta, lags)
+    moved = steps != 0
+    on_axis = (np.count_nonzero(moved, axis=1) == 1) & (steps.sum(axis=1) > 0)
+    axis = np.argmax(moved, axis=1)
+    layout = {}
+    for a in np.unique(axis[on_axis]).tolist():
+        rows = np.flatnonzero(on_axis & (axis == a))
+        order = np.argsort(steps[rows, a], kind="stable")
+        layout[a] = (rows[order], steps[rows[order], a])
+    return layout, np.flatnonzero(~on_axis)
 
 
 def empirical_variogram(field, lags):
@@ -343,16 +380,6 @@ def weights_exponential(j_max, delta):
     return np.exp(np.arange(1, j_max + 1) * float(delta))
 
 
-def _axis_structure(emp):
-    """Classify lags: (axis, j) for axis lags, None otherwise."""
-    steps = _lag_steps(emp.delta, emp.lags)
-    axis = np.argmax(steps != 0, axis=1)
-    j = steps[np.arange(steps.shape[0]), axis]
-    on_axis = (np.count_nonzero(steps, axis=1) == 1) & (j > 0)
-    return [(a, s) if ok else None
-            for a, s, ok in zip(axis.tolist(), j.tolist(), on_axis.tolist())]
-
-
 def _checked_weights(weights, k):
     """``weights`` as a float array of shape (k,), finite and strictly positive."""
     try:
@@ -368,35 +395,32 @@ def _checked_weights(weights, k):
     return w
 
 
-def resolve_weights(emp, scheme, classes=None):
+def resolve_weights(emp, scheme):
     """Per-lag weights from a scheme name or an explicit array.
 
-    Named schemes ("quadratic", "exponential") assign the j-th axis lag
-    the j-th weight regardless of axis, which requires a pure axis lag
-    set.  ``classes`` is ``_axis_structure(emp)`` where the caller has
-    it already.
+    Named schemes ("quadratic", "exponential") give the lag j steps
+    along an axis the j-th weight, on every axis (the exponential
+    table with that axis's spacing), so they require a pure axis lag
+    set; the steps come from ``emp.axes``.
     """
     if not isinstance(scheme, str):
         return _checked_weights(scheme, emp.k)
-    if classes is None:
-        classes = _axis_structure(emp)
-    if any(c is None for c in classes):
+    axes, others = emp.axes
+    if others.size:
         raise ValidationError(
             "named weight schemes need axis lags; pass explicit weights"
         )
-    j_max = max(j for _, j in classes)
+    j_max = max(int(steps[-1]) for _, steps in axes.values())
     if scheme == "quadratic":
-        table = weights_quadratic(j_max)
+        tables = dict.fromkeys(axes, weights_quadratic(j_max))
     elif scheme == "exponential":
-        delta_by_axis = emp.delta
-        table = {
-            axis: weights_exponential(j_max, delta_by_axis[axis])
-            for axis in range(len(emp.delta))
-        }
-        return np.asarray([table[a][j - 1] for a, j in classes])
+        tables = {axis: weights_exponential(j_max, emp.delta[axis]) for axis in axes}
     else:
         raise ValidationError(f"unknown weight scheme {scheme!r}")
-    return np.asarray([table[j - 1] for _, j in classes])
+    weights = np.empty(emp.k)
+    for axis, (rows, steps) in axes.items():
+        weights[rows] = tables[axis][steps - 1]
+    return weights
 
 
 # -- parameter vector codec -------------------------------------------------------
@@ -549,13 +573,15 @@ class _Ordinates:
     ordinates and a mask of the rows where the model is undefined, whose
     ordinates are NaN: a row fails where ``codec.to_spec`` or the model
     functions would raise (see ``model._spec_rows`` and ``model._real``).
-    ``axis_lags`` gives per lag an (axis, distance) pair or None: a
-    pair is evaluated by that axis's exponential sum at the distance,
-    None (every lag by default) through gamma.
+    ``layout`` is ``_axis_layout(delta, lags)``: each axis lag is
+    evaluated by its axis's exponential sum at the distance
+    ``steps * delta[axis]``, every other lag through gamma, so a lag
+    takes the same formula in the fit, its polish and the covariance's
+    Jacobian.
 
-    The lag layout is built at construction: per axis, the output
-    columns of its lags (a slice where they are contiguous, as in an
-    axis-major lag set) and their distances |tau| as a column.  A call
+    At construction each axis keeps the output columns of its lags (a
+    slice where they are contiguous, as in an axis-major lag set) and
+    their distances as a column.  A call
     on S rows of a real codec then makes about 35 array passes at
     p = 1, whatever S: 3 to expand the codec, about 20 in
     ``model._spec_rows``, 3 plus one einsum per axis for the axis
@@ -564,19 +590,12 @@ class _Ordinates:
     ``model._real_rows`` untouched) and 4 to mark the failed rows.
     """
 
-    def __init__(self, codec, lags, axis_lags=None):
+    def __init__(self, codec, lags, delta, layout):
         self.codec = codec
         self.k = lags.shape[0]
-        axis_lags = axis_lags or [None] * self.k
-        groups = {}
-        for row, cls in enumerate(axis_lags):
-            if cls is not None:
-                groups.setdefault(cls[0], []).append((row, cls[1]))
-        self.axis_groups = [
-            (axis, _columns([r for r, _ in rows]), np.abs([t for _, t in rows])[:, None])
-            for axis, rows in groups.items()
-        ]
-        general = np.flatnonzero([c is None for c in axis_lags])
+        axes, general = layout
+        self.axis_groups = [(axis, _columns(rows), (steps * delta[axis])[:, None])
+                            for axis, (rows, steps) in axes.items()]
         self.general = _columns(general) if general.size else None
         # gamma at the zero lag, then at the general lags
         self.gamma_lags = np.vstack([np.zeros((1, lags.shape[1])), lags[general]])
@@ -647,18 +666,13 @@ class _WlsProblem:
 
     One ``ordinates`` call evaluates a whole DE generation or a polish
     step in a few batched contractions.  ``evaluations`` counts the
-    rows ``objective`` evaluated so far.  ``classes`` is
-    ``_axis_structure(emp)`` where the caller has it already.
+    rows ``objective`` evaluated so far.
     """
 
-    def __init__(self, emp, weights, codec, classes=None):
+    def __init__(self, emp, weights, codec):
         self.emp = emp
         self.weights = _checked_weights(weights, emp.k)
-        if classes is None:
-            classes = _axis_structure(emp)
-        axis_lags = [None if c is None else (c[0], c[1] * emp.delta[c[0]])
-                     for c in classes]
-        self.ordinates = _Ordinates(codec, emp.lags, axis_lags)
+        self.ordinates = _Ordinates(codec, emp.lags, emp.delta, emp.axes)
         self.evaluations = 0
 
     def objective(self, theta):
@@ -713,7 +727,6 @@ class FitConfig:
     population_factor: int = 10
     generations: int = 300
     seed: int = 0
-    require_identifiable_lags: bool = True
 
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 32:
@@ -725,33 +738,27 @@ class FitConfig:
             )
 
 
-def _check_lag_menu(classes, d, p, q, strict):
-    """Identifiability status of a lag set, classed by ``_axis_structure``
-    on d axes, for the chosen order.
+def _check_lag_menu(emp, p, q):
+    """The ``lag_set`` status of ``emp``'s lags for the order (p, q).
 
-    Every order needs the axis lags j = 1..2p+1 that
+    Every order needs the axis lags j = 1..2p+1 on every axis that
     ``identify.recover_axis_eigenvalues`` needs.
     """
-    if any(c is None for c in classes):
+    axes, others = emp.axes
+    if others.size:
         return "unverified (non-axis lags present)"
     needed = 2 * p + 1
-    by_axis = {}
-    for axis, j in classes:
-        by_axis.setdefault(axis, set()).add(j)
     missing = []
-    for axis in range(d):
-        have = by_axis.get(axis, set())
+    for axis in range(len(emp.delta)):
+        have = axes[axis][1] if axis in axes else ()
         lacking = [j for j in range(1, needed + 1) if j not in have]
         if lacking:
             missing.append((axis, lacking))
     if missing:
-        msg = (
-            f"order ({p},{q}) needs axis lags j=1..{needed} on every axis; "
-            + "; ".join(f"axis {a} lacks {l}" for a, l in missing)
+        return (
+            f"insufficient (order ({p},{q}) needs axis lags j=1..{needed} on every axis; "
+            + "; ".join(f"axis {a} lacks {l}" for a, l in missing) + ")"
         )
-        if strict:
-            raise NonIdentifiableLagSet(msg)
-        return f"insufficient ({msg})"
     return "axis-verified"
 
 
@@ -901,10 +908,6 @@ def fit(emp, config):
 
     Raises
     ------
-    NonIdentifiableLagSet
-        When the lag set is axis-only but misses the minimum required
-        for the order (disable with
-        ``config.require_identifiable_lags=False``).
     NumericError
         When a coordinate of the polish's Jacobian has no step on either
         side inside the model's domain.
@@ -912,11 +915,9 @@ def fit(emp, config):
     d = emp.lags.shape[1]
     codec = ThetaCodec(p=config.p, q=config.q, d=d, kappa2=config.kappa2,
                        blocks=config.blocks)
-    classes = _axis_structure(emp)
-    lag_status = _check_lag_menu(classes, d, config.p, config.q,
-                                 config.require_identifiable_lags)
-    weights = resolve_weights(emp, config.weights, classes)
-    problem = _WlsProblem(emp, weights, codec, classes)
+    lag_status = _check_lag_menu(emp, config.p, config.q)
+    weights = resolve_weights(emp, config.weights)
+    problem = _WlsProblem(emp, weights, codec)
     bounds = codec.default_bounds()
     de_x, de_generations, de_converged = _differential_evolution(problem, bounds, config)
     # residuals sqrt(w) (gamma_hat - gamma(theta)) are NaN where the model
@@ -1083,7 +1084,10 @@ def asymptotic_covariance(spec, lags, weights, basis, lattice_delta,
 
     Combines the variogram estimator's covariance with the weighted
     Jacobian of the model ordinates.  Scaled for N^{d/2} (theta* -
-    theta0): divide by N^d for the covariance of theta* itself.
+    theta0): divide by N^d for the covariance of theta* itself.  The
+    Jacobian is the fit's: the lags are laid out on the lattice of
+    ``lattice_delta`` (``_axis_layout``), and each axis lag takes its
+    axis's exponential sum, every other lag gamma.
 
     Sigma inherits the conditioning of the weighted normal matrix
     J' W J, whose inverse enters it twice.  At the ref spec with 5 axis
@@ -1095,7 +1099,7 @@ def asymptotic_covariance(spec, lags, weights, basis, lattice_delta,
     ------
     ValidationError
         If the weights are not one finite, strictly positive value per
-        lag.
+        lag, or a lag is not a whole multiple of the spacing.
     SingularDesign
         If the weighted normal matrix is numerically singular.
     """
@@ -1104,7 +1108,9 @@ def asymptotic_covariance(spec, lags, weights, basis, lattice_delta,
     codec = ThetaCodec(p=spec.p, q=spec.q, d=spec.d, kappa2=spec.kappa2,
                        blocks=blocks)
     theta0 = codec.from_spec(spec)
-    jac = _variogram_jacobian(_Ordinates(codec, lags), theta0)
+    delta = model._per_axis(lattice_delta, spec.d, "lattice_delta")
+    ordinates = _Ordinates(codec, lags, delta, _axis_layout(delta, lags))
+    jac = _variogram_jacobian(ordinates, theta0)
     wmat = np.diag(weights)
     normal = jac.T @ wmat @ jac
     cond = np.linalg.cond(normal)

@@ -600,12 +600,19 @@ def _axis_sums(dstar, lam, kappa2, spans):
     """2 kappa2 sum_k dstar_k (1 - exp(lam_k |tau|)) for S rows, shape (S, k).
 
     ``dstar`` and ``lam`` are one axis's (S, p) weights and eigenvalues,
-    ``spans`` the k distances |tau| as a (k, 1) column.
+    ``spans`` the k distances |tau| as a (k, 1) column.  The p products
+    are added in eigenvalue order, elementwise, so a row's bytes depend
+    neither on the memory layout of the operands nor on the batch it
+    sits in (a batched matmul rounds differently in BLAS and in numpy's
+    own loop).
     """
     growth = spans * lam[:, None, :]
     np.exp(growth, out=growth)
     np.subtract(1.0, growth, out=growth)
-    return 2.0 * kappa2 * (growth @ dstar[:, :, None])[:, :, 0]
+    total = growth[..., 0] * dstar[:, None, 0]
+    for k in range(1, lam.shape[-1]):
+        total += growth[..., k] * dstar[:, None, k]
+    return 2.0 * kappa2 * total
 
 
 def autocovariance(spec, t):

@@ -138,7 +138,6 @@ def run_fit_workflow(emp, models, weights="quadratic", kappa2=1.0, seed=0,
             seed=seed,
             generations=generations,
             population_factor=population_factor,
-            require_identifiable_lags=False,
         )
         try:
             fits[name] = estimate.fit(emp, config)
@@ -153,18 +152,15 @@ def run_fit_workflow(emp, models, weights="quadratic", kappa2=1.0, seed=0,
 def overlay_tables(emp, fits):
     """Per-axis overlay data: lag, empirical ordinate, fitted ordinates.
 
-    Returns a dict axis -> (header, rows) ready for CSV emission.
+    One table per axis that has axis lags (``emp.axes``), its rows in
+    ascending lag order.  Returns a dict axis -> (header, rows) ready
+    for CSV emission.
     """
-    classes = estimate._axis_structure(emp)
     tables = {}
     names = list(fits)
-    for axis in sorted({c[0] for c in classes if c is not None}):
-        rows_idx = [i for i, c in enumerate(classes) if c is not None and c[0] == axis]
-        taus = np.asarray([emp.lags[i][axis] for i in rows_idx])
-        order = np.argsort(taus)
-        taus = taus[order]
-        emp_vals = emp.ordinates[[rows_idx[o] for o in order]]
-        cols = [taus, emp_vals]
+    for axis, (rows, _) in emp.axes[0].items():
+        taus = emp.lags[rows, axis]
+        cols = [taus, emp.ordinates[rows]]
         for name in names:
             cols.append(model.axis_variogram(fits[name].spec, axis, taus))
         header = ["lag", "empirical"] + [f"fitted_{n}" for n in names]
@@ -269,11 +265,7 @@ def _study_replication(args):
     )
     for case in cfg.cases:
         j_case, scheme = STUDY_CASES[case]
-        keep = [
-            i
-            for i, cls in enumerate(estimate._axis_structure(emp_full))
-            if cls is not None and cls[1] <= j_case
-        ]
+        keep = np.concatenate([rows[steps <= j_case] for rows, steps in emp_full.axes[0].values()])
         emp = estimate.EmpiricalVariogram(
             lags=emp_full.lags[keep],
             ordinates=emp_full.ordinates[keep],
@@ -289,7 +281,6 @@ def _study_replication(args):
             seed=de_seed + case,
             generations=cfg.generations,
             population_factor=cfg.population_factor,
-            require_identifiable_lags=False,
         )
         try:
             thetas[case] = estimate.fit(emp, config).theta_star

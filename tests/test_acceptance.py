@@ -363,8 +363,7 @@ def test_criterion_10_bit_reproducibility(tmp_path):
         result = estimate.fit(
             emp,
             estimate.FitConfig(p=1, q=0, seed=5, generations=60,
-                               population_factor=8,
-                               require_identifiable_lags=False),
+                               population_factor=8),
         )
         result.to_kv(out / "fit.txt")
         cp = simulate.simulate_compound_poisson(

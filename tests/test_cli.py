@@ -234,6 +234,41 @@ class TestCliCommands:
         assert float(values["lambda11"]) == pytest.approx(-1.7776, abs=1e-6)
         assert values["verdict"] == "identifiable"
 
+    @staticmethod
+    def _shuffled_csv(emp, path, rng):
+        order = rng.permutation(emp.k)
+        estimate.EmpiricalVariogram(
+            lags=emp.lags[order], ordinates=emp.ordinates[order],
+            pair_counts=emp.pair_counts[order], delta=emp.delta, n=emp.n,
+        ).to_csv(path)
+
+    def test_recover_reads_shuffled_rows_by_step(self, tmp_path, rng):
+        emp = oracles.synthetic_variogram(model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS), 0.2, 9)
+        emp.to_csv(tmp_path / "ordered.csv")
+        self._shuffled_csv(emp, tmp_path / "shuffled.csv", rng)
+        texts = []
+        for name in ("ordered", "shuffled"):
+            assert run_cli(
+                ["recover", "--input", tmp_path / f"{name}.csv", "--output-dir", tmp_path / name,
+                 "--p", 2, "--q", 1]
+            ) == 0
+            texts.append((tmp_path / name / "recovered.txt").read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_fit_from_shuffled_variogram_writes_ascending_overlay_lags(self, tmp_path, rng):
+        spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,), (-1.4,)))
+        vario = tmp_path / "shuffled.csv"
+        self._shuffled_csv(oracles.synthetic_variogram(spec, 0.1, 8), vario, rng)
+        out = tmp_path / "fit"
+        assert run_cli(
+            ["fit", "--from-variogram", vario, "--output-dir", out, "--models", "car1",
+             "--generations", 10, "--population", 5]
+        ) == 0
+        for axis in (1, 2):
+            lines = (out / f"overlay_axis{axis}.csv").read_text().splitlines()[1:]
+            taus = [float(line.split(",")[0]) for line in lines]
+            assert taus == pytest.approx(0.1 * np.arange(1, 9), rel=1e-15)
+
     def test_recover_checks_each_axis_against_its_own_band(self, tmp_path):
         # axis 2's pair -1 +- 10i lies inside its band pi / 0.1 but
         # outside axis 1's band pi / 0.5

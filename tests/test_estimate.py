@@ -9,7 +9,6 @@ from carmafield.errors import (
     InvalidSpec,
     LagOutOfRange,
     MixedLagSets,
-    NonIdentifiableLagSet,
     NumericError,
     ValidationError,
 )
@@ -222,6 +221,66 @@ class TestEmpiricalVariogram:
         np.testing.assert_array_equal(back.pair_counts, emp.pair_counts)
 
 
+def _axis_class(steps):
+    """(axis, step) of a lag that moves a positive number of steps along
+    one axis only, else None."""
+    moved = np.flatnonzero(steps)
+    if moved.size == 1 and steps[moved[0]] > 0:
+        return int(moved[0]), int(steps[moved[0]])
+    return None
+
+
+class TestAxisLayout:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_a_per_lag_classification(self, rng, d):
+        delta = tuple(rng.uniform(0.02, 0.5, size=d))
+        for _ in range(25):
+            k = int(rng.integers(1, 30))
+            steps = np.zeros((k, d), dtype=int)
+            for row, kind in enumerate(rng.integers(0, 4, size=k)):
+                if kind == 0:  # an axis lag
+                    steps[row, rng.integers(d)] = rng.integers(1, 9)
+                elif kind == 1:  # a negative step on one axis
+                    steps[row, rng.integers(d)] = -rng.integers(1, 9)
+                elif kind == 2:  # any steps, mixed signs and axes
+                    steps[row] = rng.integers(-4, 5, size=d)
+                # kind 3 leaves the zero lag
+            # repeat some rows, then shuffle them all
+            steps = steps[rng.permutation(np.concatenate([np.arange(k),
+                                                          rng.integers(0, k, size=k // 3)]))]
+            lags = steps * np.asarray(delta)
+            axes, others = estimate._axis_layout(delta, lags)
+            classes = [_axis_class(row) for row in steps]
+            assert list(axes) == sorted(axes)
+            placed = np.concatenate([rows for rows, _ in axes.values()] + [others])
+            np.testing.assert_array_equal(np.sort(placed), np.arange(len(steps)))
+            np.testing.assert_array_equal(others, [r for r, c in enumerate(classes) if c is None])
+            for axis, (rows, axis_steps) in axes.items():
+                assert [classes[r] for r in rows] == [(axis, s) for s in axis_steps.tolist()]
+                # ascending steps, equal steps in row order
+                assert np.all(np.diff(axis_steps) >= 0)
+                assert np.all(np.diff(rows)[np.diff(axis_steps) == 0] > 0)
+            assert {c[0] for c in classes if c is not None} == set(axes)
+
+    def test_read_once_from_the_variogram(self):
+        lags = np.array([[0.0, 0.5], [0.5, 0.0], [0.0, 0.25], [0.5, 0.5]])
+        emp = estimate.EmpiricalVariogram(lags=lags, ordinates=[1.0, 2.0, 3.0, 4.0],
+                                          pair_counts=[4, 5, 6, 7], delta=(0.5, 0.25),
+                                          n=(4, 4))
+        axes, others = emp.axes
+        assert emp.axes is emp.axes
+        assert list(axes) == [0, 1]
+        np.testing.assert_array_equal(axes[0][0], [1])
+        np.testing.assert_array_equal(axes[1][0], [2, 0])
+        np.testing.assert_array_equal(axes[1][1], [1, 2])
+        np.testing.assert_array_equal(others, [3])
+        # a lag off the lattice is refused when the layout is read, not before
+        off = estimate.EmpiricalVariogram(lags=[[0.3, 0.0]], ordinates=[1.0], pair_counts=[4],
+                                          delta=(0.5, 0.25), n=(4, 4))
+        with pytest.raises(ValidationError, match="multiples of the spacing"):
+            off.axes
+
+
 class TestWeights:
     def test_quadratic_endpoints_j50(self):
         w = estimate.weights_quadratic(50)
@@ -238,12 +297,21 @@ class TestWeights:
         assert w[0] == pytest.approx(np.exp(0.04))
         assert w[0] == pytest.approx(1.0408, abs=1e-4)
 
-    def test_resolved_on_axis_lags(self):
+    def test_resolved_by_axis_step(self, rng):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
         emp = oracles.synthetic_variogram(spec, 0.04, 5)
         w = estimate.resolve_weights(emp, "quadratic")
         table = estimate.weights_quadratic(5)
         np.testing.assert_allclose(w, np.concatenate([table, table]))
+        # a lag keeps its weight wherever its row sits
+        order = rng.permutation(emp.k)
+        shuffled = estimate.EmpiricalVariogram(
+            lags=emp.lags[order], ordinates=emp.ordinates[order],
+            pair_counts=emp.pair_counts[order], delta=emp.delta, n=emp.n,
+        )
+        for scheme in ("quadratic", "exponential"):
+            np.testing.assert_array_equal(estimate.resolve_weights(shuffled, scheme),
+                                          estimate.resolve_weights(emp, scheme)[order])
 
 
 class TestObjective:
@@ -373,25 +441,25 @@ class TestBatchedOrdinates:
         for d, p in [(1, 1), (2, 2), (2, 3), (3, 2)]:
             spec = oracles.random_spec(rng, d=d, p=p)
             codec = _codec_for(spec)
-            lags = _lag_menu(d, 0.25).lags
+            emp = _lag_menu(d, 0.25)
             theta0 = codec.from_spec(spec)
-            jac = estimate._variogram_jacobian(estimate._Ordinates(codec, lags), theta0)
+            ordinates = estimate._Ordinates(codec, emp.lags, emp.delta, emp.axes)
+            jac = estimate._variogram_jacobian(ordinates, theta0)
             for i in range(theta0.size):
                 h = estimate.JACOBIAN_REL_STEP * max(abs(theta0[i]), 1.0)
                 up, dn = theta0.copy(), theta0.copy()
                 up[i] += h
                 dn[i] -= h
-                want = (model.variogram(codec.to_spec(up), lags)
-                        - model.variogram(codec.to_spec(dn), lags)) / (2.0 * h)
+                want = (_per_theta(codec, up, emp) - _per_theta(codec, dn, emp)) / (2.0 * h)
                 np.testing.assert_allclose(jac[:, i], want, rtol=1e-12, atol=0.0)
 
     def test_jacobian_outside_the_domain_raises(self):
         # a step of 1e-5 moves the eigenvalue -1e-6 to a positive real part
         codec = estimate.ThetaCodec(p=1, q=0, d=1)
+        lags = np.array([[0.5], [1.0]])
+        ordinates = estimate._Ordinates(codec, lags, (0.5,), estimate._axis_layout((0.5,), lags))
         with pytest.raises(NumericError):
-            estimate._variogram_jacobian(
-                estimate._Ordinates(codec, np.array([[0.5], [1.0]])), np.array([1.0, -1e-6])
-            )
+            estimate._variogram_jacobian(ordinates, np.array([1.0, -1e-6]))
 
     def test_jacobian_steps_one_sided_at_the_box_edge(self):
         # theta + h crosses lambda = 0, where the model is undefined
@@ -518,8 +586,7 @@ class TestFit:
         coarse = workflows._thin(fine, 2)
         emp = estimate.empirical_variogram(coarse, estimate.axis_lag_set(2, coarse.delta, 50))
         de_seed = np.random.SeedSequence(entropy=777, spawn_key=(5, 977)).generate_state(1)[0]
-        config = estimate.FitConfig(p=2, q=1, seed=int(de_seed) + 1,
-                                    require_identifiable_lags=False)
+        config = estimate.FitConfig(p=2, q=1, seed=int(de_seed) + 1)
         result = estimate.fit(emp, config)
         assert result.diagnostics["polish_converged"] is True
         # the exact WSS at theta_star, from the state-space form
@@ -562,16 +629,14 @@ class TestFit:
         with pytest.raises(InvalidSpec):
             estimate.ThetaCodec(p=1, q=0, d=2, kappa2=kappa2)
 
-    def test_insufficient_lag_set_raises(self):
+    def test_insufficient_lag_set_is_reported(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
         emp = oracles.synthetic_variogram(spec, 0.04, 4)  # needs j = 1..5
-        config = estimate.FitConfig(p=2, q=1)
-        with pytest.raises(NonIdentifiableLagSet):
-            estimate.fit(emp, config)
-        config = estimate.FitConfig(p=2, q=1, require_identifiable_lags=False,
-                                    generations=5)
-        result = estimate.fit(emp, config)
-        assert result.diagnostics["lag_set"].startswith("insufficient")
+        result = estimate.fit(emp, estimate.FitConfig(p=2, q=1, generations=5))
+        assert result.diagnostics["lag_set"] == (
+            "insufficient (order (2,1) needs axis lags j=1..5 on every axis; "
+            "axis 0 lacks [5]; axis 1 lacks [5])"
+        )
 
 
 class TestDifferentialEvolution:
@@ -756,9 +821,9 @@ class TestEstimatorCovariance:
         b0, lam, tau = 1.3, -0.8, 0.7
         spec = model.CarmaSpec(b=(b0,), eigenvalues=((lam,),))
         codec = estimate.ThetaCodec(p=1, q=0, d=1)
-        jac = estimate._variogram_jacobian(
-            estimate._Ordinates(codec, np.array([[tau]])), codec.from_spec(spec)
-        )
+        lags = np.array([[tau]])
+        ordinates = estimate._Ordinates(codec, lags, (tau,), estimate._axis_layout((tau,), lags))
+        jac = estimate._variogram_jacobian(ordinates, codec.from_spec(spec))
         d_b0 = 2 * b0 * (1 - np.exp(lam * tau)) / (-lam)
         d_lam = b0 ** 2 * (
             tau * np.exp(lam * tau) / lam + (1 - np.exp(lam * tau)) / lam ** 2

@@ -381,6 +381,21 @@ class TestAxisVariogram:
         recon = 2 * spec.kappa2 * (1 - np.exp(lam.real * taus)) * complex(w).real
         np.testing.assert_allclose(recon, model.axis_variogram(spec, 0, taus), rtol=1e-12)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_axis_sums_bytes_follow_the_values_only(self, rng, p):
+        # 60 rows of one axis's weights and eigenvalues, at 50 distances:
+        # neither the operands' memory order nor the batch a row sits in
+        # may move a bit of its sums
+        dstar = rng.normal(size=(60, p))
+        lam = -rng.uniform(0.2, 5.0, size=(60, p))
+        spans = 0.04 * np.arange(1.0, 51.0)[:, None]
+        batch = model._axis_sums(dstar, lam, 1.3, spans)
+        fortran = model._axis_sums(np.asfortranarray(dstar), np.asfortranarray(lam), 1.3, spans)
+        assert fortran.tobytes() == batch.tobytes()
+        for row in (0, 17, 59):
+            alone = model._axis_sums(dstar[row:row + 1], lam[row:row + 1], 1.3, spans)
+            assert alone.tobytes() == batch[row:row + 1].tobytes()
+
 
 class TestNonIdentifiablePair:
     B_A = (2.0, 4.0)
