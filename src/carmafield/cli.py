@@ -86,8 +86,6 @@ class RunConfig:
         raw = self.get(key, None)
         if raw is None:
             return default
-        if isinstance(raw, bool):
-            return raw
         text = str(raw).strip().lower()
         if text in ("1", "true", "yes", "on"):
             return True

@@ -23,11 +23,11 @@ bit for bit, and fit bytes do not depend on scipy's private DE internals,
 which the ``scipy>=1.10`` requirement does not pin.  Both stages call
 one batched evaluator: differential evolution scores each generation in
 one call, and the polish one residual vector per call and its
-finite-difference Jacobian as one batch.  The sampling covariance of the
-fitted parameters at the optimum is available from the delta-method
-sandwich built on the variogram estimator's own asymptotic covariance
-and the same Jacobian.  A real spectrum, the default codec's only
-kind, is evaluated in real arithmetic throughout (see ``model``).
+finite-difference Jacobian as one batch.  The sandwich covariance of
+the WLS estimator (``asymptotic_covariance``) follows the fit's rules:
+the same evaluator and Jacobian, in the theta layout of the spec.  A
+real spectrum, the default codec's only kind, is evaluated in real
+arithmetic throughout (see ``model``).
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ __all__ = [
     "fit",
     "aic_value",
     "covariance_v_matrix",
-    "variogram_estimator_covariance",
     "asymptotic_covariance",
     "model_select",
 ]
@@ -502,32 +501,44 @@ class ThetaCodec:
                                kappa2=self.kappa2)
 
     def from_spec(self, spec):
+        """The theta of ``spec``: per axis, in the spec's order, its real
+        eigenvalues (|imag| <= ``model.CONJUGATE_TOL``) fill the real
+        blocks and its conjugate pairs, by their member with positive
+        imaginary part, the complex blocks (else ValidationError)."""
         theta = list(spec.b[: self.q + 1])
-        for axis_blocks, axis in zip(self.blocks, spec.eigenvalues):
-            eigs = list(axis)
+        for axis, (axis_blocks, eigs) in enumerate(zip(self.blocks, spec.eigenvalues), 1):
+            kinds = {"r": [lam for lam in eigs if abs(lam.imag) <= model.CONJUGATE_TOL],
+                     "c": [lam for lam in eigs if lam.imag > model.CONJUGATE_TOL]}
+            if any(len(kinds[kind]) != axis_blocks.count(kind) for kind in kinds):
+                raise ValidationError(f"axis {axis} has {len(kinds['r'])} real eigenvalues and "
+                                      f"{len(kinds['c'])} conjugate pairs, not {axis_blocks}")
             for kind in axis_blocks:
-                if kind == "r":
-                    lam = eigs.pop(0)
-                    theta.append(lam.real)
-                else:
-                    lam = eigs.pop(0)
-                    eigs.remove(lam.conjugate())
-                    theta.append(lam.real)
-                    theta.append(abs(lam.imag))
+                lam = kinds[kind].pop(0)
+                theta += [lam.real] if kind == "r" else [lam.real, lam.imag]
         return np.asarray(theta)
 
     def default_bounds(self):
         """The fit's search box, one (low, high) pair per coordinate."""
         bounds = [(0.0, B_MAX)]
         bounds += [(-B_MAX, B_MAX)] * self.q
-        for axis_blocks in self.blocks:
-            for kind in axis_blocks:
-                if kind == "r":
-                    bounds.append((EIG_MIN, 0.0))
-                else:
-                    bounds.append((EIG_MIN, 0.0))
-                    bounds.append((0.0, IM_MAX))
+        for kind in itertools.chain.from_iterable(self.blocks):
+            bounds.append((EIG_MIN, 0.0))
+            if kind == "c":
+                bounds.append((0.0, IM_MAX))
         return bounds
+
+
+def _spec_codec(spec):
+    """The codec of ``spec``'s own order: per axis, a real eigenvalue is a
+    real block and a conjugate pair a complex block at its first member
+    (an eigenvalue's partner is the one nearest its conjugate)."""
+    blocks = []
+    for axis in spec.eigenvalues:
+        partners = [min(range(len(axis)), key=lambda j: abs(axis[j] - lam.conjugate()))
+                    for lam in axis]
+        blocks.append(tuple("r" if partner == i else "c"
+                            for i, partner in enumerate(partners) if partner >= i))
+    return ThetaCodec(p=spec.p, q=spec.q, d=spec.d, kappa2=spec.kappa2, blocks=tuple(blocks))
 
 
 def parameter_names(spec):
@@ -623,13 +634,13 @@ class _Ordinates:
 def _variogram_jacobian(ordinates, theta0, bounds=None):
     """Finite differences of the model ordinates in theta.
 
-    The differences are central.  With ``bounds`` (a (2, dim) array of
-    lows and highs), a coordinate steps one-sided from theta0 itself
-    where its step would leave the box, or where theta0 is defined and
-    the step leaves the model's domain (for instance by moving an
-    eigenvalue within ``model.MIN_EIGENVALUE_GAP`` of its neighbour).
-    The 2 dim perturbed vectors, and theta0 with ``bounds``, are one
-    call of ``ordinates``.
+    The differences are central.  A coordinate steps one-sided from
+    theta0 itself where its step would leave the box ``bounds`` (a
+    (2, dim) array of lows and highs, None for no box), or where theta0
+    is defined and the step leaves the model's domain (for instance by
+    moving an eigenvalue within ``model.MIN_EIGENVALUE_GAP`` of its
+    neighbour).  The 2 dim perturbed vectors and theta0 are one call of
+    ``ordinates``.
 
     Raises
     ------
@@ -640,19 +651,16 @@ def _variogram_jacobian(ordinates, theta0, bounds=None):
     theta0 = np.asarray(theta0, dtype=float)
     n = theta0.size
     h = JACOBIAN_REL_STEP * np.maximum(np.abs(theta0), 1.0)
-    up, down, centre = h, h, np.empty((0, n))
-    if bounds is not None:
-        up = np.where(theta0 + h > bounds[1], 0.0, h)
-        down = np.where(theta0 - h < bounds[0], 0.0, h)
-        centre = theta0[None]
-    ords, failed = ordinates(np.vstack([theta0 + np.diag(up), theta0 - np.diag(down), centre]))
-    if bounds is not None:
-        # a failed step is taken back to theta0; a coordinate left with
-        # no step on either side stays failed
-        back = failed[:2 * n] & ~failed[2 * n]
-        ords[:2 * n][back] = ords[2 * n]
-        up, down = np.where(back[:n], 0.0, up), np.where(back[n:], 0.0, down)
-        failed = (failed[:2 * n] & ~back) | (back & np.tile(up + down == 0.0, 2))
+    low, high = (-np.inf, np.inf) if bounds is None else bounds
+    up = np.where(theta0 + h > high, 0.0, h)
+    down = np.where(theta0 - h < low, 0.0, h)
+    ords, failed = ordinates(np.vstack([theta0 + np.diag(up), theta0 - np.diag(down), theta0]))
+    # a failed step is taken back to theta0; a coordinate left with no
+    # step on either side stays failed
+    back = failed[:2 * n] & ~failed[2 * n]
+    ords[:2 * n][back] = ords[2 * n]
+    up, down = np.where(back[:n], 0.0, up), np.where(back[n:], 0.0, down)
+    failed = (failed[:2 * n] & ~back) | (back & np.tile(up + down == 0.0, 2))
     if failed.any():
         raise NumericError(
             f"the model is undefined at {int(failed.sum())} of the {2 * n} "
@@ -772,7 +780,6 @@ class FitResult:
     aic: float
     p_params: int
     k_lags: int
-    sigma: np.ndarray = None
     diagnostics: dict = field(default_factory=dict)
 
     def to_kv(self, path):
@@ -898,7 +905,7 @@ def fit(emp, config):
     and takes ``asymptotic_covariance``'s Jacobian, stepping one-sided
     where a central step would leave the box or the model's domain.
     Output eigenvalues are in canonical order (descending real part,
-    then descending imaginary part).
+    then descending imaginary part), placed in the blocks by kind.
 
     ``diagnostics`` holds ``de_generations``, ``de_evaluations`` and
     ``polish_evaluations`` (parameter vectors scored by each stage),
@@ -1061,33 +1068,17 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     return vmat
 
 
-def variogram_estimator_covariance(spec, lags, basis, lattice_delta):
-    """Asymptotic covariance F V F' of the variogram estimator.
-
-    F is the delta-method Jacobian of (g_0, ..., g_K) -> (2 (g_0 - g_i)),
-    applied to the autocovariance estimator's covariance V with the
-    zero lag prepended.
-    """
-    lags = np.atleast_2d(np.asarray(lags, dtype=float))
-    k = lags.shape[0]
-    tlist = np.vstack([np.zeros((1, lags.shape[1])), lags])
-    vmat = covariance_v_matrix(spec, tlist, basis, lattice_delta)
-    fmat = np.zeros((k, k + 1))
-    fmat[:, 0] = 2.0
-    fmat[:, 1:] = -2.0 * np.eye(k)
-    return fmat @ vmat @ fmat.T
-
-
-def asymptotic_covariance(spec, lags, weights, basis, lattice_delta,
-                          blocks=None):
+def asymptotic_covariance(spec, lags, weights, basis, lattice_delta):
     """Sandwich covariance of the WLS parameter estimator at the truth.
 
-    Combines the variogram estimator's covariance with the weighted
-    Jacobian of the model ordinates.  Scaled for N^{d/2} (theta* -
-    theta0): divide by N^d for the covariance of theta* itself.  The
-    Jacobian is the fit's: the lags are laid out on the lattice of
-    ``lattice_delta`` (``_axis_layout``), and each axis lag takes its
-    axis's exponential sum, every other lag gamma.
+    Sigma = B J' W (F V F') W J B, B = (J' W J)^-1, scaled for N^{d/2}
+    (theta* - theta0): divide by N^d for the covariance of theta*.  J is
+    the fit's Jacobian (``_variogram_jacobian``, one-sided next to the
+    model's domain edge) at the lags laid out on the lattice of
+    ``lattice_delta``, in the theta layout of the spec's own eigenvalue
+    order (``_spec_codec``).  F V F' = 4 (V_00 - V_0j - V_i0 + V_ij) is
+    the covariance of the variogram estimator 2 (g_0 - g_i), from V of
+    the autocovariance estimator g at the zero lag and the lags.
 
     Sigma inherits the conditioning of the weighted normal matrix
     J' W J, whose inverse enters it twice.  At the ref spec with 5 axis
@@ -1100,25 +1091,28 @@ def asymptotic_covariance(spec, lags, weights, basis, lattice_delta,
     ValidationError
         If the weights are not one finite, strictly positive value per
         lag, or a lag is not a whole multiple of the spacing.
+    NumericError
+        If a coordinate of the Jacobian has no step on either side
+        inside the model's domain.
     SingularDesign
         If the weighted normal matrix is numerically singular.
     """
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     weights = _checked_weights(weights, lags.shape[0])
-    codec = ThetaCodec(p=spec.p, q=spec.q, d=spec.d, kappa2=spec.kappa2,
-                       blocks=blocks)
-    theta0 = codec.from_spec(spec)
+    codec = _spec_codec(spec)
     delta = model._per_axis(lattice_delta, spec.d, "lattice_delta")
     ordinates = _Ordinates(codec, lags, delta, _axis_layout(delta, lags))
-    jac = _variogram_jacobian(ordinates, theta0)
-    wmat = np.diag(weights)
-    normal = jac.T @ wmat @ jac
+    jac = _variogram_jacobian(ordinates, codec.from_spec(spec))
+    wjac = weights[:, None] * jac
+    normal = jac.T @ wjac
     cond = np.linalg.cond(normal)
     if not np.isfinite(cond) or cond > DESIGN_COND_MAX:
         raise SingularDesign(f"normal matrix condition {cond:.3e}")
     bmat = np.linalg.inv(normal)
-    fvf = variogram_estimator_covariance(spec, lags, basis, lattice_delta)
-    sigma = bmat @ jac.T @ wmat @ fvf @ wmat @ jac @ bmat
+    vmat = covariance_v_matrix(spec, np.vstack([np.zeros((1, spec.d)), lags]), basis,
+                               lattice_delta)
+    fvf = 4.0 * (vmat[0, 0] - vmat[:1, 1:] - vmat[1:, :1] + vmat[1:, 1:])
+    sigma = bmat @ wjac.T @ fvf @ wjac @ bmat
     return 0.5 * (sigma + sigma.T)
 
 

@@ -212,6 +212,9 @@ class StudyConfig:
         bad = [c for c in self.cases if c not in STUDY_CASES]
         if bad:
             raise ConfigError(f"unknown study cases {bad}")
+        # the fits use real blocks, one table row per eigenvalue
+        if np.any(np.abs(np.imag(self.spec.eigenvalues)) > model.CONJUGATE_TOL):
+            raise ConfigError("the study fits real eigenvalues; the truth has complex ones")
         # the checks of the master seed, the grid size, the spacing, the
         # lag count and the search settings, made once here rather than
         # in every replication

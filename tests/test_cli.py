@@ -380,6 +380,18 @@ class TestCliCommands:
                      "--jump-std", "2.0", "--replications", "1", "--output-dir", str(out)])
         assert not out.exists()
 
+    def test_study_refuses_a_complex_truth(self, tmp_path):
+        # the study fits real eigenvalue blocks and tabulates one row per
+        # eigenvalue, so a complex truth is refused before any replication
+        out = tmp_path / "study"
+        assert run_cli(["study", "--b", "1.0,0.5", "--eigenvalues", "-1+2j,-1-2j;-1.5,-2.5",
+                        "--replications", 1, "--n", 60, "--lags", 5, "--m", 20,
+                        "--generations", 3, "--population", 2, "--output-dir", out]) == 1
+        with pytest.raises(ConfigError, match="complex"):
+            cli.run(["study", "--b", "1.0,0.5", "--eigenvalues", "-1+2j,-1-2j;-1.5,-2.5",
+                     "--output-dir", str(out)])
+        assert not list(tmp_path.rglob("study_case*.csv"))
+
     def test_fit_from_variogram_rejects_field_keys(self, tmp_path):
         spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.2,), (-0.8,)))
         vario = tmp_path / "v.csv"

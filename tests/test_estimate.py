@@ -353,16 +353,6 @@ class TestObjective:
         )
 
 
-def _codec_for(spec):
-    """A codec whose blocks follow the spec's eigenvalue order."""
-    blocks = tuple(
-        tuple("r" if lam.imag == 0 else "c" for lam in axis if lam.imag >= 0)
-        for axis in spec.eigenvalues
-    )
-    return estimate.ThetaCodec(p=spec.p, q=spec.q, d=spec.d, kappa2=spec.kappa2,
-                               blocks=blocks)
-
-
 def _lag_menu(d, delta):
     """Axis lags j = 1..4 on every axis, then general lags of mixed signs."""
     steps = [[1] * d, [-2] + [1] * (d - 1), [0] * (d - 1) + [-3]]
@@ -392,7 +382,7 @@ class TestBatchedOrdinates:
     def test_batch_matches_spec_functions(self, rng, d, p):
         for _ in range(4):
             spec = oracles.random_spec(rng, d=d, p=p)
-            codec = _codec_for(spec)
+            codec = estimate._spec_codec(spec)
             emp = _lag_menu(d, 0.3)
             problem = estimate._WlsProblem(emp, np.ones(emp.k), codec)
             # the spec, and three rows with b scaled and eigenvalues moved
@@ -440,7 +430,7 @@ class TestBatchedOrdinates:
     def test_jacobian_matches_per_theta_differences(self, rng):
         for d, p in [(1, 1), (2, 2), (2, 3), (3, 2)]:
             spec = oracles.random_spec(rng, d=d, p=p)
-            codec = _codec_for(spec)
+            codec = estimate._spec_codec(spec)
             emp = _lag_menu(d, 0.25)
             theta0 = codec.from_spec(spec)
             ordinates = estimate._Ordinates(codec, emp.lags, emp.delta, emp.axes)
@@ -454,12 +444,21 @@ class TestBatchedOrdinates:
                 np.testing.assert_allclose(jac[:, i], want, rtol=1e-12, atol=0.0)
 
     def test_jacobian_outside_the_domain_raises(self):
-        # a step of 1e-5 moves the eigenvalue -1e-6 to a positive real part
         codec = estimate.ThetaCodec(p=1, q=0, d=1)
         lags = np.array([[0.5], [1.0]])
         ordinates = estimate._Ordinates(codec, lags, (0.5,), estimate._axis_layout((0.5,), lags))
+        # theta0 itself is undefined (eigenvalue +1e-6): no step is taken back to it
         with pytest.raises(NumericError):
-            estimate._variogram_jacobian(ordinates, np.array([1.0, -1e-6]))
+            estimate._variogram_jacobian(ordinates, np.array([1.0, 1e-6]))
+        # a step of 1e-5 moves the eigenvalue -1e-6 to a positive real part,
+        # so it steps one-sided from theta0
+        theta = np.array([1.0, -1e-6])
+        jac = estimate._variogram_jacobian(ordinates, theta)
+        back = theta.copy()
+        back[1] -= estimate.JACOBIAN_REL_STEP
+        (at, below), failed = ordinates(np.vstack([theta, back]))
+        assert not failed.any()
+        np.testing.assert_array_equal(jac[:, 1], (at - below) / estimate.JACOBIAN_REL_STEP)
 
     def test_jacobian_steps_one_sided_at_the_box_edge(self):
         # theta + h crosses lambda = 0, where the model is undefined
@@ -469,10 +468,12 @@ class TestBatchedOrdinates:
         problem = estimate._WlsProblem(emp, np.ones(emp.k), codec)
         box = np.transpose(codec.default_bounds())
         theta = np.array([1.0, -5e-6, -1.0])
-        with pytest.raises(NumericError):
-            estimate._variogram_jacobian(problem.ordinates, theta)
         jac = estimate._variogram_jacobian(problem.ordinates, theta, box)
         assert np.all(np.isfinite(jac))
+        # without the box the step leaves the model's domain instead: the
+        # same one-sided step
+        unbounded = estimate._variogram_jacobian(problem.ordinates, theta)
+        assert unbounded.tobytes() == jac.tobytes()
         back = theta.copy()
         back[1] -= estimate.JACOBIAN_REL_STEP
         (at, below), _ = problem.ordinates(np.vstack([theta, back]))
@@ -495,9 +496,10 @@ class TestBatchedOrdinates:
         theta = np.array([1.0, -1.5, lam12, -1.2, -2.0])
         h = estimate.JACOBIAN_REL_STEP * np.maximum(np.abs(theta), 1.0)
         assert abs(abs(theta[2] - theta[1]) - h[2]) < model.MIN_EIGENVALUE_GAP
-        with pytest.raises(NumericError):
-            estimate._variogram_jacobian(problem.ordinates, theta)
         jac = estimate._variogram_jacobian(problem.ordinates, theta, box)
+        # the box plays no part: the same steps without it
+        unbounded = estimate._variogram_jacobian(problem.ordinates, theta)
+        assert unbounded.tobytes() == jac.tobytes()
         ahead, behind = theta.copy(), theta.copy()
         ahead[1] += h[1]
         behind[2] -= h[2]
@@ -541,6 +543,24 @@ class TestCodec:
         assert lam.dtype == np.complex128
         np.testing.assert_array_equal(lam[0, 0], [-1.0 + 2.0j, -1.0 - 2.0j])
 
+    def test_from_spec_places_eigenvalues_by_kind(self):
+        # the pair stands first on the axis, its block second
+        spec = model.CarmaSpec(b=(1.0, 0.5), eigenvalues=((-0.5 + 1.5j, -0.5 - 1.5j, -2.0),))
+        codec = estimate.ThetaCodec(p=3, q=1, d=1, blocks=(("r", "c"),))
+        np.testing.assert_array_equal(codec.from_spec(spec), [1.0, 0.5, -2.0, -0.5, 1.5])
+
+    def test_real_codec_refuses_a_complex_spec(self):
+        spec = model.CarmaSpec(b=(1.0, 0.5), eigenvalues=((-1 + 2j, -1 - 2j),))
+        with pytest.raises(ValidationError, match="axis 1 has 0 real eigenvalues and 1 conj"):
+            estimate.ThetaCodec(p=2, q=1, d=1).from_spec(spec)
+
+    def test_pair_conjugate_within_the_tolerance(self):
+        # the spec accepts a pair whose members are conjugate within CONJUGATE_TOL
+        partner = complex(-1.0, -2.0 - 0.5 * model.CONJUGATE_TOL)
+        spec = model.CarmaSpec(b=(1.0, 0.5), eigenvalues=((partner, -1.0 + 2.0j),))
+        codec = estimate.ThetaCodec(p=2, q=1, d=1, blocks=(("c",),))
+        np.testing.assert_array_equal(codec.from_spec(spec), [1.0, 0.5, -1.0, 2.0])
+
     def test_default_bounds_shape(self):
         codec = estimate.ThetaCodec(p=2, q=1, d=2)
         bounds = codec.default_bounds()
@@ -559,6 +579,16 @@ class TestFit:
         np.testing.assert_allclose(result.theta_star, truth, atol=1e-4)
         assert result.wss < 1e-12
         assert result.diagnostics["lag_set"] == "axis-verified"
+
+    def test_mixed_blocks_fit_places_the_pair_by_kind(self):
+        # fit canonicalizes the spec, which puts the pair ahead of the real
+        # eigenvalue that the config's blocks put first
+        spec = model.CarmaSpec(b=(1.0, 0.5), eigenvalues=((-0.5 + 1.5j, -0.5 - 1.5j, -2.0),))
+        emp = oracles.synthetic_variogram(spec, 0.1, 10)
+        config = estimate.FitConfig(p=3, q=1, blocks=(("r", "c"),), seed=4, generations=20)
+        result = estimate.fit(emp, config)
+        codec = estimate.ThetaCodec(p=3, q=1, d=1, blocks=config.blocks)
+        assert codec.to_spec(result.theta_star).canonical() == result.spec
 
     def test_diagnostics_count_evaluated_rows(self, monkeypatch):
         scored = []
@@ -815,6 +845,22 @@ class TestAic:
             estimate.model_select([a, b])
 
 
+def _dense_sandwich(codec, spec, lags, weights, basis, delta, vmat=None):
+    """Sigma from explicit F and W matrices, in the theta layout of ``codec``."""
+    layout = estimate._axis_layout((delta,) * spec.d, lags)
+    ordinates = estimate._Ordinates(codec, lags, (delta,) * spec.d, layout)
+    jac = estimate._variogram_jacobian(ordinates, codec.from_spec(spec))
+    if vmat is None:
+        tlist = np.vstack([np.zeros((1, spec.d)), lags])
+        vmat = estimate.covariance_v_matrix(spec, tlist, basis, delta)
+    k = lags.shape[0]
+    fmat = np.hstack([np.full((k, 1), 2.0), -2.0 * np.eye(k)])
+    wmat = np.diag(weights)
+    bmat = np.linalg.inv(jac.T @ wmat @ jac)
+    sigma = bmat @ jac.T @ wmat @ (fmat @ vmat @ fmat.T) @ wmat @ jac @ bmat
+    return 0.5 * (sigma + sigma.T)
+
+
 class TestEstimatorCovariance:
     def test_jacobian_matches_analytic_car1(self):
         # psi(tau) = kappa2 b0^2 (1 - exp(l tau)) / (-l)
@@ -1063,6 +1109,61 @@ class TestEstimatorCovariance:
         )
         with pytest.raises(ValidationError):
             estimate.wls_objective([1.3, -0.8], emp, weights, p=1, q=0)
+
+    def test_indexed_sandwich_matches_dense_matrices(self, monkeypatch, rng):
+        # any V, symmetric or not: F V F' taken by indexing and W applied by
+        # broadcasting give the explicit matrix products
+        spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,),))
+        lags = estimate.axis_lag_set(1, 0.5, 4)
+        weights = estimate.weights_quadratic(4)
+        vmat = rng.normal(size=(5, 5))
+        monkeypatch.setattr(estimate, "covariance_v_matrix", lambda *args: vmat)
+        basis = simulate.GaussianBasis()
+        sigma = estimate.asymptotic_covariance(spec, lags, weights, basis, 0.5)
+        want = _dense_sandwich(estimate.ThetaCodec(p=1, q=0, d=1), spec, lags, weights,
+                               basis, 0.5, vmat)
+        np.testing.assert_allclose(sigma, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("eigenvalues, blocks", [
+        (((-0.9 + 2.1j, -0.9 - 2.1j), (-1.3, -2.4)), (("c",), ("r", "r"))),
+        (((-1.0 - 2.0j, -3.0, -1.0 + 2.0j),), (("c", "r"),)),
+    ], ids=["pair-first", "pair-around-a-real"])
+    def test_sigma_reads_the_theta_layout_from_the_spec(self, eigenvalues, blocks):
+        spec = model.CarmaSpec(b=(1.0, 0.5), eigenvalues=eigenvalues)
+        assert estimate._spec_codec(spec).blocks == blocks
+        lags = estimate.axis_lag_set(spec.d, 0.1, 10)
+        weights = np.tile(estimate.weights_quadratic(10), spec.d)
+        basis = simulate.GaussianBasis()
+        sigma = estimate.asymptotic_covariance(spec, lags, weights, basis, 0.1)
+        codec = estimate.ThetaCodec(p=spec.p, q=spec.q, d=spec.d, blocks=blocks)
+        want = _dense_sandwich(codec, spec, lags, weights, basis, 0.1)
+        # the normal matrix's condition (2.7e8 and 4.6e10) magnifies rounding
+        # differences (W J against diag(w) J); a wrong layout moves Sigma by O(1)
+        np.testing.assert_allclose(sigma, want, rtol=0.0, atol=1e-6 * np.max(np.abs(want)))
+
+    def test_sigma_at_the_gap_edge(self):
+        # lambda12 is one step plus half of MIN_EIGENVALUE_GAP from lambda11:
+        # the Jacobian steps one-sided on both
+        lam12 = (-1.5 - 0.5 * model.MIN_EIGENVALUE_GAP) / (1.0 - estimate.JACOBIAN_REL_STEP)
+        spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.5, lam12), (-1.2, -2.0)))
+        lags = estimate.axis_lag_set(2, 0.1, 10)
+        weights = np.tile(estimate.weights_quadratic(10), 2)
+        sigma = estimate.asymptotic_covariance(spec, lags, weights, simulate.GaussianBasis(), 0.1)
+        scale = np.max(np.abs(sigma))
+        assert np.all(np.isfinite(sigma))
+        np.testing.assert_array_equal(sigma, sigma.T)
+        assert np.min(np.linalg.eigvalsh(sigma)) > -1e-10 * scale
+
+    def test_sigma_next_to_a_zero_eigenvalue(self):
+        # a central step of lambda = -5e-6 crosses 0: it steps one-sided.
+        # Sigma is not checked for PSD here: V's lattice sums reach 4e16
+        # and cancel in F V F', which is left with rounding noise
+        spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-5e-6,),))
+        lags = estimate.axis_lag_set(1, 0.1, 10)
+        sigma = estimate.asymptotic_covariance(spec, lags, estimate.weights_quadratic(10),
+                                               simulate.GaussianBasis(), 0.1)
+        assert np.all(np.isfinite(sigma))
+        np.testing.assert_array_equal(sigma, sigma.T)
 
     def test_single_lag_design_is_singular(self):
         from carmafield.errors import SingularDesign

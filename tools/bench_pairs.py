@@ -14,8 +14,17 @@ first on odd ones.  Progress goes to standard error; standard output
 gets one JSON object, the ``workloads`` block of a ``BENCH_<n>.json``:
 per workload the seeds, and per end-to-end metric both sides' runs,
 medians, quartiles (``statistics.quantiles(n=4)``), the parent's
-interquartile range and the pairs in which the change is lower, then
-the failed and attempted operations and the correctness flags.
+interquartile range, the pairs in which the change is lower and a
+verdict against the metric's bound, then the failed and attempted
+operations, each side's failed share and the correctness flags.
+
+The end-to-end metrics, their better direction and their bounds are
+read from the change checkout's ``BENCHMARK.json``.  A metric is
+"unresolved" when the parent's interquartile range is wider than its
+bound times the parent's median, unless every change run beats every
+parent run; otherwise it is "worse beyond bound" when the change's
+median is worse than the parent's by more than the bound times the
+parent's median, and "within bound" when not.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("op_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 
 
@@ -52,10 +60,29 @@ def run_once(checkout, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
-def summarize(seeds, results):
-    """The BENCH layout of one workload; ``results[side]`` lists its runs."""
+def end_to_end_metrics(checkout):
+    """``{name: (better, bound)}`` of the end-to-end metrics in ``checkout``'s BENCHMARK.json."""
+    declared = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["better"], m["bound"]) for m in declared["end_to_end"]}
+
+
+def verdict(parent, change, better, bound):
+    """The metric's verdict (see the module docstring) from both sides' runs."""
+    sign = 1.0 if better == "lower" else -1.0  # signed runs: lower is better
+    parent, change = [sign * v for v in parent], [sign * v for v in change]
+    low, median, high = statistics.quantiles(parent, n=4)
+    if high - low > bound * abs(median) and not max(change) < min(parent):
+        return "unresolved"
+    if statistics.median(change) - median > bound * abs(median):
+        return "worse beyond bound"
+    return "within bound"
+
+
+def summarize(seeds, results, metrics):
+    """The BENCH layout of one workload; ``results[side]`` lists its runs and
+    ``metrics`` is ``end_to_end_metrics``'s map."""
     block = {"seeds": seeds}
-    for metric in METRICS:
+    for metric, (better, bound) in metrics.items():
         runs = {side: [round(r["metrics"][metric]["value"], 6) for r in results[side]]
                 for side in SIDES}
         quartiles = {side: statistics.quantiles(runs[side], n=4) for side in SIDES}
@@ -69,11 +96,14 @@ def summarize(seeds, results):
             "change_quartiles": [round(quartiles["change"][0], 6), round(quartiles["change"][2], 6)],
             "parent_iqr": round(quartiles["parent"][2] - quartiles["parent"][0], 6),
             "change_lower_in_pairs": f"{lower} of {len(seeds)}",
+            "verdict": verdict(runs["parent"], runs["change"], better, bound),
             "parent_runs": runs["parent"],
             "change_runs": runs["change"],
         }
     for key, total in (("failed", sum), ("attempted", sum), ("correct", all)):
         block[key] = {side: total(r[key] for r in results[side]) for side in SIDES}
+    block["failed_share"] = {side: block["failed"][side] / max(block["attempted"][side], 1)
+                             for side in SIDES}
     return block
 
 
@@ -90,6 +120,7 @@ def main(argv=None):
     for side, path in checkouts.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"{side} checkout {path} has no perfbench/run.py")
+    metrics = end_to_end_metrics(checkouts["change"])
     workloads = {}
     for workload in args.workload.split(","):
         results = {side: [] for side in SIDES}
@@ -99,7 +130,10 @@ def main(argv=None):
                 results[side].append(result)
                 op_s = result["metrics"]["op_s"]["value"]
                 print(f"{workload} seed {seed} {side}: op_s {op_s:.6g}", file=sys.stderr, flush=True)
-        workloads[workload] = summarize(args.seeds, results)
+        workloads[workload] = summarize(args.seeds, results, metrics)
+        for metric, (_, bound) in metrics.items():
+            print(f"{workload} {metric}: {workloads[workload][metric]['verdict']} "
+                  f"(bound {bound:.0%})", file=sys.stderr, flush=True)
     print(json.dumps(workloads, indent=1))
     return 0
 
