@@ -34,7 +34,7 @@ class DuplicateEigenvalue(ValidationError):
 
 
 class IllConditionedVandermonde(NumericError):
-    """Eigenvalue geometry makes the Vandermonde factorization unusable."""
+    """A closed form that must be real has an imaginary residue above tolerance."""
 
 
 # -- simulate ---------------------------------------------------------------

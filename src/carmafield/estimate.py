@@ -593,8 +593,8 @@ class _Ordinates:
     At construction each axis keeps the output columns of its lags (a
     slice where they are contiguous, as in an axis-major lag set) and
     their distances as a column.  A call
-    on S rows of a real codec then makes about 35 array passes at
-    p = 1, whatever S: 3 to expand the codec, about 20 in
+    on S rows of a real codec then makes about 30 array passes at
+    p = 1, whatever S: 3 to expand the codec, about 14 in
     ``model._spec_rows``, 3 plus one einsum per axis for the axis
     weights, 7 per axis group (the exponentials in place, one batched
     matmul, the scaling, the store and the row mask; real values pass
@@ -614,7 +614,7 @@ class _Ordinates:
     def __call__(self, thetas):
         b, lam = self.codec.expand(thetas)
         kappa2 = self.codec.kappa2
-        tensor, lam, ok, _ = model._spec_rows(b, lam)
+        tensor, lam, ok = model._spec_rows(b, lam)
         out = np.empty((b.shape[0], self.k))
         if self.axis_groups:
             dstar = model._axis_weights(tensor, lam)

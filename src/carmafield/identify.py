@@ -242,8 +242,7 @@ def _quadratic_form_rows(eigenvalues_per_axis, kappa2, q):
     for row, (i, j) in enumerate(pairs):
         probes[row, [i, j]] = 1.0
     lam = np.broadcast_to(np.asarray(eigs, dtype=complex), (len(pairs), d, p))
-    tensor, lam, _, cond = model._spec_rows(probes, lam)
-    model._check_condition(cond)
+    tensor, lam, _ = model._spec_rows(probes, lam)
     weights = np.concatenate(model._axis_weights(tensor, lam), axis=1)
     unit = {i: w for (i, j), w in zip(pairs, weights) if i == j}
     rows = np.stack(

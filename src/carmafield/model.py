@@ -27,7 +27,7 @@ functions share one implementation.
 
 The eigenvalues' dtype is the arithmetic's: ``_eigenvalue_array`` makes
 a real spectrum a float64 array and any other a complex128 one, and the
-Vandermonde factors, the coefficient tensor, the exponential factors
+eigenvalue differences, the coefficient tensor, the exponential factors
 and every contraction downstream inherit it.  A real spectrum is
 therefore computed in real arithmetic, with no imaginary half;
 ``_real`` guards the results of a complex one.
@@ -73,7 +73,6 @@ __all__ = [
 IMAG_TOL = 1e-9
 CONJUGATE_TOL = 1e-9
 MIN_EIGENVALUE_GAP = 1e-6
-VANDERMONDE_COND_MAX = 1e12
 
 # einsum labels in ascending character order: a label's rank is its
 # index, which fixes the order in which einsum sums over labels
@@ -163,6 +162,14 @@ def canonical_order(eigs):
 @lru_cache(maxsize=None)
 def _pair_indices(p):
     return np.triu_indices(p, 1)
+
+
+@lru_cache(maxsize=None)
+def _other_indices(p):
+    """Row k lists the indices l != k of 0, ..., p - 1, shape (p, p - 1); read-only."""
+    indices = np.array([[l for l in range(p) if l != k] for k in range(p)])
+    indices.flags.writeable = False
+    return indices
 
 
 def _row_rules(b, lam):
@@ -304,49 +311,42 @@ def _eigenvalue_array(eigenvalues):
     return lam if lam.imag.any() else lam.real.copy()
 
 
-def _vandermonde(lam):
-    """Vandermonde factors of eigenvalue rows, batched over leading dimensions.
+def _coeff_tensors(b, lam):
+    """Coefficient tensors of S rows in closed form, shape (S, p, ..., p).
 
-    ``lam`` has shape (..., p).  Returns V with V[..., j, k] = lam[..., k]^j,
-    V^{-1} (both of ``lam``'s dtype) and the condition number of each V.
-    A V whose condition is not finite or exceeds ``VANDERMONDE_COND_MAX``
-    gets the identity in place of its inverse; for p = 1, V = 1 and no
-    condition is computed.
+    With P_i^{(k)} the spectral projector onto the k-th eigenvalue of
+    axis i, the coefficient for (k_1, ..., k_d) is
+    b' P_1^{(k_1)} ... P_d^{(k_d)} e_p.  Written out with
+    b(z) = b_0 + b_1 z + ... + b_{p-1} z^{p-1}, a_i(z) = prod_k (z - lam_{i,k})
+    and the Lagrange basis l_{i,k}(z) = prod_{l != k} (z - lam_{i,l}) /
+    a_i'(lam_{i,k}), that is the chain
+
+        b(lam_{1,k_1}) l_{1,k_1}(lam_{2,k_2}) ... l_{d-1,k_{d-1}}(lam_{d,k_d})
+            / a_d'(lam_{d,k_d}),
+
+    Brockwell's b(lam_k) / a'(lam_k) at d = 1.  Only products of
+    eigenvalue differences are divided, and the gap rule keeps them
+    nonzero.  ``b`` has shape (S, p) and ``lam`` shape (S, d, p); the
+    tensors take ``lam``'s dtype.  At p = 1 every factor but b_0 is 1.
     """
-    p = lam.shape[-1]
+    rows, d, p = lam.shape
     if p == 1:
-        vmat = np.ones(lam.shape + (1,), dtype=lam.dtype)
-        return vmat, vmat, np.ones(lam.shape[:-1])
-    vmat = np.ones(lam.shape[:-1] + (p, p), dtype=lam.dtype)
-    vmat[..., 1:, :] = lam[..., None, :]
-    # running products, as np.vander forms the powers
-    np.multiply.accumulate(vmat[..., 1:, :], axis=-2, out=vmat[..., 1:, :])
-    sing = np.linalg.svd(vmat, compute_uv=False)
-    cond = sing[..., 0] / sing[..., -1]
-    bad = ~(cond <= VANDERMONDE_COND_MAX)
-    if bad.any():
-        return vmat, np.linalg.inv(np.where(bad[..., None, None], np.eye(p), vmat)), cond
-    return vmat, np.linalg.inv(vmat), cond
-
-
-def _coeff_tensors(b, vmat, vinv):
-    """Coefficient tensors of S rows via spectral projectors, shape (S, p, ..., p).
-
-    With P_i^{(k)} = V_i E_k V_i^{-1} the projector onto the k-th
-    eigenvalue of axis i, the coefficient for (k_1, ..., k_d) is
-    b' P_1^{(k_1)} ... P_d^{(k_d)} e_p.  Because each projector is the
-    outer product of a column of V_i and a row of V_i^{-1}, the d-fold
-    product collapses to a chain of scalar couplings.  ``b`` has shape
-    (S, p); ``vmat`` and ``vinv`` hold the (S, d, p, p) factors V and
-    V^{-1} of ``_vandermonde``.
-    """
-    d = vmat.shape[1]
+        return b.astype(lam.dtype).reshape((rows,) + (1,) * d)
+    others = _other_indices(p)
+    # a_i'(lam_{i,k}) = prod_{l != k} (lam_{i,k} - lam_{i,l}), shape (S, d, p)
+    slopes = (lam[..., None] - lam[..., others]).prod(axis=-1)
+    # l_{i,k}(lam_{i+1,m}) over [k, m], shape (S, d - 1, p, p)
+    diffs = lam[:, 1:, None, None, :] - lam[:, :-1, others, None]
+    lagrange = diffs.prod(axis=-2) / slopes[:, :-1, :, None]
+    # b(lam_{1,k}) by Horner's rule
+    first = b[:, -1:]
+    for j in range(p - 2, -1, -1):
+        first = first * lam[:, 0] + b[:, j:j + 1]
     batch = d  # the einsum label of the rows, after the d axis labels
-    operands = [(b[:, None, :] @ vmat[:, 0])[:, 0], [batch, 0]]
+    operands = [first, [batch, 0]]
     for i in range(1, d):
-        operands += [vinv[:, i - 1] @ vmat[:, i], [batch, i - 1, i]]
-    # V^{-1} e_p is the last column of V^{-1}
-    operands += [vinv[:, -1, :, -1], [batch, d - 1], [batch, *range(d)]]
+        operands += [lagrange[:, i - 1], [batch, i - 1, i]]
+    operands += [1.0 / slopes[:, -1], [batch, d - 1], [batch, *range(d)]]
     return np.einsum(*operands)
 
 
@@ -355,13 +355,10 @@ def _spec_rows(b, lam):
 
     ``b`` has shape (S, p) and ``lam``, conjugate-closed per axis, shape
     (S, d, p); the tensors take ``lam``'s dtype.  A row fails where it
-    breaks a rule of ``_row_rules`` or an axis's Vandermonde condition
-    exceeds ``VANDERMONDE_COND_MAX``.
-    A row breaking a rule is computed on a stand-in valid row, and one
-    failing the condition on the identity as V^{-1} (see
-    ``_vandermonde``), so every later step stays finite.  Returns the
-    (S, p, ..., p) tensors, ``lam`` with the stand-ins, the mask of rows
-    that passed and the (S, d) Vandermonde condition numbers.
+    breaks a rule of ``_row_rules``, and is computed on a stand-in valid
+    row, so every later step stays finite.  Returns the (S, p, ..., p)
+    tensors (see ``_coeff_tensors``), ``lam`` with the stand-ins and the
+    mask of rows that passed.
     """
     p = b.shape[1]
     ok = np.ones(b.shape[0], dtype=bool)
@@ -370,18 +367,7 @@ def _spec_rows(b, lam):
     if not ok.all():
         b = np.where(ok[:, None], b, 1.0)
         lam = np.where(ok[:, None, None], lam, -np.arange(1.0, p + 1))
-    vmat, vinv, cond = _vandermonde(lam)
-    ok &= (cond <= VANDERMONDE_COND_MAX).all(axis=1)
-    return _coeff_tensors(b, vmat, vinv), lam, ok, cond
-
-
-def _check_condition(cond):
-    """Raise IllConditionedVandermonde unless every condition number passes."""
-    worst = float(np.max(cond))
-    if not worst <= VANDERMONDE_COND_MAX:
-        raise IllConditionedVandermonde(
-            f"Vandermonde condition {worst:.3e} exceeds {VANDERMONDE_COND_MAX:.0e}"
-        )
+    return _coeff_tensors(b, lam), lam, ok
 
 
 @lru_cache(maxsize=128)
@@ -389,14 +375,12 @@ def _expansion(spec):
     """A spec as a batch of one through ``_spec_rows``.
 
     Returns its (p,)*d coefficient tensor (see ``_coeff_tensors``) and
-    its (d, p) eigenvalues (see ``_eigenvalue_array``); raises
-    IllConditionedVandermonde where an axis fails the condition test.
+    its (d, p) eigenvalues (see ``_eigenvalue_array``).
     """
-    tensor, lam, _, cond = _spec_rows(
+    tensor, lam, _ = _spec_rows(
         np.asarray(spec.b, dtype=float)[None],
         _eigenvalue_array(spec.eigenvalues)[None],
     )
-    _check_condition(cond)
     return tensor[0], lam[0]
 
 

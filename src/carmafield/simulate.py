@@ -280,6 +280,7 @@ class LatticeField:
     """Field values on the lattice {delta, ..., n*delta}^d (row-major).
 
     ``values[k1 - 1, ..., kd - 1]`` is the value at (k1 d1, ..., kd dd).
+    Every axis has at least one point, and every value is finite.
     """
 
     delta: tuple
@@ -289,6 +290,8 @@ class LatticeField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.delta = model._per_axis(self.delta, self.values.ndim, "delta")
+        if 0 in self.values.shape:
+            raise ValidationError(f"field has an axis of length 0: shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteValue("field contains non-finite values")
 

@@ -78,11 +78,18 @@ def diagnose(field, bins=100):
     Returns a dict with per-axis marginal means (mean over all other
     axes), a density histogram with a standard-normal reference column,
     sample statistics, and any warnings (for instance a degenerate
-    histogram on constant data).
+    histogram on constant data).  A value range that is not finite, or
+    too narrow for ``bins`` distinct bin edges, raises ValidationError.
     """
     if bins < 1:
         raise ValidationError(f"the histogram needs at least 1 bin, got {bins}")
     values = field.values
+    low, high = float(values.min()), float(values.max())
+    # numpy's own test for equal-width bins, checked before it raises
+    if not (math.isfinite(high - low) and (
+            low == high or np.all(np.diff(np.linspace(low, high, bins + 1)) > 0))):
+        raise ValidationError(f"the field's value range [{low!r}, {high!r}] cannot "
+                              f"be split into {bins} finite bins")
     axis_means = []
     for ax in range(values.ndim):
         other = tuple(i for i in range(values.ndim) if i != ax)
@@ -102,8 +109,8 @@ def diagnose(field, bins=100):
         "normal_reference": reference,
         "mean": mean,
         "std": std,
-        "min": float(values.min()),
-        "max": float(values.max()),
+        "min": low,
+        "max": high,
         "count": int(values.size),
         "warnings": warnings,
     }

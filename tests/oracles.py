@@ -8,13 +8,15 @@ the autocovariance has a state-space form (matrix exponentials and
 Lyapunov solves, no eigen-expansion), the empirical variogram is
 summed from squared differences lag by lag,
 the explicit CARMA(2,1) coefficient tables are transcribed directly,
-and the estimator covariance V is summed lattice offset by lattice
+the kernel's coefficient tensor is built from its spectral projectors
+in exact rational arithmetic, and the estimator covariance V is summed lattice offset by lattice
 offset over a truncated window (its per-axis gamma pair sums also step
 by step, for a bit-for-bit check of the package's array sum).
 """
 
 import math
 import string
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, linalg
@@ -237,6 +239,51 @@ def autocovariance_state_space(spec, t):
     b = np.zeros(p)
     b[: len(spec.b)] = spec.b
     return spec.kappa2 * float(b @ y @ b)
+
+
+def _inverse_exact(mat):
+    """Inverse of a square matrix of fractions by Gauss-Jordan elimination."""
+    n = len(mat)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * c for a, c in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def kernel_coefficients_exact(spec):
+    """Kernel coefficients of a real spectrum, in exact rational arithmetic.
+
+    The spectral projector onto the k-th eigenvalue of axis i is
+    P_i^{(k)} = V_i E_k V_i^{-1}, with V_i[j, k] = lam_{i,k}^j inverted
+    by Gauss-Jordan elimination over fractions of the float inputs.
+    Entry K of the (p,)*d float array is b' P_1^{(K_1)} ... P_d^{(K_d)} e_p,
+    rounded once.
+    """
+    if any(e.imag != 0.0 for axis in spec.eigenvalues for e in axis):
+        raise ValueError("the exact reference takes real spectra only")
+    p = spec.p
+    projectors = []
+    for axis in spec.eigenvalues:
+        lam = [Fraction(e.real) for e in axis]
+        vmat = [[v ** j for v in lam] for j in range(p)]
+        vinv = _inverse_exact(vmat)
+        projectors.append([[[vmat[r][k] * vinv[k][c] for c in range(p)]
+                            for r in range(p)] for k in range(p)])
+    out = np.empty((p,) * spec.d)
+    for index in np.ndindex(*out.shape):
+        row = [Fraction(v) for v in spec.b]
+        for axis_projectors, k in zip(projectors, index):
+            proj = axis_projectors[k]
+            row = [sum(row[r] * proj[r][c] for r in range(p)) for c in range(p)]
+        out[index] = float(row[-1])
+    return out
 
 
 def kernel_series_car1(lam, s, terms=60):

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import time
@@ -641,6 +642,39 @@ class TestCliCommands:
                       ["--p", 2, "--q", 3], ["--p", 2, "--kappa2", 0]):
             assert run_cli(["recover", "--input", vario, "--output-dir", tmp_path / "ro"]
                            + order) == 1
+
+
+    @pytest.mark.parametrize("kind", ["zero-length-axis", "overflowing-range",
+                                      "sub-ulp-range"])
+    def test_diagnose_refuses_a_field_it_cannot_bin(self, tmp_path, kind):
+        grid = tmp_path / "field.carf"
+        if kind == "zero-length-axis":
+            # axis sizes (0, 5): a header no LatticeField can write
+            grid.write_bytes(gridio.MAGIC + bytes([gridio.VERSION, 2])
+                             + struct.pack("<dQdQ", 0.1, 0, 0.1, 5))
+        else:
+            values = np.ones((4, 5))
+            # a span of inf, or one too narrow for 100 distinct bin edges
+            values[0, 0] = 1.0 + 1e-14
+            if kind == "overflowing-range":
+                values[0, :2] = 1.7e308, -1.7e308
+            gridio.write_carf(simulate.LatticeField(delta=0.1, values=values), grid)
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "carmafield.cli", "diagnose", "--input", str(grid),
+             "--output-dir", str(tmp_path / "dg")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
+    def test_lattice_field_refuses_a_zero_length_axis(self):
+        for shape in ((0, 5), (5, 0), (0,)):
+            with pytest.raises(ValidationError, match="length 0"):
+                simulate.LatticeField(delta=0.1, values=np.zeros(shape))
 
 
 class TestInputsUntouched:

@@ -237,6 +237,34 @@ class TestFullPipeline:
                     sorted_eigs(got), sorted_eigs(want), atol=1e-7
                 )
 
+    # two p = 3 specs of criterion 6's menu that missed the 1e-7 gate
+    # by 1.9e-7 and 1.75e-7 while the coefficients came from an inverted
+    # Vandermonde matrix
+    @pytest.mark.parametrize("spec", [
+        model.CarmaSpec(
+            b=(0.7506797814644077, -0.9926672698839774, 0.0),
+            eigenvalues=((-0.7883309362283, -0.42668626479911304, -2.119725404149027),
+                         (-1.2386034848501808, -1.53740069165125, -2.097552929614362)),
+            kappa2=1.9400923788799473),
+        model.CarmaSpec(
+            b=(1.505464930572686, -1.7734345471521018, 0.0),
+            eigenvalues=((-2.247228884906838, -1.5129059776349068, -1.7848757460104325),
+                         (-1.2134245142347233, -1.9724094743619691, -2.476291188478131)),
+            kappa2=1.5969033887229551),
+    ], ids=["pool2-171", "pool2-384"])
+    def test_round_trip_of_fixed_specs(self, spec):
+        p, q, delta = spec.p, spec.q, 0.35
+        assert identify.check_identifiability(spec, delta).verdict == "identifiable"
+        ords = identify.exact_axis_ordinates(spec, delta, 3 * p + 8)
+        rec = identify.recover_spec(ords, p, q, spec.kappa2)
+        np.testing.assert_allclose(
+            np.asarray(rec.b[: q + 1]), np.asarray(spec.b[: q + 1]), rtol=0, atol=1e-7
+        )
+        for got, want in zip(rec.eigenvalues, spec.eigenvalues):
+            np.testing.assert_allclose(
+                sorted_eigs(got), sorted_eigs(want), rtol=0, atol=1e-7
+            )
+
     def test_noise_sensitivity_documented_band(self, rng):
         # relative ordinate noise 1e-6 moves the recovered eigenvalues
         # by O(1e-4) on a well-separated spec: median ~4e-4, and the

@@ -139,6 +139,19 @@ class TestKernel:
             exact = b[0] * phi + b[1] * (l2 * phi + np.exp(l1 * s))
             assert model.kernel_eval(spec, (s,)) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("p, gap", [(2, None), (2, 1e-4), (2, 1e-6),
+                                        (3, 1e-3), (3, 1e-5), (3, 3e-6)])
+    def test_coefficients_match_exact_projectors(self, p, gap):
+        # both axes clustered: the couplings between axes meet the gaps too
+        eigs = REF_EIGS if gap is None else tuple(
+            tuple(centre - k * gap for k in range(p)) for centre in (-2.5, -0.6))
+        spec = model.CarmaSpec(b=(0.6786, -1.2827, 0.3)[:p], eigenvalues=eigs)
+        exact = oracles.kernel_coefficients_exact(spec)
+        got = model.kernel_coefficients(spec)
+        assert not got.imag.any()
+        np.testing.assert_allclose(got.real, exact, rtol=0.0,
+                                   atol=1e-13 * np.abs(exact).max())
+
     @pytest.mark.parametrize("point", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.5)])
     def test_rejects_non_finite_point(self, point):
         with pytest.raises(ValidationError):
@@ -260,16 +273,24 @@ class TestStateSpaceCrossCheck:
                 oracles.autocovariance_state_space(spec, t), rel=1e-12
             )
 
-    # the eigen-expansion's coefficients grow like 1/gap and cancel; the
-    # state-space form is within 1e-15 of a 40-digit integral here, while
-    # the expansion is off by about 1.3e-7, 5.5e-5 and 2.7e-4
+    # the eigen-expansion's coefficients grow like 1/gap^(p-1) and cancel
+    # in the sums; the state-space form is within 1e-15 of a 40-digit
+    # integral at p = 2, while the expansion is off by about 3.9e-7,
+    # 5.5e-5 and 2.7e-4 there, and by 0.074% and 1,963% at p = 3
     @pytest.mark.xfail(strict=True, reason="eigen-expansion loses accuracy "
                        "for near-confluent eigenvalues (ROADMAP direction 3)")
-    @pytest.mark.parametrize("gap", [1e-4, 1e-5, 2e-6])
-    def test_near_confluent_eigenvalues(self, gap):
-        spec = model.CarmaSpec(
-            b=(0.6786, -1.2827), eigenvalues=((-2.0, -2.0 - gap),), kappa2=0.598
-        )
+    @pytest.mark.parametrize("p, gap", [(2, 1e-4), (2, 1e-5), (2, 2e-6),
+                                        (3, 1e-3), (3, 1e-4)])
+    def test_near_confluent_eigenvalues(self, p, gap):
+        if p == 2:
+            spec = model.CarmaSpec(
+                b=(0.6786, -1.2827), eigenvalues=((-2.0, -2.0 - gap),), kappa2=0.598
+            )
+        else:
+            spec = model.CarmaSpec(
+                b=(0.6786, -1.2827, 0.3),
+                eigenvalues=((-1.0, -1.0 - gap, -1.0 - 2 * gap),), kappa2=0.598,
+            )
         assert model.autocovariance(spec, (0.3,)) == pytest.approx(
             oracles.autocovariance_state_space(spec, (0.3,)), rel=1e-10
         )

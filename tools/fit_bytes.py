@@ -9,8 +9,9 @@ Usage (from anywhere):
 of the commit to check); its ``src`` is the ``PYTHONPATH`` of every run.
 For every seed the script simulates a truncated-discretized ("TD")
 field of the reference spec with Gaussian noise (``carma-field
-simulate``), then fits it twice with ``carma-field fit``: with the
-default model menu and with ``--models car1``.  Standard output gets
+simulate``), then fits it three times with ``carma-field fit``: with
+the default model menu, with ``--models car1`` and with the p = 3
+models ``--models car3,carma31``.  Standard output gets
 one JSON object that maps ``seed<s>/<run>/<file>`` to the file's
 sha256, for the field and for every fit output the run's manifest
 lists; the manifests themselves are left out, since they echo the
@@ -34,7 +35,7 @@ from bench_pairs import seed_list
 # the reference spec of the package's tests and benchmarks
 REF_B = "4.8940,-1.1432"
 REF_EIGENVALUES = "-1.7776,-2.0948;-1.3057,-2.5142"
-FITS = {"default": [], "car1": ["--models", "car1"]}
+FITS = {"default": [], "car1": ["--models", "car1"], "p3": ["--models", "car3,carma31"]}
 
 
 def carma_field(checkout, args):
