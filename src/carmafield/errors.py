@@ -64,15 +64,11 @@ class SingularDesign(NumericError):
 # -- identify ---------------------------------------------------------------
 
 class SingularHankel(NumericError):
-    """The Hankel system of variogram ordinates is numerically singular."""
-
-
-class RootOutsideBand(NumericError):
-    """A recovered eigenvalue falls outside the aliasing band."""
+    """The Hankel matrix of variogram differences has rank below the order."""
 
 
 class UnstableRoot(NumericError):
-    """A recovered root lies on or outside the unit circle unexpectedly."""
+    """A recovered root lies on or outside the unit circle, or is real and not positive."""
 
 
 class NegativeVarianceEstimate(NumericError):

@@ -105,7 +105,6 @@ class EmpiricalVariogram:
     ordinates: np.ndarray
     pair_counts: np.ndarray
     delta: tuple
-    n: tuple
 
     def __post_init__(self):
         self.lags = np.atleast_2d(np.asarray(self.lags, dtype=float))
@@ -144,7 +143,7 @@ class EmpiricalVariogram:
                 fh.write(",".join(cells) + "\n")
 
     @classmethod
-    def from_csv(cls, path, delta=None, n=None):
+    def from_csv(cls, path, delta=None):
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             if header[-2:] != ["ordinate", "pair_count"]:
@@ -182,7 +181,6 @@ class EmpiricalVariogram:
             ordinates=np.asarray(ords),
             pair_counts=np.asarray(counts),
             delta=model._per_axis(delta, d, "delta"),
-            n=tuple(n) if n is not None else (0,) * d,
         )
 
 
@@ -309,7 +307,6 @@ def empirical_variogram(field, lags):
         ordinates=np.maximum(sums / counts, 0.0),
         pair_counts=counts,
         delta=field.delta,
-        n=field.n,
     )
 
 

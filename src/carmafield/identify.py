@@ -1,14 +1,17 @@
-"""Constructive parameter recovery from exact axis variogram ordinates.
+"""Constructive parameter recovery from axis variogram ordinates.
 
-On each principal axis the variogram is a finite exponential sum, so
-the sampled ordinates psi(j * delta * e_i) satisfy a linear recurrence
-whose characteristic roots are exp(lambda * delta).  Solving the
-associated Hankel system (a Prony-type step, with an artificial root at
-1 carrying the variogram's limit value) recovers the eigenvalues of the
-companion matrices; the moving-average vector then follows from the
-exponential-sum weights, which are linear in the monomials b_i b_j.
-The rank of that monomial system decides whether b is identifiable,
-for every order (p, q) and dimension d.
+On each principal axis the variogram is a finite exponential sum, and
+its first differences have no constant term:
+
+    psi_{j+1} - psi_j = sum_k c_k z_k^j,   z_k = exp(lambda_k delta),
+    c_k = 2 kappa2 dstar_k (1 - z_k).
+
+A rank-p matrix pencil of those differences (Hua & Sarkar 1990) gives
+the roots z_k, hence the eigenvalues of the companion matrices; the
+axis weights dstar_k then follow by linear least squares, and they are
+linear in the monomials b_i b_j.  The rank of that monomial system
+decides whether b is identifiable, for every order (p, q) and
+dimension d.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import model
 from .errors import (
     InconsistentMonomials,
     NegativeVarianceEstimate,
     RankDeficient,
-    RootOutsideBand,
     SingularHankel,
     UnstableRoot,
     ValidationError,
@@ -39,12 +42,9 @@ __all__ = [
     "exact_axis_ordinates",
 ]
 
+# the Hankel matrix of the differences has rank below p when its p-th
+# singular value is at most this share of its largest
 HANKEL_COND_MAX = 1e12
-# The recovered root standing in for exp(0) = 1 moves with ordinate
-# noise (relative noise 1e-6 displaces it by ~1e-4), so the gate is a
-# dominance test, not a tight equality test.
-ARTIFACT_ROOT_TOL = 1e-3
-IMAG_ZERO_TOL = 1e-9
 DSTAR_NONZERO_TOL = 1e-10
 # singular values of the monomial system below this share of its
 # largest entry count as zero in the rank test
@@ -98,59 +98,29 @@ class IdentifiabilityReport:
     verdict: str
 
 
-def _symmetrize_conjugates(eigs):
-    """Zero small imaginary parts and enforce exact conjugate pairing."""
-    out = []
-    pending = []
-    for e in map(complex, eigs):
-        if abs(e.imag) < IMAG_ZERO_TOL:
-            out.append(complex(e.real, 0.0))
-        else:
-            pending.append(e)
-    while pending:
-        lam = pending.pop()
-        best, dist = None, np.inf
-        for k, other in enumerate(pending):
-            gap = abs(other - lam.conjugate())
-            if gap < dist:
-                best, dist = k, gap
-        if best is None or dist > 1e-6 * max(1.0, abs(lam)):
-            raise UnstableRoot(
-                f"recovered eigenvalue {lam} has no conjugate partner"
-            )
-        partner = pending.pop(best)
-        mean = 0.5 * (lam + partner.conjugate())
-        out.extend([mean, mean.conjugate()])
-    return out
-
-
 def recover_axis_eigenvalues(ordinates, p):
-    """Recover one axis's p eigenvalues from exact variogram ordinates.
+    """Recover one axis's p eigenvalues from its variogram ordinates.
 
-    Builds the (p+1)-column Hankel system in the ordinates (the extra
-    column carries the artificial unit root for the variogram limit),
-    solves for the recurrence coefficients, roots the monic
-    degree-(p+1) polynomial via its companion matrix, discards the root
-    standing in for exp(0) = 1 and maps the rest through the principal
-    logarithm divided by delta.
+    Forms the Hankel matrix of the J first differences of the scaled
+    ordinates, W = max(p, J // 3) + 1 columns wide, and keeps its
+    leading p right singular vectors B.  The roots z = exp(lambda
+    delta) are the eigenvalues of the real p x p pencil matrix
+    pinv(B[:-1]) B[1:], so real roots come out real and complex ones in
+    exact conjugate pairs; lambda = log(z) / delta.
 
-    Requires ordinates for j = 0..2p+1 at least; that minimum gives the
-    square Hankel system, while additional ordinates extend it to a
-    least-squares system of the same structure and noticeably improve
-    the attainable accuracy (the small-lag ordinates suffer heavy
-    cancellation, so the minimal system sits close to the float64 noise
-    floor).
+    Requires ordinates for j = 0..2p+1 at least.  More ordinates widen
+    the pencil and noticeably improve the attainable accuracy (the
+    small-lag ordinates suffer heavy cancellation).
 
     Raises
     ------
     SingularHankel
-        Condition number above ``HANKEL_COND_MAX`` (typically a violated
-        hypothesis such as a vanishing axis weight).
+        The Hankel matrix has rank below p: its p-th singular value is
+        at most 1 / ``HANKEL_COND_MAX`` of its largest (typically a
+        violated hypothesis such as a vanishing axis weight).
     UnstableRoot
-        No root close enough to 1, or a recovered root on or outside
-        the unit circle.
-    RootOutsideBand
-        A recovered imaginary part escapes [-pi/delta, pi/delta).
+        A recovered root lies on or outside the unit circle, or is real
+        and not positive (the edge of the aliasing band).
     """
     values = np.asarray(ordinates.values, dtype=float)
     if values.size < 2 * p + 2:
@@ -161,61 +131,36 @@ def recover_axis_eigenvalues(ordinates, p):
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         raise SingularHankel("all ordinates vanish")
-    phi = values / scale
-    # one recurrence row per available window; square system for the
-    # minimal j = 0..2p+1, least squares (same structure) beyond that
-    n_rows = values.size - p - 1
-    hank = np.empty((n_rows, p + 1))
-    rhs = np.empty(n_rows)
-    for r in range(n_rows):
-        hank[r, :] = phi[r : r + p + 1]
-        rhs[r] = -phi[r + p + 1]
-    cond = np.linalg.cond(hank)
-    if not np.isfinite(cond) or cond > HANKEL_COND_MAX:
-        raise SingularHankel(f"Hankel condition {cond:.3e}")
-    rcoef, *_ = np.linalg.lstsq(hank, rhs, rcond=None)
-    roots = np.roots(np.concatenate(([1.0], rcoef[::-1])))
-    # drop the unit root introduced by the variogram limit; it must be
-    # both close to 1 and clearly closer than any genuine root
-    dist = np.abs(roots - 1.0)
-    order = np.argsort(dist)
-    k_unit = int(order[0])
-    separated = dist[order[0]] < 0.5 * dist[order[1]] if roots.size > 1 else True
-    if dist[k_unit] > ARTIFACT_ROOT_TOL or not separated:
-        raise UnstableRoot(
-            f"no recovered root stands in for exp(0) = 1 "
-            f"(closest: {roots[k_unit]})"
+    steps = np.diff(values / scale)
+    hank = sliding_window_view(steps, max(p, steps.size // 3) + 1)
+    _, sing, vh = np.linalg.svd(hank, full_matrices=False)
+    if not sing[p - 1] > sing[0] / HANKEL_COND_MAX:
+        raise SingularHankel(
+            f"Hankel matrix of rank below {p} (singular values {sing[0]:.3e}, "
+            f"{sing[p - 1]:.3e})"
         )
-    roots = np.delete(roots, k_unit)
-    if np.any(np.abs(roots) >= 1.0) or np.any(np.abs(roots) <= 1e-300):
-        raise UnstableRoot("recovered roots must lie strictly inside the unit circle")
-    logs = np.log(roots.astype(complex))
-    # principal branch returns Im in (-pi, pi]; fold the closed endpoint
-    im = np.where(logs.imag > np.pi - 1e-12, logs.imag - 2 * np.pi, logs.imag)
-    lam = (logs.real + 1j * im) / ordinates.delta
-    band = np.pi / ordinates.delta
-    if np.any(lam.imag < -band - 1e-9) or np.any(lam.imag >= band + 1e-9):
-        raise RootOutsideBand("recovered eigenvalue outside the aliasing band")
-    return model.canonical_order(_symmetrize_conjugates(lam))
+    basis = vh[:p].T
+    roots = np.linalg.eigvals(np.linalg.pinv(basis[:-1]) @ basis[1:])
+    if np.any(np.abs(roots) >= 1.0) or np.any((roots.imag == 0) & (roots.real <= 0)):
+        raise UnstableRoot(
+            f"recovered roots {roots} must lie strictly inside the unit circle, "
+            "off the non-positive real axis"
+        )
+    return model.canonical_order(map(complex, np.log(roots) / ordinates.delta))
 
 
 def recover_axis_weights(ordinates, eigenvalues, kappa2):
     """Exponential-sum weights dstar for known eigenvalues.
 
-    Solves the (overdetermined) generation system over all available
-    ordinates, with the unit root included; its coefficient is the
-    large-lag variogram value, which must come out real.
+    Fits the first differences of the ordinates by least squares on the
+    columns z_k^j, z_k = exp(lambda_k delta), and maps each coefficient
+    c_k to dstar_k = c_k / (2 kappa2 (1 - z_k)).
     """
-    values = np.asarray(ordinates.values, dtype=float)
-    lam = np.asarray(eigenvalues, dtype=complex)
-    roots = np.concatenate(([1.0 + 0j], np.exp(lam * ordinates.delta)))
-    j = np.arange(values.size)
-    design = roots[None, :] ** j[:, None]
-    coeffs, *_ = np.linalg.lstsq(design, values.astype(complex), rcond=None)
-    limit = coeffs[0]
-    if abs(limit.imag) > 1e-8 * max(1.0, abs(limit.real)):
-        raise UnstableRoot("variogram limit came out complex")
-    return -coeffs[1:] / (2.0 * kappa2)
+    steps = np.diff(np.asarray(ordinates.values, dtype=float))
+    roots = np.exp(np.asarray(eigenvalues, dtype=complex) * ordinates.delta)
+    design = roots[None, :] ** np.arange(steps.size)[:, None]
+    coeffs, *_ = np.linalg.lstsq(design, steps.astype(complex), rcond=None)
+    return coeffs / (2.0 * kappa2 * (1.0 - roots))
 
 
 def _monomials(q):
@@ -319,7 +264,7 @@ def recover_b(dstar_per_axis, eigenvalues_per_axis, kappa2, q):
 def recover_spec(ordinates_per_axis, p, q, kappa2):
     """Full pipeline: axis ordinates -> CarmaSpec of order (p, q).
 
-    Eigenvalues per axis from the Hankel step, the axis weights for
+    Eigenvalues per axis from the matrix pencil, the axis weights for
     those eigenvalues, then b from ``recover_b``.  The order must meet
     0 <= q < p and kappa2 must be finite and positive; both are checked
     before any recovery step.

@@ -52,24 +52,41 @@ def worker_count(n_tasks):
     return max(1, min(limit, n_tasks))
 
 
+def _scaled_moments(values):
+    """Mean and standard deviation of the values scaled by a power of two.
+
+    The power of two takes the largest magnitude into [0.5, 1), so no
+    square overflows, and scaling by it is exact: the moments equal
+    numpy's own (the same sums in the same order) wherever numpy's
+    squares stay finite and normal, and are more accurate elsewhere.
+    Returns (exponent, mean, std), the moments of
+    ``np.ldexp(values, -exponent)``; ``np.ldexp(m, exponent)`` restores
+    the units.  One work array is squared in place, as ``np.std`` does.
+    """
+    exponent = int(np.frexp(max(-values.min(), values.max()))[1])
+    work = np.ldexp(values, -exponent)
+    mean = float(work.mean())
+    work -= mean
+    np.square(work, out=work)
+    return exponent, mean, math.sqrt(float(work.mean()))
+
+
 def normalize(field):
     """Affine rescale to sample mean zero and variance one.
 
     The applied shift and scale are recorded in the provenance so the
     original values are recoverable.
     """
-    mean = float(np.mean(field.values))
-    std = float(np.std(field.values))
-    if std == 0.0 or not np.isfinite(std):
+    exponent, mean, std = _scaled_moments(field.values)
+    if std == 0.0:
         raise ZeroVariance("cannot normalize a field with zero variance")
     prov = dict(field.provenance)
-    prov["normalize_shift"] = mean
-    prov["normalize_scale"] = std
-    return LatticeField(
-        delta=field.delta,
-        values=(field.values - mean) / std,
-        provenance=prov,
-    )
+    prov["normalize_shift"] = float(np.ldexp(mean, exponent))
+    prov["normalize_scale"] = float(np.ldexp(std, exponent))
+    values = np.ldexp(field.values, -exponent)
+    values -= mean
+    values /= std
+    return LatticeField(delta=field.delta, values=values, provenance=prov)
 
 
 def diagnose(field, bins=100):
@@ -85,23 +102,26 @@ def diagnose(field, bins=100):
         raise ValidationError(f"the histogram needs at least 1 bin, got {bins}")
     values = field.values
     low, high = float(values.min()), float(values.max())
-    # numpy's own test for equal-width bins, checked before it raises
-    if not (math.isfinite(high - low) and (
-            low == high or np.all(np.diff(np.linspace(low, high, bins + 1)) > 0))):
+    # numpy's own test for equal-width bins, checked before it raises;
+    # numpy widens a one-value range by 0.5 either way
+    first, last = (low - 0.5, high + 0.5) if low == high else (low, high)
+    if not (math.isfinite(last - first)
+            and np.all(np.diff(np.linspace(first, last, bins + 1)) > 0)):
         raise ValidationError(f"the field's value range [{low!r}, {high!r}] cannot "
                               f"be split into {bins} finite bins")
     axis_means = []
     for ax in range(values.ndim):
         other = tuple(i for i in range(values.ndim) if i != ax)
         axis_means.append(values.mean(axis=other) if other else values.copy())
-    mean = float(values.mean())
-    std = float(values.std())
+    exponent, mean, std = _scaled_moments(values)
+    mean, std = float(np.ldexp(mean, exponent)), float(np.ldexp(std, exponent))
     warnings = []
     if std == 0.0:
         warnings.append("zero variance: histogram is degenerate")
     counts, edges = np.histogram(values.ravel(), bins=bins, density=std > 0)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    reference = np.exp(-0.5 * centers ** 2) / math.sqrt(2.0 * math.pi)
+    # exp(-800) is already 0.0, so the clip only keeps the square finite
+    reference = np.exp(-0.5 * np.clip(centers, -40, 40) ** 2) / math.sqrt(2.0 * math.pi)
     return {
         "axis_means": axis_means,
         "histogram_centers": centers,
@@ -281,7 +301,6 @@ def _study_replication(args):
             ordinates=emp_full.ordinates[keep],
             pair_counts=emp_full.pair_counts[keep],
             delta=emp_full.delta,
-            n=emp_full.n,
         )
         config = estimate.FitConfig(
             p=cfg.spec.p,

@@ -403,7 +403,6 @@ def empirical_variogram_direct(field, lags, dtype=float):
         ordinates=ordinates,
         pair_counts=counts,
         delta=field.delta,
-        n=field.n,
     )
 
 
@@ -426,7 +425,6 @@ def synthetic_variogram(spec, delta, j_max, n=500):
         ordinates=ordinates,
         pair_counts=counts,
         delta=(delta,) * spec.d,
-        n=(n,) * spec.d,
     )
 
 

@@ -213,7 +213,7 @@ def test_criterion_06_noiseless_inversion(rng):
             rng, d=d, p=p, q=q, allow_complex=False, b0_positive=True
         )
         # documented spacing range: wider spacing for higher order keeps
-        # the recurrence roots separated from each other and from 1
+        # the pencil's roots exp(lambda * delta) separated from each other
         delta = 0.35 if p == 3 else 0.2
         if identify.check_identifiability(spec, delta).verdict != "identifiable":
             continue

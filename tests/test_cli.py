@@ -240,7 +240,7 @@ class TestCliCommands:
         order = rng.permutation(emp.k)
         estimate.EmpiricalVariogram(
             lags=emp.lags[order], ordinates=emp.ordinates[order],
-            pair_counts=emp.pair_counts[order], delta=emp.delta, n=emp.n,
+            pair_counts=emp.pair_counts[order], delta=emp.delta,
         ).to_csv(path)
 
     def test_recover_reads_shuffled_rows_by_step(self, tmp_path, rng):
@@ -285,7 +285,7 @@ class TestCliCommands:
         vario = tmp_path / "exact.csv"
         estimate.EmpiricalVariogram(
             lags=lags, ordinates=ordinates, pair_counts=np.full(len(lags), 1000),
-            delta=deltas, n=(500, 500),
+            delta=deltas,
         ).to_csv(vario)
         out = tmp_path / "rec"
         assert run_cli(
@@ -543,7 +543,7 @@ class TestCliCommands:
                             "--noise", "cp", "--cp-intensity", intensity,
                             "--n", 8, "--delta", 0.1, "--m", 8]) == 1
         # numeric failure -> 2: recovery from ordinates of a model whose
-        # axis weight vanishes (singular Hankel system)
+        # axis weight vanishes (Hankel matrix of rank below p)
         l11, l12 = -1.0, -2.0
         l21 = -float(np.sqrt(l11 ** 2 + 3 * l11 * l12 + l12 ** 2))
         bad = model.CarmaSpec(b=(1.0,), eigenvalues=((l11, l12), (l21, -1.5)))
@@ -636,7 +636,7 @@ class TestCliCommands:
             assert run_cli(["study", "--output-dir", tmp_path / "sv", "--replications", 1,
                             flag, value] + self.MODEL_FLAGS) == 1
         # an order or noise variance recovery cannot use -> validation, before
-        # the Hankel step (which fails on this variogram with exit 2)
+        # the eigenvalue step (which fails on this variogram with exit 2)
         oracles.synthetic_variogram(bad, 0.2, 7).to_csv(vario)
         for order in (["--p", -1], ["--p", 0], ["--p", 2, "--q", 2],
                       ["--p", 2, "--q", 3], ["--p", 2, "--kappa2", 0]):
@@ -644,14 +644,29 @@ class TestCliCommands:
                            + order) == 1
 
 
+    @staticmethod
+    def _diagnose_in_subprocess(grid, out):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "carmafield.cli", "diagnose", "--input", str(grid),
+             "--output-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
     @pytest.mark.parametrize("kind", ["zero-length-axis", "overflowing-range",
-                                      "sub-ulp-range"])
+                                      "sub-ulp-range", "one-value-beyond-half-ulp"])
     def test_diagnose_refuses_a_field_it_cannot_bin(self, tmp_path, kind):
         grid = tmp_path / "field.carf"
         if kind == "zero-length-axis":
             # axis sizes (0, 5): a header no LatticeField can write
             grid.write_bytes(gridio.MAGIC + bytes([gridio.VERSION, 2])
                              + struct.pack("<dQdQ", 0.1, 0, 0.1, 5))
+        elif kind == "one-value-beyond-half-ulp":
+            # numpy widens a one-value range by 0.5, which 1e20 absorbs
+            values = np.full((4, 5), 1e20)
+            gridio.write_carf(simulate.LatticeField(delta=0.1, values=values), grid)
         else:
             values = np.ones((4, 5))
             # a span of inf, or one too narrow for 100 distinct bin edges
@@ -659,17 +674,30 @@ class TestCliCommands:
             if kind == "overflowing-range":
                 values[0, :2] = 1.7e308, -1.7e308
             gridio.write_carf(simulate.LatticeField(delta=0.1, values=values), grid)
-        src = pathlib.Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "carmafield.cli", "diagnose", "--input", str(grid),
-             "--output-dir", str(tmp_path / "dg")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = self._diagnose_in_subprocess(grid, tmp_path / "dg")
         assert done.returncode == 1
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
+
+    def test_diagnose_and_normalize_take_large_finite_values(self, tmp_path):
+        # squares of +-1e300 overflowed: std came out inf with numpy's
+        # RuntimeWarnings, and normalize reported zero variance
+        values = np.ones((4, 5))
+        values[1, 2], values[2, 3] = 1e300, -1e300
+        field = simulate.LatticeField(delta=0.1, values=values)
+        grid = tmp_path / "field.carf"
+        gridio.write_carf(field, grid)
+        done = self._diagnose_in_subprocess(grid, tmp_path / "dg")
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        stats = dict(line.split(" = ", 1)
+                     for line in (tmp_path / "dg" / "stats.txt").read_text().splitlines())
+        assert np.isfinite(float(stats["std"]))
+        # two of twenty cells at +-1e300: the variance is 1e600 / 10
+        assert float(stats["std"]) == pytest.approx(1e300 * np.sqrt(0.1), rel=1e-12)
+        out = workflows.normalize(field)
+        assert np.all(np.isfinite(out.values))
+        assert float(np.std(out.values)) == pytest.approx(1.0, rel=1e-12)
 
     def test_lattice_field_refuses_a_zero_length_axis(self):
         for shape in ((0, 5), (5, 0), (0,)):

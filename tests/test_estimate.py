@@ -199,7 +199,7 @@ class TestEmpiricalVariogram:
     def test_one_ordinate_and_pair_count_per_lag(self, tmp_path):
         lags = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
         ok = dict(lags=lags, ordinates=[1.0, 2.0, 3.0], pair_counts=[4, 5, 6],
-                  delta=(0.5, 0.5), n=(4, 4))
+                  delta=(0.5, 0.5))
         estimate.EmpiricalVariogram(**ok)
         for change in (dict(ordinates=[1.0, 2.0]), dict(pair_counts=[4, 5, 6, 7]),
                        dict(ordinates=[[1.0, 2.0, 3.0]]),
@@ -215,7 +215,7 @@ class TestEmpiricalVariogram:
         )
         path = tmp_path / "vario.csv"
         emp.to_csv(path)
-        back = estimate.EmpiricalVariogram.from_csv(path, delta=emp.delta, n=emp.n)
+        back = estimate.EmpiricalVariogram.from_csv(path, delta=emp.delta)
         np.testing.assert_array_equal(back.lags, emp.lags)
         np.testing.assert_array_equal(back.ordinates, emp.ordinates)
         np.testing.assert_array_equal(back.pair_counts, emp.pair_counts)
@@ -265,8 +265,7 @@ class TestAxisLayout:
     def test_read_once_from_the_variogram(self):
         lags = np.array([[0.0, 0.5], [0.5, 0.0], [0.0, 0.25], [0.5, 0.5]])
         emp = estimate.EmpiricalVariogram(lags=lags, ordinates=[1.0, 2.0, 3.0, 4.0],
-                                          pair_counts=[4, 5, 6, 7], delta=(0.5, 0.25),
-                                          n=(4, 4))
+                                          pair_counts=[4, 5, 6, 7], delta=(0.5, 0.25))
         axes, others = emp.axes
         assert emp.axes is emp.axes
         assert list(axes) == [0, 1]
@@ -276,7 +275,7 @@ class TestAxisLayout:
         np.testing.assert_array_equal(others, [3])
         # a lag off the lattice is refused when the layout is read, not before
         off = estimate.EmpiricalVariogram(lags=[[0.3, 0.0]], ordinates=[1.0], pair_counts=[4],
-                                          delta=(0.5, 0.25), n=(4, 4))
+                                          delta=(0.5, 0.25))
         with pytest.raises(ValidationError, match="multiples of the spacing"):
             off.axes
 
@@ -307,7 +306,7 @@ class TestWeights:
         order = rng.permutation(emp.k)
         shuffled = estimate.EmpiricalVariogram(
             lags=emp.lags[order], ordinates=emp.ordinates[order],
-            pair_counts=emp.pair_counts[order], delta=emp.delta, n=emp.n,
+            pair_counts=emp.pair_counts[order], delta=emp.delta,
         )
         for scheme in ("quadratic", "exponential"):
             np.testing.assert_array_equal(estimate.resolve_weights(shuffled, scheme),
@@ -359,7 +358,7 @@ def _lag_menu(d, delta):
     return estimate.EmpiricalVariogram(
         lags=np.vstack([estimate.axis_lag_set(d, delta, 4), delta * np.array(steps)]),
         ordinates=np.zeros(4 * d + 3), pair_counts=np.ones(4 * d + 3),
-        delta=(delta,) * d, n=(50,) * d,
+        delta=(delta,) * d,
     )
 
 
@@ -1105,7 +1104,7 @@ class TestEstimatorCovariance:
                 spec, lags, weights, simulate.GaussianBasis(), 0.5
             )
         emp = estimate.EmpiricalVariogram(
-            lags=lags, ordinates=[0.5, 0.8], pair_counts=[10, 9], delta=(0.5,), n=(11,)
+            lags=lags, ordinates=[0.5, 0.8], pair_counts=[10, 9], delta=(0.5,)
         )
         with pytest.raises(ValidationError):
             estimate.wls_objective([1.3, -0.8], emp, weights, p=1, q=0)
