@@ -98,7 +98,7 @@ class NonFiniteValue(ValidationError):
 
 
 class ZeroVariance(ValidationError):
-    """Normalization requested on data with no variance."""
+    """Data with no variance: normalization requested, or a fit to an all-zero variogram."""
 
 
 class ConfigError(ValidationError):

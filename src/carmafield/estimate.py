@@ -13,8 +13,10 @@ from ``_axis_layout``): the weights, the lag-set check, the model
 ordinates, the overlay tables, recovery and the study read it there.
 Parameters are fitted by minimizing the weighted squared gap
 between empirical and model ordinates over a compact box: a seeded
-differential-evolution global search followed by a bounded
-least-squares polish (trust-region reflective).  The search is the
+differential-evolution global search over the direction of b and the
+eigenvalues, with b's scale profiled out in closed form (variable
+projection), followed by a bounded least-squares polish in all
+parameters (trust-region reflective).  The search is the
 package's own best1bin driver with a Latin-hypercube start and
 deferred updating.  It draws scipy's random stream in scipy's order,
 so it returns what
@@ -48,6 +50,7 @@ from .errors import (
     NumericError,
     SingularDesign,
     ValidationError,
+    ZeroVariance,
 )
 
 __all__ = [
@@ -217,7 +220,18 @@ def _lag_steps(delta, lags):
 
 
 def _axis_layout(delta, lags):
-    """The lags grouped by the principal axis they lie on.
+    """The lags grouped by the principal axis they lie on (``_step_layout``).
+
+    Raises
+    ------
+    ValidationError
+        If the lags are not whole multiples of the spacing.
+    """
+    return _step_layout(_lag_steps(delta, lags))
+
+
+def _step_layout(steps):
+    """The lags of integer ``steps`` grouped by the principal axis they lie on.
 
     Returns ``({axis: (rows, steps)}, other_rows)``.  An axis lag moves
     a positive number of steps along one axis only; per axis, in
@@ -225,13 +239,7 @@ def _axis_layout(delta, lags):
     ``steps`` their steps, both in ascending step order (equal steps in
     row order).  ``other_rows`` holds every other lag (the zero lag, a
     negative step, a lag on several axes) in row order.
-
-    Raises
-    ------
-    ValidationError
-        If the lags are not whole multiples of the spacing.
     """
-    steps = _lag_steps(delta, lags)
     moved = steps != 0
     on_axis = (np.count_nonzero(moved, axis=1) == 1) & (steps.sum(axis=1) > 0)
     axis = np.argmax(moved, axis=1)
@@ -697,6 +705,76 @@ class _WlsProblem:
         return wss if theta.ndim == 2 else float(wss[0])
 
 
+class _ProfiledWls:
+    """The WLS objective with b's scale profiled out (variable projection).
+
+    The kernel is linear in b, so psi(.; r u, lam) = r^2 psi(.; u, lam).
+    For a direction u and eigenvalues lam, with m = psi(.; u, lam), the
+    WSS of r u is a quadratic in s = r^2, least at
+    s = sum w psi_hat m / sum w m^2 (Golub & Pereyra 1973).  A row holds
+    q angles of u, then the codec's eigenvalue coordinates: one
+    coordinate fewer than theta.  u is the hyperspherical point
+    u_k = cos(a_k) prod_{j<k} sin(a_j), u_q = prod_j sin(a_j), on the
+    half-sphere u_0 >= 0 (``bounds``): u = (1,) at q = 0.  s is clipped
+    to [0, B_MAX^2 / max_i u_i^2], so r u lies in the codec's box, and a
+    row scores the exact WSS of (r u, lam) from one batched
+    ``ordinates`` call at b = u for all rows.  It is summed as
+    sum w (psi_hat - s m)^2: the expanded
+    sum w psi_hat^2 - 2 s sum w psi_hat m + s^2 sum w m^2 cancels to
+    rounding noise where the WSS is near 0, as in a noiseless fit.
+    Rows where the model is undefined score +inf.  ``evaluations``
+    counts the rows scored.
+    """
+
+    def __init__(self, problem, codec):
+        self.problem = problem
+        self.q = codec.q
+        self.weighted_data = problem.weights * problem.emp.ordinates
+        # u_0 = cos(a_0) >= 0; for q >= 2 the other angles are those of
+        # the standard hyperspherical point of S^(q-1)
+        angles = [(-0.5 * math.pi, 0.5 * math.pi)] * min(self.q, 1)
+        if self.q >= 2:
+            angles = ([(0.0, 0.5 * math.pi)] + [(0.0, math.pi)] * (self.q - 2)
+                      + [(-math.pi, math.pi)])
+        full = codec.default_bounds()
+        self.box = np.transpose(full)
+        self.bounds = angles + full[self.q + 1:]
+        self.evaluations = 0
+
+    def _scaled(self, rows):
+        """Theta at b = u, the clipped squared scale and the WSS of each row."""
+        q = self.q
+        thetas = np.empty((rows.shape[0], rows.shape[1] + 1))
+        thetas[:, q + 1:] = rows[:, q:]
+        u = thetas[:, : q + 1]
+        u[:, q] = 1.0
+        if q:
+            u[:, :q] = np.cos(rows[:, :q])
+            u[:, 1:] *= np.cumprod(np.sin(rows[:, :q]), axis=1)
+        m, failed = self.problem.ordinates(thetas)
+        self.evaluations += rows.shape[0]
+        weights = self.problem.weights
+        scale = m @ self.weighted_data
+        scale /= np.square(m) @ weights
+        np.maximum(scale, 0.0, out=scale)
+        np.minimum(scale, B_MAX ** 2 / np.max(np.square(u), axis=1) if q else B_MAX ** 2,
+                   out=scale)
+        m *= scale[:, None]
+        resid = np.subtract(self.problem.emp.ordinates, m, out=m)
+        wss = np.square(resid, out=resid) @ weights
+        return thetas, scale, np.where(failed, np.inf, wss)
+
+    def objective(self, rows):
+        """WSS of each row of an (S, dim - 1) array at its best scale."""
+        return self._scaled(np.asarray(rows, dtype=float))[2]
+
+    def theta(self, row):
+        """The theta (r u, lam) of one row, in the codec's box."""
+        thetas, scale, _ = self._scaled(np.asarray(row, dtype=float)[None])
+        thetas[0, : self.q + 1] *= math.sqrt(scale[0])
+        return np.clip(thetas[0], *self.box)
+
+
 def wls_objective(theta, emp, weights, p, q, kappa2=1.0, blocks=None):
     """Weighted sum of squared variogram gaps at one parameter vector.
 
@@ -713,7 +791,9 @@ class FitConfig:
     """Options for the two-stage WLS fit.
 
     The defaults reproduce the reference setup: quadratic lag weights,
-    population of 10 per parameter and 300 generations.  The search is
+    population of 10 per searched coordinate and 300 generations (the
+    search profiles b's scale out, so it has one coordinate fewer than
+    theta: see ``fit``).  The search is
     best1bin differential evolution from a Latin-hypercube start with
     deferred updating (``_differential_evolution``): every trial of a
     generation is built from the previous generation, and ``seed``
@@ -893,25 +973,32 @@ def _de_converged(energies):
 def fit(emp, config):
     """Two-stage WLS fit of CARMA parameters to an empirical variogram.
 
-    Differential evolution over the parameter box (seeded, hence
-    deterministic; ``_differential_evolution``) followed by a
-    trust-region reflective least-squares polish of
-    sqrt(w) (gamma_hat - gamma(theta)) in the same box, from the best
-    candidate.  Each generation is one batched evaluation with deferred
-    updating; the polish scores its residuals with the same evaluator
-    and takes ``asymptotic_covariance``'s Jacobian, stepping one-sided
-    where a central step would leave the box or the model's domain.
-    Output eigenvalues are in canonical order (descending real part,
-    then descending imaginary part), placed in the blocks by kind.
+    Differential evolution (seeded, hence deterministic;
+    ``_differential_evolution``) searches the direction of b and the
+    eigenvalues, one coordinate fewer than theta: b's scale is profiled
+    out, each row scored at its best scale inside the box
+    (``_ProfiledWls``).  A trust-region reflective least-squares polish
+    of sqrt(w) (gamma_hat - gamma(theta)) then runs in full theta, in
+    the parameter box, from the best row at its scale.  Each generation
+    is one batched evaluation with deferred updating; the polish scores
+    its residuals with the same evaluator and takes
+    ``asymptotic_covariance``'s Jacobian, stepping one-sided where a
+    central step would leave the box or the model's domain.  Output
+    eigenvalues are in canonical order (descending real part, then
+    descending imaginary part), placed in the blocks by kind.
 
     ``diagnostics`` holds ``de_generations``, ``de_evaluations`` and
-    ``polish_evaluations`` (parameter vectors scored by each stage),
+    ``polish_evaluations`` (parameter rows scored by each stage; the
+    polish's count includes the one row that gives its start's scale),
     ``polish_iterations`` (Jacobians), ``converged`` (differential
     evolution's flag), ``polish_converged`` and the lag-set status
     ``lag_set``.
 
     Raises
     ------
+    ZeroVariance
+        Before the search, when every ordinate is 0 (a constant field):
+        no b fits it, since b = 0 is outside the model.
     NumericError
         When a coordinate of the polish's Jacobian has no step on either
         side inside the model's domain.
@@ -921,16 +1008,20 @@ def fit(emp, config):
                        blocks=config.blocks)
     lag_status = _check_lag_menu(emp, config.p, config.q)
     weights = resolve_weights(emp, config.weights)
+    if not np.any(emp.ordinates):
+        raise ZeroVariance("cannot fit an all-zero variogram: the field has no variance")
     problem = _WlsProblem(emp, weights, codec)
-    bounds = codec.default_bounds()
-    de_x, de_generations, de_converged = _differential_evolution(problem, bounds, config)
+    profiled = _ProfiledWls(problem, codec)
+    best, de_generations, de_converged = _differential_evolution(
+        profiled, profiled.bounds, config)
+    de_evaluations = profiled.evaluations
     # residuals sqrt(w) (gamma_hat - gamma(theta)) are NaN where the model
     # is undefined, which shrinks the trust region
     root_w = np.sqrt(problem.weights)
-    box = np.transpose(bounds)
+    box = profiled.box
     polish = optimize.least_squares(
         lambda theta: root_w * (emp.ordinates - problem.ordinates(theta[None])[0][0]),
-        de_x,
+        profiled.theta(best),
         jac=lambda theta: -root_w[:, None] * _variogram_jacobian(problem.ordinates, theta, box),
         bounds=box,
         method="trf",
@@ -949,9 +1040,10 @@ def fit(emp, config):
         diagnostics={
             "converged": de_converged,
             "de_generations": de_generations,
-            "de_evaluations": problem.evaluations,
+            "de_evaluations": de_evaluations,
             "polish_iterations": int(polish.njev),
-            "polish_evaluations": int(polish.nfev + (2 * codec.dim + 1) * polish.njev),
+            # the start's scale, the residual vectors and the Jacobians' rows
+            "polish_evaluations": int(1 + polish.nfev + (2 * codec.dim + 1) * polish.njev),
             "polish_converged": bool(polish.success),
             "lag_set": lag_status,
         },
@@ -1032,12 +1124,14 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     (``model._contract``): about five times fewer products than the
     single ten-index einsum at p = 2, d = 2.
     """
-    d = spec.d
+    delta = model._per_axis(lattice_delta, spec.d, "lattice_delta")
+    return _v_matrix(spec, _lag_steps(delta, tlist), basis, delta)
+
+
+def _v_matrix(spec, steps, basis, delta):
+    """``covariance_v_matrix`` at lags of integer ``steps`` on the spacing ``delta``."""
     if abs(basis.kappa2 - spec.kappa2) > 1e-9 * max(1.0, spec.kappa2):
         raise ValidationError("the basis variance must equal the spec's kappa2")
-    delta = np.asarray(model._per_axis(lattice_delta, d, "lattice_delta"))
-    tlist = np.atleast_2d(np.asarray(tlist, dtype=float))
-    steps = _lag_steps(delta, tlist)
     rows, cols = np.triu_indices(len(steps))
     excess = basis.kappa4 - 3.0 * basis.kappa2 ** 2
     quartic = abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2)
@@ -1098,7 +1192,8 @@ def asymptotic_covariance(spec, lags, weights, basis, lattice_delta):
     weights = _checked_weights(weights, lags.shape[0])
     codec = _spec_codec(spec)
     delta = model._per_axis(lattice_delta, spec.d, "lattice_delta")
-    ordinates = _Ordinates(codec, lags, delta, _axis_layout(delta, lags))
+    steps = _lag_steps(delta, lags)
+    ordinates = _Ordinates(codec, lags, delta, _step_layout(steps))
     jac = _variogram_jacobian(ordinates, codec.from_spec(spec))
     wjac = weights[:, None] * jac
     normal = jac.T @ wjac
@@ -1106,8 +1201,7 @@ def asymptotic_covariance(spec, lags, weights, basis, lattice_delta):
     if not np.isfinite(cond) or cond > DESIGN_COND_MAX:
         raise SingularDesign(f"normal matrix condition {cond:.3e}")
     bmat = np.linalg.inv(normal)
-    vmat = covariance_v_matrix(spec, np.vstack([np.zeros((1, spec.d)), lags]), basis,
-                               lattice_delta)
+    vmat = _v_matrix(spec, np.vstack([np.zeros_like(steps[:1]), steps]), basis, delta)
     fvf = 4.0 * (vmat[0, 0] - vmat[:1, 1:] - vmat[1:, :1] + vmat[1:, 1:])
     sigma = bmat @ wjac.T @ fvf @ wjac @ bmat
     return 0.5 * (sigma + sigma.T)

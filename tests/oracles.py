@@ -11,9 +11,12 @@ the explicit CARMA(2,1) coefficient tables are transcribed directly,
 the kernel's coefficient tensor is built from its spectral projectors
 in exact rational arithmetic, and the estimator covariance V is summed lattice offset by lattice
 offset over a truncated window (its per-axis gamma pair sums also step
-by step, for a bit-for-bit check of the package's array sum).
+by step, for a bit-for-bit check of the package's array sum).  The
+WLS floor that the fit's search should reach comes from polishes
+started on a fixed grid, with no global search.
 """
 
+import itertools
 import math
 import string
 from fractions import Fraction
@@ -426,6 +429,55 @@ def synthetic_variogram(spec, delta, j_max, n=500):
         pair_counts=counts,
         delta=(delta,) * spec.d,
     )
+
+
+# the multistart oracle's grid of starts: b0, each of b1..b_q, and per
+# eigenvalue pattern the ends of ``np.linspace(first, last, p)``, the
+# same pattern on every axis
+MULTISTART_B0 = (2.0, 5.0, 8.0)
+MULTISTART_B = (-4.0, -1.0, 2.0)
+MULTISTART_EIGENVALUES = ((-1.0, -3.0), (-0.5, -5.0))
+
+
+def wls_multistart(emp, weights, p, q):
+    """Lowest WSS that trust-region polishes reach from a fixed grid of starts.
+
+    Each start of the grid (``MULTISTART_*``: 3^(q+1) b vectors times 2
+    eigenvalue patterns, real blocks) is polished as ``estimate.fit``
+    polishes its search's best: scipy's ``least_squares(method="trf")``
+    on sqrt(w) (psi_hat - psi(theta)) in the fit's box, with the
+    package's batched ordinates and finite-difference Jacobian.  No
+    differential evolution and no profiled scale enters, so the minimum
+    is a floor that the fit's search should reach.  A start whose
+    Jacobian cannot be taken is skipped.  Returns (wss, theta) of the
+    lowest polish.
+    """
+    from carmafield import estimate
+    from carmafield.errors import NumericError
+    from scipy import optimize
+
+    codec = estimate.ThetaCodec(p=p, q=q, d=emp.lags.shape[1])
+    ordinates = estimate._Ordinates(codec, emp.lags, emp.delta, emp.axes)
+    box = np.transpose(codec.default_bounds())
+    root_w = np.sqrt(weights)
+    best = (math.inf, None)
+    for b0, *b, (first, last) in itertools.product(
+            MULTISTART_B0, *[MULTISTART_B] * q, MULTISTART_EIGENVALUES):
+        start = np.concatenate([[b0], b, np.tile(np.linspace(first, last, p), codec.d)])
+        try:
+            polish = optimize.least_squares(
+                lambda theta: root_w * (emp.ordinates - ordinates(theta[None])[0][0]),
+                start,
+                jac=lambda theta: -root_w[:, None] * estimate._variogram_jacobian(
+                    ordinates, theta, box),
+                bounds=box,
+                method="trf",
+            )
+        except NumericError:
+            continue
+        if 2.0 * polish.cost < best[0]:
+            best = (2.0 * float(polish.cost), polish.x)
+    return best
 
 
 def random_carma21_real(rng):

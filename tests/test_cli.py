@@ -408,6 +408,17 @@ class TestCliCommands:
             assert not out.exists()
         assert run_cli(base + ["--delta", 0.05]) == 0
 
+    def test_fit_to_a_constant_field_exits_1(self, tmp_path):
+        # its variogram is all zero, with or without normalization
+        grid = tmp_path / "const.carf"
+        gridio.write_carf(simulate.LatticeField(delta=0.1, values=np.full((30, 30), 2.5)), grid)
+        for normalize in ("false", "true"):
+            args = ["fit", "--input", grid, "--normalize", normalize, "--models", "car1",
+                    "--lags", 5, "--generations", 5, "--output-dir", tmp_path / normalize]
+            assert run_cli(args) == 1
+            with pytest.raises(ZeroVariance):
+                cli.run([str(a) for a in args])
+
     def test_fit_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
         field = simulate.simulate_truncated_discretized(

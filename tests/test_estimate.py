@@ -11,6 +11,7 @@ from carmafield.errors import (
     MixedLagSets,
     NumericError,
     ValidationError,
+    ZeroVariance,
 )
 
 import oracles
@@ -598,8 +599,9 @@ class TestFit:
         emp = oracles.synthetic_variogram(spec, 0.1, 10)
         result = estimate.fit(emp, estimate.FitConfig(p=1, q=0, seed=2))
         diag = result.diagnostics
-        # one population of 10 per parameter, drawn once and then once a generation
-        assert diag["de_evaluations"] == 10 * 3 * (diag["de_generations"] + 1)
+        # one population of 10 per searched coordinate (dim - 1: b's scale is
+        # profiled out), drawn once and then once a generation
+        assert diag["de_evaluations"] == 10 * (3 - 1) * (diag["de_generations"] + 1)
         assert diag["polish_evaluations"] > diag["polish_iterations"] > 0
         assert diag["de_evaluations"] + diag["polish_evaluations"] == sum(scored)
         assert diag["polish_converged"] is True
@@ -608,14 +610,7 @@ class TestFit:
         # criterion 7's Gaussian replication 5 with the study's own DE
         # seed: the least-squares minimum over real eigenvalues is a
         # double root, where the eigen-expansion cancels
-        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
-        fine = simulate.simulate_truncated_discretized(
-            spec, simulate.GaussianBasis(), 300, 1000, 0.02, seed=777, stream=5
-        )
-        coarse = workflows._thin(fine, 2)
-        emp = estimate.empirical_variogram(coarse, estimate.axis_lag_set(2, coarse.delta, 50))
-        de_seed = np.random.SeedSequence(entropy=777, spawn_key=(5, 977)).generate_state(1)[0]
-        config = estimate.FitConfig(p=2, q=1, seed=int(de_seed) + 1)
+        emp, config = _criterion_7_fit(5)
         result = estimate.fit(emp, config)
         assert result.diagnostics["polish_converged"] is True
         # the exact WSS at theta_star, from the state-space form
@@ -625,6 +620,37 @@ class TestFit:
         resid = emp.ordinates - exact
         wss = float(np.sum(estimate.resolve_weights(emp, "quadratic") * resid * resid))
         assert result.wss == pytest.approx(wss, rel=1e-6)
+
+    # the search ends in a second basin along the ridge, b1 near 0 against
+    # about -2 at the floor, 8.9%, 6.3% and 0.83% above it (ROADMAP, Known
+    # defects)
+    _HIGHER_BASIN = pytest.mark.xfail(strict=True, reason="the fit stops in a higher "
+                                      "basin on the (b0, b1) ridge")
+
+    @pytest.mark.parametrize("stream", [
+        21, 24, pytest.param(25, marks=_HIGHER_BASIN), pytest.param(30, marks=_HIGHER_BASIN),
+        pytest.param(32, marks=_HIGHER_BASIN), 38,
+    ])
+    def test_reaches_the_multistart_floor_on_the_ridge(self, stream):
+        # criterion 7's Gaussian fields on which polishes from other starts
+        # once found a lower WSS than the fit's, every one along the
+        # (b0, b1) ridge.  The oracle's grid and the tolerance (1e-3
+        # relative) were fixed before the first run.
+        emp, config = _criterion_7_fit(stream)
+        result = estimate.fit(emp, config)
+        floor, _ = oracles.wls_multistart(emp, estimate.resolve_weights(emp, "quadratic"), 2, 1)
+        assert result.wss <= floor * (1.0 + 1e-3)
+
+    def test_all_zero_variogram_raises_before_the_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(estimate, "_differential_evolution", no_search)
+        emp = oracles.synthetic_variogram(model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,),)),
+                                          0.1, 10)
+        emp.ordinates[:] = 0.0
+        with pytest.raises(ZeroVariance):
+            estimate.fit(emp, estimate.FitConfig(p=1, q=0))
 
     def test_seeded_carma21_fit_is_bit_identical(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
@@ -666,6 +692,82 @@ class TestFit:
             "insufficient (order (2,1) needs axis lags j=1..5 on every axis; "
             "axis 0 lacks [5]; axis 1 lacks [5])"
         )
+
+
+def _criterion_7_fit(stream):
+    """Criterion 7's Gaussian variogram of ``stream`` (case 1) and the study's fit config."""
+    spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+    fine = simulate.simulate_truncated_discretized(
+        spec, simulate.GaussianBasis(), 300, 1000, 0.02, seed=777, stream=stream
+    )
+    coarse = workflows._thin(fine, 2)
+    emp = estimate.empirical_variogram(coarse, estimate.axis_lag_set(2, coarse.delta, 50))
+    de_seed = np.random.SeedSequence(entropy=777, spawn_key=(stream, 977)).generate_state(1)[0]
+    return emp, estimate.FitConfig(p=2, q=1, seed=int(de_seed) + 1)
+
+
+class TestProfiledScore:
+    """The search's WSS with b's scale profiled out, against the full objective."""
+
+    @pytest.mark.parametrize("p, q, blocks", [
+        (1, 0, None), (2, 1, None), (3, 2, None), (2, 1, (("c",), ("r", "r"))),
+        (3, 2, (("r", "c"), ("c", "r"))),
+    ])
+    def test_equals_the_objective_at_the_best_scale(self, p, q, blocks, rng):
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        emp = oracles.synthetic_variogram(spec, 0.04, 10)
+        emp.ordinates *= 1.0 + 0.3 * np.sin(np.arange(emp.k))
+        codec = estimate.ThetaCodec(p=p, q=q, d=2, blocks=blocks)
+        problem = estimate._WlsProblem(emp, estimate.resolve_weights(emp, "quadratic"), codec)
+        profiled = estimate._ProfiledWls(problem, codec)
+        low, high = np.transpose(profiled.bounds)
+        rows = rng.uniform(low, high, size=(200, low.size))
+        # eigenvalues at least 0.5 apart on each axis, where the model keeps
+        # its accuracy (closer ones cancel: see ROADMAP, Known defects)
+        _, lam = codec.expand(np.hstack([np.ones((200, 1)), rows]))
+        gaps = np.abs(lam[:, :, :, None] - lam[:, :, None, :]) + np.where(np.eye(p), np.inf, 0)
+        rows = rows[np.min(gaps, axis=(1, 2, 3)) >= 0.5][:30]
+        scores = profiled.objective(rows)
+        assert np.all(np.isfinite(scores))
+        for row, score in zip(rows, scores):
+            theta = profiled.theta(row)
+            u = theta[: q + 1] / np.linalg.norm(theta[: q + 1])
+            assert u[0] >= 0.0
+            np.testing.assert_allclose(score, problem.objective(theta), rtol=1e-10)
+            # the scale is the best one in the box: a step either way that
+            # stays inside scores higher
+            for factor in (0.99, 1.01):
+                bumped = theta.copy()
+                bumped[: q + 1] *= factor
+                if np.max(np.abs(bumped[: q + 1])) <= estimate.B_MAX:
+                    assert problem.objective(bumped) > score
+
+    def test_a_scale_past_the_box_is_clipped_onto_its_face(self):
+        # data 400 times a model's: the best scale of b = (20, ...) leaves
+        # the box [0, B_MAX] x [-B_MAX, B_MAX]
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        emp = oracles.synthetic_variogram(spec, 0.04, 10)
+        emp.ordinates *= 400.0
+        codec = estimate.ThetaCodec(p=2, q=1, d=2)
+        problem = estimate._WlsProblem(emp, estimate.resolve_weights(emp, "quadratic"), codec)
+        profiled = estimate._ProfiledWls(problem, codec)
+        row = np.concatenate([[-0.3], codec.from_spec(spec)[2:]])
+        theta = profiled.theta(row)
+        np.testing.assert_allclose(np.max(np.abs(theta[:2])), estimate.B_MAX, rtol=1e-15)
+        np.testing.assert_allclose(theta[:2] / np.linalg.norm(theta[:2]),
+                                   [np.cos(-0.3), np.sin(-0.3)], rtol=1e-14)
+        np.testing.assert_allclose(profiled.objective(row[None])[0], problem.objective(theta),
+                                   rtol=1e-10)
+
+    def test_undefined_rows_score_inf(self):
+        spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
+        emp = oracles.synthetic_variogram(spec, 0.04, 10)
+        codec = estimate.ThetaCodec(p=2, q=1, d=2)
+        problem = estimate._WlsProblem(emp, estimate.resolve_weights(emp, "quadratic"), codec)
+        profiled = estimate._ProfiledWls(problem, codec)
+        rows = np.array([[0.2, -1.0, -1.0, -1.3, -2.5], [0.2, -1.0, -2.0, -1.3, -2.5]])
+        scores = profiled.objective(rows)
+        assert scores[0] == np.inf and np.isfinite(scores[1])
 
 
 class TestDifferentialEvolution:
@@ -1116,7 +1218,7 @@ class TestEstimatorCovariance:
         lags = estimate.axis_lag_set(1, 0.5, 4)
         weights = estimate.weights_quadratic(4)
         vmat = rng.normal(size=(5, 5))
-        monkeypatch.setattr(estimate, "covariance_v_matrix", lambda *args: vmat)
+        monkeypatch.setattr(estimate, "_v_matrix", lambda *args: vmat)
         basis = simulate.GaussianBasis()
         sigma = estimate.asymptotic_covariance(spec, lags, weights, basis, 0.5)
         want = _dense_sandwich(estimate.ThetaCodec(p=1, q=0, d=1), spec, lags, weights,
