@@ -22,9 +22,10 @@ import string
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import integrate, linalg, optimize
 
 from carmafield import model
+from carmafield.errors import NumericError
 
 
 def random_spec(rng, d=None, p=None, allow_complex=True, q=None, b0_positive=False):
@@ -453,8 +454,6 @@ def wls_multistart(emp, weights, p, q):
     lowest polish.
     """
     from carmafield import estimate
-    from carmafield.errors import NumericError
-    from scipy import optimize
 
     codec = estimate.ThetaCodec(p=p, q=q, d=emp.lags.shape[1])
     ordinates = estimate._Ordinates(codec, emp.lags, emp.delta, emp.axes)
