@@ -16,20 +16,20 @@ between empirical and model ordinates over a compact box: a seeded
 differential-evolution global search over the direction of b and the
 eigenvalues, with b's scale profiled out in closed form (variable
 projection), followed by a bounded least-squares polish in all
-parameters (trust-region reflective).  The search is the
-package's own best1bin driver with a Latin-hypercube start and
-deferred updating.  It draws scipy's random stream in scipy's order,
-so it returns what
+parameters (trust-region reflective).  The search is the package's own
+best1bin driver with a Latin-hypercube start and deferred updating.  It
+draws scipy's random stream in scipy's order, so it returns what
 ``scipy.optimize.differential_evolution`` returns with the same settings,
 bit for bit, and fit bytes do not depend on scipy's private DE internals,
-which the ``scipy>=1.10`` requirement does not pin.  Both stages call
-one batched evaluator: differential evolution scores each generation in
-one call, and the polish one residual vector per call and its
-finite-difference Jacobian as one batch.  The sandwich covariance of
-the WLS estimator (``asymptotic_covariance``) follows the fit's rules:
-the same evaluator and Jacobian, in the theta layout of the spec.  A
-real spectrum, the default codec's only kind, is evaluated in real
-arithmetic throughout (see ``model``).
+which the ``scipy>=1.10`` requirement does not pin.  Both stages work on
+one ``_WlsProblem`` and its batched evaluator: differential evolution
+scores each generation in one call of its profiled score, and the polish
+one residual vector per call and its finite-difference Jacobian as one
+batch.  The sandwich covariance of the WLS estimator
+(``asymptotic_covariance``) follows the fit's rules: the same evaluator
+and Jacobian, in the theta layout of the spec.  A real spectrum, the
+default codec's only kind, is evaluated in real arithmetic throughout
+(see ``model``).
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ class EmpiricalVariogram:
                 f"{self.lags.shape}, ordinates {self.ordinates.shape}, "
                 f"pair counts {self.pair_counts.shape}"
             )
+        if not self.lags.shape[1]:
+            raise ValidationError("variogram lags need one column per axis, got none")
         if not (np.all(np.isfinite(self.lags)) and np.all(np.isfinite(self.ordinates))):
             raise ValidationError("variogram lags and ordinates must be finite")
         if np.any(self.ordinates < 0):
@@ -677,59 +679,34 @@ def _variogram_jacobian(ordinates, theta0, bounds=None):
 class _WlsProblem:
     """The WLS objective over a fixed empirical variogram, for S rows at once.
 
-    One ``ordinates`` call evaluates a whole DE generation or a polish
-    step in a few batched contractions.  ``evaluations`` counts the
-    rows ``objective`` evaluated so far.
+    One ``ordinates`` call scores a whole DE generation or a polish step
+    in a few batched contractions.  ``objective`` scores theta rows and
+    ``profiled`` the search's rows, with b's scale profiled out
+    (variable projection); rows where the model is undefined score +inf,
+    so the search steers away.  ``box`` is the codec's theta box as a
+    (2, dim) array of lows and highs, ``bounds`` the search's box.
+
+    The kernel is linear in b, so psi(.; r u, lam) = r^2 psi(.; u, lam).
+    For a direction u and eigenvalues lam, with m = psi(.; u, lam), the
+    WSS of r u is a quadratic in s = r^2, least at
+    s = sum w psi_hat m / sum w m^2 (Golub & Pereyra 1973).  A searched
+    row holds q angles of u, then the codec's eigenvalue coordinates:
+    one coordinate fewer than theta.  u is the hyperspherical point
+    u_k = cos(a_k) prod_{j<k} sin(a_j), u_q = prod_j sin(a_j), on the
+    half-sphere u_0 >= 0 (``bounds``): u = (1,) at q = 0.  s is clipped
+    to [0, B_MAX^2 / max_i u_i^2], so r u lies in the box, and a row
+    scores the exact WSS of (r u, lam) from one batched ``ordinates``
+    call at b = u for all rows.  It is summed as sum w (psi_hat - s m)^2:
+    the expanded sum w psi_hat^2 - 2 s sum w psi_hat m + s^2 sum w m^2
+    cancels to rounding noise where the WSS is near 0, as in a noiseless
+    fit.
     """
 
     def __init__(self, emp, weights, codec):
         self.emp = emp
         self.weights = _checked_weights(weights, emp.k)
         self.ordinates = _Ordinates(codec, emp.lags, emp.delta, emp.axes)
-        self.evaluations = 0
-
-    def objective(self, theta):
-        """WSS at one theta (a float) or at each row of an (S, dim) array.
-
-        Rows where the model is undefined score +inf, so the search
-        steers away.
-        """
-        theta = np.asarray(theta, dtype=float)
-        thetas = np.atleast_2d(theta)
-        ords, failed = self.ordinates(thetas)
-        self.evaluations += thetas.shape[0]
-        resid = np.subtract(self.emp.ordinates, ords, out=ords)
-        squares = self.weights * resid
-        squares *= resid
-        wss = np.where(failed, np.inf, np.add.reduce(squares, axis=1))
-        return wss if theta.ndim == 2 else float(wss[0])
-
-
-class _ProfiledWls:
-    """The WLS objective with b's scale profiled out (variable projection).
-
-    The kernel is linear in b, so psi(.; r u, lam) = r^2 psi(.; u, lam).
-    For a direction u and eigenvalues lam, with m = psi(.; u, lam), the
-    WSS of r u is a quadratic in s = r^2, least at
-    s = sum w psi_hat m / sum w m^2 (Golub & Pereyra 1973).  A row holds
-    q angles of u, then the codec's eigenvalue coordinates: one
-    coordinate fewer than theta.  u is the hyperspherical point
-    u_k = cos(a_k) prod_{j<k} sin(a_j), u_q = prod_j sin(a_j), on the
-    half-sphere u_0 >= 0 (``bounds``): u = (1,) at q = 0.  s is clipped
-    to [0, B_MAX^2 / max_i u_i^2], so r u lies in the codec's box, and a
-    row scores the exact WSS of (r u, lam) from one batched
-    ``ordinates`` call at b = u for all rows.  It is summed as
-    sum w (psi_hat - s m)^2: the expanded
-    sum w psi_hat^2 - 2 s sum w psi_hat m + s^2 sum w m^2 cancels to
-    rounding noise where the WSS is near 0, as in a noiseless fit.
-    Rows where the model is undefined score +inf.  ``evaluations``
-    counts the rows scored.
-    """
-
-    def __init__(self, problem, codec):
-        self.problem = problem
         self.q = codec.q
-        self.weighted_data = problem.weights * problem.emp.ordinates
         # u_0 = cos(a_0) >= 0; for q >= 2 the other angles are those of
         # the standard hyperspherical point of S^(q-1)
         angles = [(-0.5 * math.pi, 0.5 * math.pi)] * min(self.q, 1)
@@ -739,7 +716,16 @@ class _ProfiledWls:
         full = codec.default_bounds()
         self.box = np.transpose(full)
         self.bounds = angles + full[self.q + 1:]
-        self.evaluations = 0
+        self.weighted_data = self.weights * emp.ordinates
+
+    def _wss(self, ords, failed):
+        """The WSS of each row of model ordinates ``ords``, which it overwrites."""
+        resid = np.subtract(self.emp.ordinates, ords, out=ords)
+        return np.where(failed, np.inf, np.square(resid, out=resid) @ self.weights)
+
+    def objective(self, thetas):
+        """WSS of each row of an (S, dim) array of theta (one row if 1-d)."""
+        return self._wss(*self.ordinates(np.atleast_2d(np.asarray(thetas, dtype=float))))
 
     def _scaled(self, rows):
         """Theta at b = u, the clipped squared scale and the WSS of each row."""
@@ -751,25 +737,21 @@ class _ProfiledWls:
         if q:
             u[:, :q] = np.cos(rows[:, :q])
             u[:, 1:] *= np.cumprod(np.sin(rows[:, :q]), axis=1)
-        m, failed = self.problem.ordinates(thetas)
-        self.evaluations += rows.shape[0]
-        weights = self.problem.weights
+        m, failed = self.ordinates(thetas)
         scale = m @ self.weighted_data
-        scale /= np.square(m) @ weights
+        scale /= np.square(m) @ self.weights
         np.maximum(scale, 0.0, out=scale)
         np.minimum(scale, B_MAX ** 2 / np.max(np.square(u), axis=1) if q else B_MAX ** 2,
                    out=scale)
         m *= scale[:, None]
-        resid = np.subtract(self.problem.emp.ordinates, m, out=m)
-        wss = np.square(resid, out=resid) @ weights
-        return thetas, scale, np.where(failed, np.inf, wss)
+        return thetas, scale, self._wss(m, failed)
 
-    def objective(self, rows):
+    def profiled(self, rows):
         """WSS of each row of an (S, dim - 1) array at its best scale."""
         return self._scaled(np.asarray(rows, dtype=float))[2]
 
     def theta(self, row):
-        """The theta (r u, lam) of one row, in the codec's box."""
+        """The theta (r u, lam) of one searched row, in the box."""
         thetas, scale, _ = self._scaled(np.asarray(row, dtype=float)[None])
         thetas[0, : self.q + 1] *= math.sqrt(scale[0])
         return np.clip(thetas[0], *self.box)
@@ -781,9 +763,8 @@ def wls_objective(theta, emp, weights, p, q, kappa2=1.0, blocks=None):
     Model evaluation failures (for instance coincident eigenvalues
     proposed by an optimizer) yield +inf so search steers away.
     """
-    codec = ThetaCodec(p=p, q=q, d=emp.lags.shape[1], kappa2=kappa2,
-                       blocks=blocks)
-    return _WlsProblem(emp, weights, codec).objective(theta)
+    codec = ThetaCodec(p=p, q=q, d=emp.lags.shape[1], kappa2=kappa2, blocks=blocks)
+    return float(_WlsProblem(emp, weights, codec).objective(theta)[0])
 
 
 @dataclass
@@ -793,11 +774,11 @@ class FitConfig:
     The defaults reproduce the reference setup: quadratic lag weights,
     population of 10 per searched coordinate and 300 generations (the
     search profiles b's scale out, so it has one coordinate fewer than
-    theta: see ``fit``).  The search is
-    best1bin differential evolution from a Latin-hypercube start with
-    deferred updating (``_differential_evolution``): every trial of a
-    generation is built from the previous generation, and ``seed``
-    drives the random stream of scipy's ``differential_evolution``.  The
+    theta: see ``_WlsProblem``).  The search is best1bin differential
+    evolution from a Latin-hypercube start with deferred updating
+    (``_differential_evolution``): every trial of a generation is built
+    from the previous generation, and ``seed`` drives the random stream
+    of scipy's ``differential_evolution``.  The
     parameter box and the remaining search settings are module constants
     (``B_MAX``, ``EIG_MIN``, ``IM_MAX``, ``DE_*``); the polish uses
     scipy's default tolerances.  The seed must lie in [0, 2**32), and
@@ -878,16 +859,17 @@ def aic_value(wss, p_params, k_lags):
     return 2.0 * p_params + k_lags * math.log(wss / k_lags)
 
 
-def _differential_evolution(problem, bounds, config):
-    """Minimize ``problem.objective`` over the box by differential evolution.
+def _differential_evolution(objective, bounds, config):
+    """Minimize ``objective`` over the box by differential evolution.
 
+    ``objective`` maps an (S, dim) array of rows to their S scores.
     Bit for bit ``scipy.optimize.differential_evolution`` with best1bin,
     a Latin-hypercube start, deferred updating, no polish and the
     ``DE_*`` settings: it draws ``RandomState(config.seed)`` in scipy's
     order (the tests check it against scipy).  A generation on S
     members costs S ``shuffle`` calls, which pick the difference
-    vectors and are the stream's own cost, one ``problem.objective``
-    call on the (S, dim) trial rows and about 30 whole-array passes,
+    vectors and are the stream's own cost, one ``objective`` call on
+    the (S, dim) trial rows and about 30 whole-array passes,
     whatever S: 15 for mutation and crossover, 4 to find the
     coordinates outside the box (2 more to redraw them, only when
     there are some: an empty draw would take nothing from the stream),
@@ -898,8 +880,8 @@ def _differential_evolution(problem, bounds, config):
     of their mean, computed as ``np.std`` and ``np.mean`` compute them
     (``_de_converged``).
 
-    Returns the best parameter vector, the generations run and whether
-    the stop test was met.
+    Returns the best row, the generations run, whether the stop test
+    was met and the rows scored, S (generations + 1).
     """
     rng = np.random.RandomState(config.seed)
     low, high = np.asarray(bounds, dtype=float).T
@@ -913,7 +895,7 @@ def _differential_evolution(problem, bounds, config):
               + np.linspace(0.0, 1.0, size, endpoint=False)[:, None])
     orders = np.array([rng.permutation(size) for _ in range(dim)])
     population = strata[orders.T, np.arange(dim)]
-    energies = problem.objective(centre + (population - 0.5) * width)
+    energies = objective(centre + (population - 0.5) * width)
 
     def promote():  # the best member to row 0, where it is not already
         best = energies.argmin()
@@ -942,7 +924,7 @@ def _differential_evolution(problem, bounds, config):
         redraws = np.count_nonzero(outside)
         if redraws:  # an empty draw would take nothing from the stream
             trial[outside] = rng.uniform(size=redraws)
-        scores = problem.objective(centre + (trial - 0.5) * width)
+        scores = objective(centre + (trial - 0.5) * width)
         better = scores <= energies
         np.copyto(population, trial, where=better[:, None])
         np.copyto(energies, scores, where=better)
@@ -950,7 +932,7 @@ def _differential_evolution(problem, bounds, config):
         if _de_converged(energies):
             converged = True
             break
-    return centre + (population[0] - 0.5) * width, generation, converged
+    return centre + (population[0] - 0.5) * width, generation, converged, size * (generation + 1)
 
 
 def _de_converged(energies):
@@ -977,9 +959,9 @@ def fit(emp, config):
     ``_differential_evolution``) searches the direction of b and the
     eigenvalues, one coordinate fewer than theta: b's scale is profiled
     out, each row scored at its best scale inside the box
-    (``_ProfiledWls``).  A trust-region reflective least-squares polish
-    of sqrt(w) (gamma_hat - gamma(theta)) then runs in full theta, in
-    the parameter box, from the best row at its scale.  Each generation
+    (``_WlsProblem.profiled``).  A trust-region reflective least-squares
+    polish of sqrt(w) (gamma_hat - gamma(theta)) then runs in full theta,
+    in the parameter box, from the best row at its scale.  Each generation
     is one batched evaluation with deferred updating; the polish scores
     its residuals with the same evaluator and takes
     ``asymptotic_covariance``'s Jacobian, stepping one-sided where a
@@ -1011,17 +993,15 @@ def fit(emp, config):
     if not np.any(emp.ordinates):
         raise ZeroVariance("cannot fit an all-zero variogram: the field has no variance")
     problem = _WlsProblem(emp, weights, codec)
-    profiled = _ProfiledWls(problem, codec)
-    best, de_generations, de_converged = _differential_evolution(
-        profiled, profiled.bounds, config)
-    de_evaluations = profiled.evaluations
+    best, de_generations, de_converged, de_evaluations = _differential_evolution(
+        problem.profiled, problem.bounds, config)
     # residuals sqrt(w) (gamma_hat - gamma(theta)) are NaN where the model
     # is undefined, which shrinks the trust region
     root_w = np.sqrt(problem.weights)
-    box = profiled.box
+    box = problem.box
     polish = optimize.least_squares(
         lambda theta: root_w * (emp.ordinates - problem.ordinates(theta[None])[0][0]),
-        profiled.theta(best),
+        problem.theta(best),
         jac=lambda theta: -root_w[:, None] * _variogram_jacobian(problem.ordinates, theta, box),
         bounds=box,
         method="trf",

@@ -244,10 +244,19 @@ class StudyConfig:
             raise ConfigError("the study fits real eigenvalues; the truth has complex ones")
         # the checks of the master seed, the grid size, the spacing, the
         # lag count and the search settings, made once here rather than
-        # in every replication
+        # in every replication; the fine grid scales n and delta as scalars
         simulate.substream(self.seed)
+        for name in ("n", "delta"):
+            if np.ndim(getattr(self, name)) != 0:
+                raise ConfigError(f"the study takes one {name} for every axis, "
+                                  f"got {getattr(self, name)!r}")
         model._per_axis(self.n, self.spec.d, "n")
         estimate.axis_lag_set(self.spec.d, self.delta, self.j_max)
+        # the cases' weight schemes need two lags per axis, and the last lag
+        # must stay inside the estimation grid
+        if not 2 <= self.j_max < self.n:
+            raise ConfigError(f"the lag count per axis must lie in [2, n) with n = {self.n}, "
+                              f"got {self.j_max}")
         estimate.FitConfig(p=self.spec.p, q=self.spec.q, generations=self.generations,
                            population_factor=self.population_factor)
 

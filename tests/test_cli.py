@@ -1,5 +1,6 @@
 """Grid I/O, data workflows, and the command line surface."""
 
+import dataclasses
 import os
 import pathlib
 import struct
@@ -373,6 +374,16 @@ class TestCliCommands:
     ])
     def test_noise_keys_of_the_chosen_family_accepted(self, tmp_path, noise):
         assert run_cli(self.SIMULATE + noise + ["--output-dir", tmp_path / "sim"]) == 0
+
+    @pytest.mark.parametrize("command", [["fit", "--from-variogram"],
+                                         ["recover", "--p", 1, "--input"]])
+    def test_variogram_csv_without_lag_columns_exits_1(self, tmp_path, capsys, command):
+        vario = tmp_path / "vario.csv"
+        vario.write_text("ordinate,pair_count\n0.5,100\n0.8,90\n")
+        assert run_cli(command + [vario, "--output-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: variogram lags need one column per axis")
+        assert "Traceback" not in err
 
     def test_study_rejects_noise_keys_of_another_family(self, tmp_path):
         out = tmp_path / "study"
@@ -804,6 +815,23 @@ class TestStudySmall:
             "replication 2/2: done",
         ]
         assert results[1]["failed"] == 1
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(n=6, j_max=6), "must lie in"),  # lag 6 leaves a 6-cell grid
+        (dict(j_max=1), "must lie in"),  # a named weight scheme needs two lags
+        (dict(n=(40, 40)), "one n for every axis"),  # the fine grid would repeat the tuple
+        (dict(delta=(0.1, 0.1)), "one delta for every axis"),  # a tuple has no fine spacing
+    ])
+    def test_settings_every_replication_rejects_are_refused(self, change, message):
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(self.two_replications(), **change)
+
+    def test_study_with_lags_past_the_grid_exits_1_before_any_replication(self, tmp_path,
+                                                                         capsys):
+        assert run_cli(["study", "--output-dir", tmp_path / "st", "--replications", 2,
+                        "--n", 20, "--lags", 30] + TestCliCommands.MODEL_FLAGS) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "replication" not in err
 
     def test_zero_replications_rejected(self):
         spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,), (-1.5,)))

@@ -36,6 +36,67 @@ def test_imports_only_stdlib_numpy_and_scipy(path):
     assert tops - set(sys.stdlib_module_names) - ALLOWED - {"carmafield"} == set()
 
 
+PERFBENCH = SRC.parents[1] / "perfbench"
+# the modules whose names the benchmark reads: the package's and the
+# tests' spec drawer
+READ_ROOTS = {"carmafield", "oracles"}
+
+
+def _imported_roots(tree):
+    """Names that ``tree`` binds to a package module or to ``oracles``."""
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                if top in READ_ROOTS:
+                    module = importlib.import_module(alias.name)
+                    roots[alias.asname or top] = module if alias.asname else (
+                        importlib.import_module(top))
+        elif isinstance(node, ast.ImportFrom) and node.module == "carmafield":
+            for alias in node.names:
+                roots[alias.asname or alias.name] = importlib.import_module(
+                    f"carmafield.{alias.name}")
+    return roots
+
+
+def _dotted(node):
+    """The names of an attribute chain rooted at a plain name, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id] + names[::-1] if isinstance(node, ast.Name) else None
+
+
+def _missing(roots, names):
+    """The first prefix of ``names`` that does not resolve, else None."""
+    value = roots[names[0]]
+    for depth, name in enumerate(names[1:], 2):
+        if not hasattr(value, name):
+            return ".".join(names[:depth])
+        value = getattr(value, name)
+    return None
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_package_name_the_benchmark_reads_exists(path):
+    tree = ast.parse(path.read_text())
+    roots = _imported_roots(tree)
+    chains = [_dotted(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    # layers.TARGETS wraps (owner, "name") pairs by name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id == "TARGETS"):
+            for row in node.value.elts:
+                owner, name = row.elts[:2]
+                chains.append(_dotted(owner) + [name.value])
+    read = [names for names in chains if names and names[0] in roots and len(names) > 1]
+    assert [m for m in (_missing(roots, names) for names in read) if m] == []
+    if path.name in ("layers.py", "workloads.py"):
+        assert read
+
+
 # the RunConfig methods through which a handler reads a config key
 READERS = {"get", "get_float", "get_int", "get_bool", "get_list", "require"}
 
