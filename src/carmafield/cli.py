@@ -7,7 +7,9 @@ comments allowed) mirrored one-to-one by command line flags; flags win.
 A subcommand accepts only the keys it reads, and a key that only
 another branch of it reads (a noise family's key under another
 family, a field key of ``fit --from-variogram``); any other key is a
-``ConfigError``.
+``ConfigError``.  Each setting has one source: ``simulate`` and
+``study`` take kappa2 from the noise keys, and a grid file carries its
+format and spacing (``delta`` is refused unless the grid is a bare matrix).
 Every run writes a manifest (config echo, versions, output checksums)
 into the output directory and never mutates its inputs.
 
@@ -118,16 +120,14 @@ def _parse_complex(text):
         raise ConfigError(f"cannot parse complex number {text!r}") from None
 
 
-def _model_from_config(cfg):
+def _model_from_config(cfg, kappa2):
     b = cfg.get_list("b", float)
     eig_text = cfg.require("eigenvalues")
     axes = [axis.strip() for axis in eig_text.split(";") if axis.strip()]
     eigenvalues = tuple(
         tuple(_parse_complex(v) for v in axis.split(",")) for axis in axes
     )
-    return model.CarmaSpec(
-        b=tuple(b), eigenvalues=eigenvalues, kappa2=cfg.get_float("kappa2", 1.0)
-    )
+    return model.CarmaSpec(b=tuple(b), eigenvalues=eigenvalues, kappa2=kappa2)
 
 
 def _basis_from_config(cfg):
@@ -167,13 +167,14 @@ def _basis_from_config(cfg):
     raise ConfigError(f"unknown noise family {cfg.get('noise')!r}")
 
 
-def _write_manifest(cfg, out_dir, outputs):
+def _write_manifest(cfg, out_dir, outputs, facts=()):
     lines = [f"command = {cfg.command}"]
     for key in sorted(cfg.options):
         lines.append(f"{key} = {cfg.options[key]}")
     lines.append(f"carmafield_version = {__version__}")
     lines.append(f"numpy_version = {np.__version__}")
     lines.append(f"scipy_version = {scipy.__version__}")
+    lines.extend(f"{name} = {value:.17g}" for name, value in facts)
     for name in sorted(outputs):
         digest = hashlib.sha256(Path(out_dir, name).read_bytes()).hexdigest()
         lines.append(f"sha256:{name} = {digest}")
@@ -191,20 +192,15 @@ def _write_csv(path, header, rows):
 
 
 def _ingest(cfg):
-    path = cfg.require("input")
-    default_delta = None
-    if cfg.get("delta") is not None:
-        default_delta = cfg.get_float("delta")
-    field = gridio.ingest_grid(path, fmt=cfg.get("format", "auto"),
-                               default_delta=default_delta)
-    return field
+    delta = cfg.get_float("delta") if cfg.get("delta") is not None else None
+    return gridio.ingest_grid(cfg.require("input"), delta=delta)
 
 
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_simulate(cfg):
-    spec = _model_from_config(cfg)
     basis = _basis_from_config(cfg)
+    spec = _model_from_config(cfg, basis.kappa2)
     out = cfg.output_dir()
     algorithm = cfg.get("algorithm", "grid").lower()
     n = cfg.get_int("n")
@@ -259,17 +255,16 @@ def _cmd_fit(cfg):
     if cfg.get("from_variogram"):
         cfg.refuse(_FIELD_KEYS, "with from_variogram")
     out = cfg.output_dir()
+    facts = ()
     if cfg.get("from_variogram"):
-        delta = None
-        if cfg.get("delta") is not None:
-            delta = cfg.get_float("delta")
-        emp = estimate.EmpiricalVariogram.from_csv(
-            cfg.get("from_variogram"), delta=delta
-        )
+        delta = cfg.get_float("delta") if cfg.get("delta") is not None else None
+        emp = estimate.EmpiricalVariogram.from_csv(cfg.get("from_variogram"), delta=delta)
     else:
         field = _ingest(cfg)
         if cfg.get_bool("normalize"):
             field = workflows.normalize(field)
+            # the unit of the fit's outputs
+            facts = [(k, field.provenance[k]) for k in ("normalize_shift", "normalize_scale")]
         j_max = cfg.get_int("lags", 50)
         lags = estimate.axis_lag_set(field.d, field.delta, j_max)
         emp = estimate.empirical_variogram(field, lags)
@@ -317,7 +312,7 @@ def _cmd_fit(cfg):
                 ylabel="ordinate",
             )
             outputs.append(svg)
-    _write_manifest(cfg, out, outputs)
+    _write_manifest(cfg, out, outputs, facts)
     return 0
 
 
@@ -447,8 +442,8 @@ def _cmd_diagnose(cfg):
 
 
 def _cmd_study(cfg):
-    spec = _model_from_config(cfg)
     basis = _basis_from_config(cfg)
+    spec = _model_from_config(cfg, basis.kappa2)
     out = cfg.output_dir()
     study = workflows.StudyConfig(
         spec=spec,
@@ -463,7 +458,6 @@ def _cmd_study(cfg):
         seed=cfg.get_int("seed", 12345),
         generations=cfg.get_int("generations", 300),
         population_factor=cfg.get_int("population", 10),
-        kappa2=cfg.get_float("kappa2", 1.0),
     )
     results = workflows.run_simulation_study(study)
     outputs = []
@@ -504,15 +498,15 @@ _HANDLERS = {
 }
 
 # the config keys each subcommand reads, through its handler and helpers
-_MODEL_KEYS = {"b", "eigenvalues", "kappa2"}
+_MODEL_KEYS = {"b", "eigenvalues"}
 _NOISE_KEYS = {"noise", "sigma2", "vg_variance", "vg_shape", "cp_intensity",
                "cp_jumps", "jump_mean", "jump_std", "jump_low", "jump_high"}
 # the jump keys each compound-Poisson jump law reads
 _JUMP_KEYS = {"normal": {"jump_mean", "jump_std"}, "rademacher": set(),
               "uniform": {"jump_low", "jump_high"}}
-_INGEST_KEYS = {"input", "format", "delta"}
+_INGEST_KEYS = {"input", "delta"}
 # the keys only fit's field branch reads, not its from_variogram branch
-_FIELD_KEYS = {"input", "format", "normalize", "lags"}
+_FIELD_KEYS = {"input", "normalize", "lags"}
 _COMMAND_KEYS = {
     "simulate": {"output_dir", *_MODEL_KEYS, *_NOISE_KEYS, "algorithm", "n",
                  "delta", "m", "seed", "csv", "plot"},

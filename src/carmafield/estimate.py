@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
@@ -79,7 +79,7 @@ LAG_INTEGER_TOL = 1e-6
 FFT_SLAB_CELLS = 1 << 15
 
 # Fit search box [0, B_MAX] x [-B_MAX, B_MAX]^q x [EIG_MIN, 0]^{dp}, with
-# imaginary parts of complex eigenvalue blocks in [0, IM_MAX].
+# imaginary parts of complex eigenvalue blocks in [0, IM_MAX]; B_MAX bounds sqrt(kappa2) b.
 B_MAX = 10.0
 EIG_MIN = -10.0
 IM_MAX = 10.0
@@ -781,7 +781,8 @@ class FitConfig:
     of scipy's ``differential_evolution``.  The
     parameter box and the remaining search settings are module constants
     (``B_MAX``, ``EIG_MIN``, ``IM_MAX``, ``DE_*``); the polish uses
-    scipy's default tolerances.  The seed must lie in [0, 2**32), and
+    scipy's default tolerances.  ``kappa2``, the unit b is reported in,
+    must be finite and positive, the seed must lie in [0, 2**32), and
     the population factor and the generations must be positive.
     """
 
@@ -795,6 +796,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.kappa2 = model._check_kappa2(self.kappa2)
         if not 0 <= self.seed < 2 ** 32:
             raise ValidationError(f"seed must lie in [0, 2**32), got {self.seed}")
         if self.population_factor < 1 or self.generations < 1:
@@ -965,7 +967,9 @@ def fit(emp, config):
     is one batched evaluation with deferred updating; the polish scores
     its residuals with the same evaluator and takes
     ``asymptotic_covariance``'s Jacobian, stepping one-sided where a
-    central step would leave the box or the model's domain.  Output
+    central step would leave the box or the model's domain.  Both stages
+    fit sqrt(kappa2) b at unit kappa2 (the variogram identifies only
+    kappa2 b b'), so the box and the steps do not depend on b's unit.  Output
     eigenvalues are in canonical order (descending real part, then
     descending imaginary part), placed in the blocks by kind.
 
@@ -992,7 +996,7 @@ def fit(emp, config):
     weights = resolve_weights(emp, config.weights)
     if not np.any(emp.ordinates):
         raise ZeroVariance("cannot fit an all-zero variogram: the field has no variance")
-    problem = _WlsProblem(emp, weights, codec)
+    problem = _WlsProblem(emp, weights, replace(codec, kappa2=1.0))
     best, de_generations, de_converged, de_evaluations = _differential_evolution(
         problem.profiled, problem.bounds, config)
     # residuals sqrt(w) (gamma_hat - gamma(theta)) are NaN where the model
@@ -1006,7 +1010,9 @@ def fit(emp, config):
         bounds=box,
         method="trf",
     )
-    spec = codec.to_spec(polish.x).canonical()
+    theta = polish.x.copy()
+    theta[: codec.q + 1] /= math.sqrt(codec.kappa2)
+    spec = codec.to_spec(theta).canonical()
     theta = codec.from_spec(spec)
     wss = 2.0 * float(polish.cost)
     p_params = codec.dim
@@ -1108,10 +1114,15 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     return _v_matrix(spec, _lag_steps(delta, tlist), basis, delta)
 
 
+def _check_noise_variance(spec, basis, error=ValidationError):
+    """Raise ``error`` unless basis.kappa2 is spec.kappa2 to 1e-9 (relative above 1)."""
+    if abs(basis.kappa2 - spec.kappa2) > 1e-9 * max(1.0, spec.kappa2):
+        raise error("the basis variance must equal the spec's kappa2")
+
+
 def _v_matrix(spec, steps, basis, delta):
     """``covariance_v_matrix`` at lags of integer ``steps`` on the spacing ``delta``."""
-    if abs(basis.kappa2 - spec.kappa2) > 1e-9 * max(1.0, spec.kappa2):
-        raise ValidationError("the basis variance must equal the spec's kappa2")
+    _check_noise_variance(spec, basis)
     rows, cols = np.triu_indices(len(steps))
     excess = basis.kappa4 - 3.0 * basis.kappa2 ** 2
     quartic = abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2)

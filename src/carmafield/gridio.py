@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .errors import LengthMismatch, MalformedHeader, NonFiniteValue
+from .errors import LengthMismatch, MalformedHeader, NonFiniteValue, ValidationError
 from .simulate import LatticeField
 
 __all__ = [
@@ -150,16 +150,18 @@ def read_field_csv(path, default_delta=None):
     )
 
 
-def ingest_grid(path, fmt="auto", default_delta=None):
+def ingest_grid(path, delta=None):
     """Read a lattice field from a CARF or CSV file.
 
-    ``fmt`` may be "carf", "csv" or "auto" (sniff the magic bytes).
+    A file that starts with the CARF magic bytes is read as CARF, any
+    other as CSV.  A CARF file or a CSV grid with a header carries its
+    own spacing, so a ``delta`` given for one is refused
+    (ValidationError); a bare matrix needs it.
     """
-    if fmt == "auto":
-        with open(path, "rb") as fh:
-            fmt = "carf" if fh.read(4) == MAGIC else "csv"
-    if fmt == "carf":
-        return read_carf(path)
-    if fmt == "csv":
-        return read_field_csv(path, default_delta=default_delta)
-    raise MalformedHeader(f"unknown grid format {fmt!r}")
+    with open(path, "rb") as fh:
+        carf = fh.read(4) == MAGIC
+    field = read_carf(path) if carf else read_field_csv(path, default_delta=delta)
+    if delta is not None and field.provenance["format"] != "csv-matrix":
+        raise ValidationError(f"{path} carries its own spacing; a delta is only for "
+                              "a bare matrix")
+    return field

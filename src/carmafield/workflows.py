@@ -136,14 +136,14 @@ def diagnose(field, bins=100):
     }
 
 
-def run_fit_workflow(emp, models, weights="quadratic", kappa2=1.0, seed=0,
-                     generations=300, population_factor=10):
+def run_fit_workflow(emp, models, **options):
     """Fit every model of the menu to one empirical variogram and rank.
 
     Parameters
     ----------
     emp : EmpiricalVariogram
     models : sequence of menu names (keys of ``MODEL_MENU``)
+    options : the other ``estimate.FitConfig`` fields, with its defaults
 
     Returns
     -------
@@ -157,15 +157,7 @@ def run_fit_workflow(emp, models, weights="quadratic", kappa2=1.0, seed=0,
     fits = {}
     for name in models:
         p, q = MODEL_MENU[name]
-        config = estimate.FitConfig(
-            p=p,
-            q=q,
-            kappa2=kappa2,
-            weights=weights,
-            seed=seed,
-            generations=generations,
-            population_factor=population_factor,
-        )
+        config = estimate.FitConfig(p=p, q=q, **options)
         try:
             fits[name] = estimate.fit(emp, config)
         except CarmaFieldError as exc:
@@ -212,7 +204,8 @@ class StudyConfig:
 
     Fields are simulated with the truncated-discretized scheme on a
     grid ``fine_factor`` times finer than the estimation grid, then
-    thinned back, mirroring the reference protocol at desk scale.
+    thinned back, mirroring the reference protocol at desk scale.  The
+    fits report b in the noise's unit: spec.kappa2 must be basis.kappa2.
     """
 
     spec: model.CarmaSpec
@@ -227,7 +220,6 @@ class StudyConfig:
     seed: int = 12345
     generations: int = 300
     population_factor: int = 10
-    kappa2: float = 1.0
 
     def __post_init__(self):
         if self.replications < 1:
@@ -242,6 +234,7 @@ class StudyConfig:
         # the fits use real blocks, one table row per eigenvalue
         if np.any(np.abs(np.imag(self.spec.eigenvalues)) > model.CONJUGATE_TOL):
             raise ConfigError("the study fits real eigenvalues; the truth has complex ones")
+        estimate._check_noise_variance(self.spec, self.basis, ConfigError)
         # the checks of the master seed, the grid size, the spacing, the
         # lag count and the search settings, made once here rather than
         # in every replication; the fine grid scales n and delta as scalars
@@ -314,7 +307,7 @@ def _study_replication(args):
         config = estimate.FitConfig(
             p=cfg.spec.p,
             q=cfg.spec.q,
-            kappa2=cfg.kappa2,
+            kappa2=cfg.spec.kappa2,
             weights=scheme,
             seed=de_seed + case,
             generations=cfg.generations,
@@ -345,9 +338,7 @@ def run_simulation_study(cfg, log=None):
         Table rows are (parameter, true value, mean, bias, std, rmse).
     """
     log = log or (lambda msg: print(msg, file=sys.stderr))
-    codec = estimate.ThetaCodec(
-        p=cfg.spec.p, q=cfg.spec.q, d=cfg.spec.d, kappa2=cfg.kappa2
-    )
+    codec = estimate.ThetaCodec(p=cfg.spec.p, q=cfg.spec.q, d=cfg.spec.d)
     truth = codec.from_spec(cfg.spec.canonical())
     tasks = [(cfg, rep) for rep in range(cfg.replications)]
     workers = worker_count(len(tasks))

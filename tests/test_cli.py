@@ -72,6 +72,20 @@ class TestGridIO:
         assert field.n == (2, 3)
         assert field.values[1, 2] == 6.5
 
+    def test_ingest_takes_the_format_and_spacing_from_the_file(self, tmp_path):
+        field = simulate.LatticeField(delta=(0.5, 0.25), values=np.arange(6.0).reshape(2, 3))
+        carf, headed, bare = tmp_path / "f.carf", tmp_path / "f.csv", tmp_path / "m.csv"
+        gridio.write_carf(field, carf)
+        gridio.write_field_csv(field, headed)
+        bare.write_text("0,1,2\n3,4,5\n")
+        for path in (carf, headed):
+            assert gridio.ingest_grid(path).delta == field.delta
+            with pytest.raises(ValidationError, match="carries its own spacing"):
+                gridio.ingest_grid(path, delta=0.5)
+        back = gridio.ingest_grid(bare, delta=(0.5, 0.25))
+        assert back.delta == field.delta
+        assert np.array_equal(back.values, field.values)
+
     def test_not_a_grid_file(self, tmp_path):
         path = tmp_path / "junk.carf"
         path.write_bytes(b"NOPE")
@@ -411,13 +425,71 @@ class TestCliCommands:
         out = tmp_path / "fit"
         base = ["fit", "--from-variogram", vario, "--models", "car1",
                 "--generations", 5, "--population", 5, "--output-dir", out]
-        for extra in (["--lags", 30, "--normalize", "true"], ["--format", "csv"],
-                      ["--input", vario]):
+        for extra in (["--lags", 30, "--normalize", "true"], ["--input", vario]):
             assert run_cli(base + extra) == 1
             with pytest.raises(ConfigError, match="from_variogram does not read"):
                 cli.run([str(a) for a in base + extra])
             assert not out.exists()
         assert run_cli(base + ["--delta", 0.05]) == 0
+
+    def test_second_sources_of_a_setting_exit_1(self, tmp_path, capsys):
+        # kappa2 comes from the noise keys, a grid's format and spacing
+        # from its file
+        field = simulate.LatticeField(delta=0.1, values=np.arange(64.0).reshape(8, 8))
+        carf, headed, bare = tmp_path / "grid.carf", tmp_path / "grid.csv", tmp_path / "bare.csv"
+        gridio.write_carf(field, carf)
+        gridio.write_field_csv(field, headed)
+        bare.write_text("".join(",".join(map(str, row)) + "\n" for row in field.values))
+        config = tmp_path / "run.conf"
+        config.write_text("kappa2 = 9\n")
+        study = ["study", "--replications", 1] + self.MODEL_FLAGS
+        cases = [self.SIMULATE + ["--kappa2", 9], study + ["--kappa2", 9],
+                 self.SIMULATE + ["--config", config], study + ["--config", config]]
+        for command in ("variogram", "fit", "diagnose"):
+            cases.append([command, "--input", carf, "--format", "carf"])
+            cases += [[command, "--input", path, "--delta", 0.1] for path in (carf, headed)]
+            cases.append([command, "--input", bare])  # a bare matrix needs the spacing
+        for argv in cases:
+            assert run_cli(argv + ["--output-dir", tmp_path / "out"]) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, argv
+        assert run_cli(["variogram", "--input", bare, "--delta", 0.1, "--lags", 3,
+                        "--output-dir", tmp_path / "bare"]) == 0
+        emp = estimate.EmpiricalVariogram.from_csv(tmp_path / "bare" / "variogram.csv")
+        assert emp.delta == (0.1, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_fit_at_an_extreme_kappa2_reports_b_in_its_unit(self, tmp_path):
+        spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,), (-1.4,)))
+        vario = tmp_path / "v.csv"
+        oracles.synthetic_variogram(spec, 0.1, 8).to_csv(vario)
+        b0 = {}
+        for kappa2 in ("1", "1e300"):
+            out = tmp_path / kappa2
+            assert run_cli(["fit", "--from-variogram", vario, "--models", "car1",
+                            "--kappa2", kappa2, "--output-dir", out]) == 0
+            values = dict(line.split(" = ", 1)
+                          for line in (out / "params_car1.txt").read_text().splitlines())
+            b0[kappa2] = float(values["b0"])
+        assert b0["1e300"] * 1e150 == pytest.approx(b0["1"], rel=1e-9)
+
+    def test_normalized_fit_records_its_unit_outside_the_checksums(self, tmp_path, rng):
+        field = simulate.LatticeField(delta=0.1, values=3.0 + 2.0 * rng.normal(size=(40, 40)))
+        grid = tmp_path / "grid.carf"
+        gridio.write_carf(field, grid)
+        prov = workflows.normalize(field).provenance
+        manifests = {}
+        for normalize in ("false", "true"):
+            out = tmp_path / normalize
+            assert run_cli(["fit", "--input", grid, "--normalize", normalize, "--lags", 4,
+                            "--models", "car1", "--generations", 10, "--output-dir", out]) == 0
+            manifests[normalize] = (out / "manifest.txt").read_text().splitlines()
+        lines = manifests["true"]
+        at = lines.index(next(line for line in lines if line.startswith("scipy_version")))
+        assert lines[at + 1:at + 3] == [f"normalize_shift = {prov['normalize_shift']:.17g}",
+                                        f"normalize_scale = {prov['normalize_scale']:.17g}"]
+        assert lines[at + 3].startswith("sha256:")
+        assert not any(line.startswith("normalize_s") for line in manifests["false"])
 
     def test_fit_to_a_constant_field_exits_1(self, tmp_path):
         # its variogram is all zero, with or without normalization
@@ -642,9 +714,11 @@ class TestCliCommands:
         for bins in (0, -3):
             assert run_cli(["diagnose", "--input", field, "--output-dir", tmp_path / "dg",
                             "--bins", bins]) == 1
-        # a binary file read as CSV -> validation, not a decoding error
-        assert run_cli(["variogram", "--input", field, "--output-dir", tmp_path / "vb",
-                        "--format", "csv"]) == 1
+        # a binary file without the CARF magic is read as CSV -> validation,
+        # not a decoding error
+        binary = tmp_path / "binary.dat"
+        binary.write_bytes(b"\x00\xff\xfe" + field.read_bytes()[4:])
+        assert run_cli(["variogram", "--input", binary, "--output-dir", tmp_path / "vb"]) == 1
         # a jump law numpy would refuse to draw from -> validation
         for law in (["--cp-jumps", "normal", "--jump-std", -1],
                     ["--cp-jumps", "uniform", "--jump-low", 1, "--jump-high", -1]):
@@ -832,6 +906,26 @@ class TestStudySmall:
                         "--n", 20, "--lags", 30] + TestCliCommands.MODEL_FLAGS) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "replication" not in err
+
+    def test_estimates_do_not_depend_on_the_noise_variance(self, tmp_path):
+        # the fits take kappa2 from the noise, so b is in the noise's unit:
+        # sigma2 = 4 doubles the field and leaves every estimate in place
+        estimates = {}
+        for sigma2 in ("1", "4"):
+            out = tmp_path / sigma2
+            assert run_cli(["study", "--b", "1.0", "--eigenvalues", "-1;-1.5",
+                            "--sigma2", sigma2, "--n", 120, "--delta", 0.1, "--m", 60,
+                            "--lags", 10, "--replications", 4, "--cases", 1,
+                            "--generations", 60, "--output-dir", out]) == 0
+            estimates[sigma2] = np.loadtxt(out / "estimates_case1.csv", delimiter=",",
+                                           skiprows=1)
+        assert estimates["1"].shape == (4, 3)
+        np.testing.assert_allclose(estimates["4"], estimates["1"], rtol=1e-9)
+
+    def test_truth_and_noise_must_share_kappa2(self):
+        with pytest.raises(ConfigError, match="kappa2"):
+            dataclasses.replace(self.two_replications(),
+                                basis=simulate.GaussianBasis(sigma2=4.0))
 
     def test_zero_replications_rejected(self):
         spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,), (-1.5,)))

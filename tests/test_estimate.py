@@ -1,5 +1,7 @@
 """Matheron estimator, WLS fitting, covariances and model selection."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize
@@ -692,6 +694,24 @@ class TestFit:
             estimate.fit(emp, estimate.FitConfig(p=1, q=0, kappa2=kappa2))
         with pytest.raises(InvalidSpec):
             estimate.ThetaCodec(p=1, q=0, d=2, kappa2=kappa2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p, q", [(1, 0), (2, 1)], ids=["car1", "carma21"])
+    def test_fit_is_kappa2_equivariant(self, p, q):
+        # kappa2 only sets b's unit: b sqrt(kappa2), the eigenvalues and
+        # the WSS do not move with it, and no stage overflows or warns
+        spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,), (-1.5,)))
+        field = simulate.simulate_truncated_discretized(
+            spec, simulate.GaussianBasis(), 150, 200, 0.05, seed=3)
+        emp = estimate.empirical_variogram(field, estimate.axis_lag_set(2, field.delta, 30))
+        unit = estimate.fit(emp, estimate.FitConfig(p=p, q=q))
+        for kappa2 in (1e-300, 1e-8, 1e20, 1e100, 1e300):
+            result = estimate.fit(emp, estimate.FitConfig(p=p, q=q, kappa2=kappa2))
+            assert result.spec.kappa2 == kappa2
+            np.testing.assert_allclose(np.multiply(result.spec.b, math.sqrt(kappa2)),
+                                       unit.spec.b, rtol=1e-9)
+            assert result.spec.eigenvalues == unit.spec.eigenvalues
+            assert result.wss == pytest.approx(unit.wss, rel=1e-9)
 
     def test_insufficient_lag_set_is_reported(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)

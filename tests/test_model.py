@@ -278,7 +278,7 @@ class TestStateSpaceCrossCheck:
     # integral at p = 2, while the expansion is off by about 3.9e-7,
     # 5.5e-5 and 2.7e-4 there, and by 0.074% and 1,963% at p = 3
     @pytest.mark.xfail(strict=True, reason="eigen-expansion loses accuracy "
-                       "for near-confluent eigenvalues (ROADMAP direction 3)")
+                       "for near-confluent eigenvalues (ROADMAP direction 4)")
     @pytest.mark.parametrize("p, gap", [(2, 1e-4), (2, 1e-5), (2, 2e-6),
                                         (3, 1e-3), (3, 1e-4)])
     def test_near_confluent_eigenvalues(self, p, gap):

@@ -1,4 +1,4 @@
-"""sha256 of every ``carma-field fit`` output of one checkout, on fixed fields.
+"""sha256 of every ``carma-field fit`` and ``study`` output of one checkout, on fixed seeds.
 
 Usage (from anywhere):
 
@@ -11,12 +11,16 @@ For every seed the script simulates a truncated-discretized ("TD")
 field of the reference spec with Gaussian noise (``carma-field
 simulate``), then fits it three times with ``carma-field fit``: with
 the default model menu, with ``--models car1`` and with the p = 3
-models ``--models car3,carma31``.  Standard output gets
-one JSON object that maps ``seed<s>/<run>/<file>`` to the file's
-sha256, for the field and for every fit output the run's manifest
-lists; the manifests themselves are left out, since they echo the
-output paths.  Two checkouts' objects are equal exactly when their
-fits wrote the same bytes.
+models ``--models car3,carma31``.  It also runs a small ``carma-field
+study`` of the reference spec with the seed as master seed (``STUDY``:
+two replications of cases 1 and 3 on a 60 x 60 grid), whose fits take
+kappa2 from the noise.  Every flag it passes is one that both older and
+newer trees accept.  Standard output gets one JSON object that maps
+``seed<s>/<run>/<file>`` to the file's sha256, for the field and for
+every fit and study output the run's manifest lists; the manifests
+themselves are left out, since they echo the output paths.  Two
+checkouts' objects are equal exactly when their runs wrote the same
+bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from bench_pairs import seed_list
 REF_B = "4.8940,-1.1432"
 REF_EIGENVALUES = "-1.7776,-2.0948;-1.3057,-2.5142"
 FITS = {"default": [], "car1": ["--models", "car1"], "p3": ["--models", "car3,carma31"]}
+STUDY = ["--n", 60, "--delta", 0.08, "--m", 40, "--lags", 8, "--replications", 2,
+         "--cases", "1,3", "--generations", 40]
 
 
 def carma_field(checkout, args):
@@ -83,6 +89,9 @@ def main(argv=None):
                 carma_field(checkout, ["fit", "--input", base / "sim" / "field.carf",
                                        "--output-dir", base / run] + extra)
                 table.update(digests(base / run, f"seed{seed}/{run}"))
+            carma_field(checkout, ["study", "--b", REF_B, "--eigenvalues", REF_EIGENVALUES,
+                                   "--seed", seed, "--output-dir", base / "study"] + STUDY)
+            table.update(digests(base / "study", f"seed{seed}/study"))
             print(f"seed {seed} done", file=sys.stderr, flush=True)
     print(json.dumps(table, indent=1, sort_keys=True))
     return 0
