@@ -45,6 +45,7 @@ from scipy.fft import next_fast_len
 
 from . import model
 from .errors import (
+    InvalidSpec,
     LagOutOfRange,
     MixedLagSets,
     NumericError,
@@ -99,9 +100,9 @@ class EmpiricalVariogram:
 
     ``lags`` holds k physical lag vectors (multiples of the spacing),
     ``ordinates`` one average per lag and ``pair_counts`` the exact
-    number of lattice pairs entering each average.  ``axes`` is the
-    lags' layout on the principal axes (``_axis_layout``), computed on
-    first read.
+    number of lattice pairs entering each average.  ``delta``, the
+    spacing, is checked by ``model._per_axis`` as a field's is.  ``axes``
+    is the lags' layout on the principal axes (``_axis_layout``).
     """
 
     lags: np.ndarray
@@ -129,6 +130,7 @@ class EmpiricalVariogram:
             raise ValidationError("variogram ordinates must be non-negative")
         if np.any(self.pair_counts <= 0):
             raise ValidationError("pair counts must be positive")
+        self.delta = model._per_axis(self.delta, self.lags.shape[1], "delta")
 
     @property
     def k(self):
@@ -174,18 +176,14 @@ class EmpiricalVariogram:
             raise ValidationError(f"variogram CSV {path} has no rows")
         lags = np.asarray(lags)
         if delta is None:
-            # infer the spacing as the smallest nonzero lag per axis
-            delta = []
-            fallback = float(np.min(np.abs(lags[lags != 0.0]))) if np.any(lags) else 1.0
-            for i in range(d):
-                col = np.abs(lags[:, i])
-                col = col[col > 0]
-                delta.append(float(np.min(col)) if col.size else fallback)
+            # the smallest nonzero lag per axis, else of any axis, else 1
+            delta = np.where(lags != 0.0, np.abs(lags), np.inf).min(axis=0)
+            delta[np.isinf(delta)] = delta.min() if np.isfinite(delta).any() else 1.0
         return cls(
             lags=lags,
             ordinates=np.asarray(ords),
             pair_counts=np.asarray(counts),
-            delta=model._per_axis(delta, d, "delta"),
+            delta=delta,
         )
 
 
@@ -450,7 +448,7 @@ class ThetaCodec:
     blocks: tuple = None  # per axis, e.g. ("r", "r") or ("c",)
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa2", model._check_kappa2(self.kappa2))
+        object.__setattr__(self, "kappa2", model._positive(self.kappa2, "kappa2", InvalidSpec))
         if self.blocks is None:
             blocks = tuple(("r",) * self.p for _ in range(self.d))
             object.__setattr__(self, "blocks", blocks)
@@ -796,7 +794,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.kappa2 = model._check_kappa2(self.kappa2)
+        self.kappa2 = model._positive(self.kappa2, "kappa2", InvalidSpec)
         if not 0 <= self.seed < 2 ** 32:
             raise ValidationError(f"seed must lie in [0, 2**32), got {self.seed}")
         if self.population_factor < 1 or self.generations < 1:
@@ -976,9 +974,10 @@ def fit(emp, config):
     ``diagnostics`` holds ``de_generations``, ``de_evaluations`` and
     ``polish_evaluations`` (parameter rows scored by each stage; the
     polish's count includes the one row that gives its start's scale),
-    ``polish_iterations`` (Jacobians), ``converged`` (differential
-    evolution's flag), ``polish_converged`` and the lag-set status
-    ``lag_set``.
+    ``polish_iterations`` (Jacobians), ``de_converged`` (differential
+    evolution's stop test was met), ``polish_converged`` (the polish
+    reported success), ``converged`` (both; the params file's
+    ``converged`` line) and the lag-set status ``lag_set``.
 
     Raises
     ------
@@ -1024,7 +1023,8 @@ def fit(emp, config):
         p_params=p_params,
         k_lags=emp.k,
         diagnostics={
-            "converged": de_converged,
+            "converged": de_converged and bool(polish.success),
+            "de_converged": de_converged,
             "de_generations": de_generations,
             "de_evaluations": de_evaluations,
             "polish_iterations": int(polish.njev),

@@ -9,9 +9,9 @@ are bit exact.
 CSV format: one header row with the axis sizes then the spacings
 (``n1,...,nd,delta1,...,deltad``), then one value per line in row-major
 order, printed with 17 significant digits so doubles round-trip
-exactly.  A plain rectangular matrix of comma-separated values (no
-header) is also accepted for d = 2 ingestion, with the spacing
-supplied by the caller.
+exactly; a spacing supplied for it is refused.  A plain rectangular
+matrix of comma-separated values (no header) is also accepted for
+d = 2 ingestion, with the spacing supplied by the caller.
 """
 
 from __future__ import annotations
@@ -101,6 +101,12 @@ def _parse_canonical_header(cells):
     return ns, deltas
 
 
+def _refuse_spacing(path, delta):
+    if delta is not None:
+        raise ValidationError(f"{path} carries its own spacing; a delta is only for "
+                              "a bare matrix")
+
+
 def read_field_csv(path, default_delta=None):
     try:
         with open(path) as fh:
@@ -111,6 +117,7 @@ def read_field_csv(path, default_delta=None):
         raise MalformedHeader(f"{path} is empty")
     header = _parse_canonical_header(lines[0].split(","))
     if header is not None:
+        _refuse_spacing(path, default_delta)
         ns, deltas = header
         try:
             values = np.asarray([float(v) for v in lines[1:]])
@@ -160,8 +167,7 @@ def ingest_grid(path, delta=None):
     """
     with open(path, "rb") as fh:
         carf = fh.read(4) == MAGIC
-    field = read_carf(path) if carf else read_field_csv(path, default_delta=delta)
-    if delta is not None and field.provenance["format"] != "csv-matrix":
-        raise ValidationError(f"{path} carries its own spacing; a delta is only for "
-                              "a bare matrix")
-    return field
+    if not carf:
+        return read_field_csv(path, default_delta=delta)
+    _refuse_spacing(path, delta)
+    return read_carf(path)

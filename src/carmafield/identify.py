@@ -24,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import model
 from .errors import (
     InconsistentMonomials,
+    InvalidSpec,
     NegativeVarianceEstimate,
     RankDeficient,
     SingularHankel,
@@ -76,10 +77,8 @@ class AxisOrdinates:
             raise ValidationError("psi(0) must be zero")
         if any(v < -1e-12 * max(1.0, scale) for v in values):
             raise ValidationError("variogram ordinates must be non-negative")
-        if not 0 < self.delta < np.inf:
-            raise ValidationError("delta must be positive and finite")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", model._positive(self.delta, "delta"))
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,7 @@ def recover_spec(ordinates_per_axis, p, q, kappa2):
     """
     if not 0 <= q < p:
         raise ValidationError(f"need 0 <= q < p, got q = {q} for p = {p}")
-    kappa2 = model._check_kappa2(kappa2)
+    kappa2 = model._positive(kappa2, "kappa2", InvalidSpec)
     eigs = tuple(
         recover_axis_eigenvalues(ords, p) for ords in ordinates_per_axis
     )

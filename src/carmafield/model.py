@@ -139,19 +139,24 @@ def _real_rows(values):
     return values.real, _residue(values, axis=tuple(range(1, values.ndim)))[1]
 
 
+def _positive(value, name, error=ValidationError):
+    """``value`` as a float if finite and positive, else ``error`` naming ``name``."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise error(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 def _per_axis(value, d, name):
     """``value`` as d floats, one per axis; a scalar applies to every axis.
 
-    The one check for per-axis spacings and sizes: there must be d
-    entries, each finite and positive.
+    The one check for every per-axis spacing and size: there must be d
+    entries, each passing ``_positive``.
     """
     values = (value,) * d if np.ndim(value) == 0 else tuple(value)
-    values = tuple(float(v) for v in values)
-    if len(values) != d or not all(math.isfinite(v) and v > 0 for v in values):
-        raise ValidationError(
-            f"{name} needs {d} finite positive entries, got {value!r}"
-        )
-    return values
+    if len(values) != d:
+        raise ValidationError(f"{name} needs {d} entries, got {value!r}")
+    return tuple(_positive(v, name) for v in values)
 
 
 def canonical_order(eigs):
@@ -195,19 +200,11 @@ def _row_rules(b, lam):
     return rules
 
 
-def _check_kappa2(kappa2):
-    """``kappa2`` as a float; the noise variance must be finite and positive."""
-    kappa2 = float(kappa2)
-    if not (math.isfinite(kappa2) and kappa2 > 0):
-        raise InvalidSpec(f"kappa2 must be finite and positive, got {kappa2!r}")
-    return kappa2
-
-
 def _check_spec(b, eigenvalues, kappa2):
     """Checked parts of one parameter set: (b padded to p, eigenvalues, kappa2).
 
     Applies the shape rules, ``_row_rules`` to the one row, conjugate
-    closure per axis and ``_check_kappa2``.
+    closure per axis and ``_positive`` on kappa2.
 
     Raises
     ------
@@ -228,7 +225,7 @@ def _check_spec(b, eigenvalues, kappa2):
             raise error(f"{message}: b = {b}, eigenvalues = {eiglists}")
     for axis in eiglists:
         _check_conjugate_closed(axis)
-    return b, eiglists, _check_kappa2(kappa2)
+    return b, eiglists, _positive(kappa2, "kappa2", InvalidSpec)
 
 
 @dataclass(frozen=True)

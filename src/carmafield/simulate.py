@@ -98,11 +98,9 @@ class NormalJumps:
     std: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.std) and self.std > 0):
-            raise ValidationError(
-                f"jump mean must be finite and jump std finite and positive, "
-                f"got mean {self.mean} and std {self.std}"
-            )
+        if not math.isfinite(self.mean):
+            raise ValidationError(f"jump mean must be finite, got {self.mean}")
+        model._positive(self.std, "jump std")
 
     @property
     def first_moment(self):
@@ -173,8 +171,7 @@ class GaussianBasis:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValidationError("sigma2 must be positive")
+        model._positive(self.sigma2, "sigma2")
 
     @property
     def kappa2(self):
@@ -202,10 +199,7 @@ class CompoundPoissonBasis:
     jumps: object = field(default_factory=RademacherJumps)
 
     def __post_init__(self):
-        if not (math.isfinite(self.intensity) and self.intensity > 0):
-            raise ValidationError(
-                f"intensity must be finite and positive, got {self.intensity}"
-            )
+        model._positive(self.intensity, "intensity")
         if abs(self.jumps.first_moment) > 1e-12:
             raise ValidationError("jump law must have mean zero")
 
@@ -250,8 +244,8 @@ class VarianceGammaBasis:
     shape: float = 1.0
 
     def __post_init__(self):
-        if not self.variance > 0 or not self.shape > 0:
-            raise ValidationError("variance and shape must be positive")
+        model._positive(self.variance, "variance")
+        model._positive(self.shape, "shape")
 
     @property
     def kappa2(self):
@@ -268,8 +262,7 @@ class VarianceGammaBasis:
 
 def sample_increments(basis, cell_volume, shape, rng):
     """i.i.d. cell increments with characteristics scaled by the volume."""
-    if not cell_volume > 0:
-        raise ValidationError("cell_volume must be positive")
+    model._positive(cell_volume, "cell_volume")
     return basis.sample_increments(cell_volume, shape, rng)
 
 
@@ -307,10 +300,7 @@ class LatticeField:
 # -- Algorithm for compound Poisson noise --------------------------------------
 
 def _draw_jumps(basis, m_radius, d, rng):
-    if not (math.isfinite(m_radius) and m_radius > 0):
-        raise ValidationError(
-            f"truncation radius must be finite and positive, got {m_radius}"
-        )
+    model._positive(m_radius, "truncation radius")
     # the expected jump count intensity * (2M)^d, compared in logarithms
     # so that a huge radius cannot overflow
     log_jumps = math.log(basis.intensity) + d * math.log(2.0 * m_radius)
@@ -591,25 +581,24 @@ def mse_discretization(spec, delta, m_steps):
     Exact closed form of kappa2 * integral of (g - g_step)^2, for real
     and complex eigenvalues alike: per axis, the integral of the squared
     kernel, its cross term with the step function on the kernel box and
-    the step function's own mass are geometric sums.  Decreases to zero
-    as delta -> 0 with delta * m_steps -> infinity.
+    the step function's own mass are geometric sums.  ``delta`` holds one
+    spacing per axis (a scalar serves every axis), as the simulator's
+    does.  Decreases to zero as delta -> 0 with delta * m_steps -> infinity.
     """
-    if not delta > 0:
-        raise ValidationError("delta must be positive")
+    delta = model._per_axis(delta, spec.d, "delta")
     m_steps = int(m_steps)
     if m_steps < 1:
         raise ValidationError("m_steps must be at least 1")
-    delta = float(delta)
     tensor, lams = model._expansion(spec)
     term_a, term_b, term_c = [], [], []
-    for lam in lams:
+    for lam, dl in zip(lams, delta):
         pair = lam[:, None] + lam[None, :]
-        s = pair * delta
+        s = pair * dl
         geom = np.expm1((m_steps + 1) * s) / np.expm1(s)
         term_a.append(1.0 / (-pair))
         # lam rows: kernel factor; columns: step-function factor
-        term_b.append(geom * (np.expm1(lam[:, None] * delta) / lam[:, None]))
-        term_c.append(delta * geom)
+        term_b.append(geom * (np.expm1(lam[:, None] * dl) / lam[:, None]))
+        term_c.append(dl * geom)
     a, b, c = (
         spec.kappa2 * model._contract(tensor, mats, copies=2)
         for mats in (term_a, term_b, term_c)

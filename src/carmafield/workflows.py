@@ -189,12 +189,13 @@ def overlay_tables(emp, fits):
 
 # -- simulation study ---------------------------------------------------------
 
-# the four weighting cases: (lags per axis, weight scheme)
+# the four weighting cases: (weight scheme, share); a case fits the first
+# j_max // share lags per axis, at the default j_max = 50 fifty or 25
 STUDY_CASES = {
-    1: (50, "quadratic"),
-    2: (25, "quadratic"),
-    3: (50, "exponential"),
-    4: (25, "exponential"),
+    1: ("quadratic", 1),
+    2: ("quadratic", 2),
+    3: ("exponential", 1),
+    4: ("exponential", 2),
 }
 
 
@@ -206,6 +207,8 @@ class StudyConfig:
     grid ``fine_factor`` times finer than the estimation grid, then
     thinned back, mirroring the reference protocol at desk scale.  The
     fits report b in the noise's unit: spec.kappa2 must be basis.kappa2.
+    ``j_max`` axis lags are estimated per axis, and each case in ``cases``
+    fits its share of them (``STUDY_CASES``), at least two per axis.
     """
 
     spec: model.CarmaSpec
@@ -245,11 +248,12 @@ class StudyConfig:
                                   f"got {getattr(self, name)!r}")
         model._per_axis(self.n, self.spec.d, "n")
         estimate.axis_lag_set(self.spec.d, self.delta, self.j_max)
-        # the cases' weight schemes need two lags per axis, and the last lag
-        # must stay inside the estimation grid
-        if not 2 <= self.j_max < self.n:
-            raise ConfigError(f"the lag count per axis must lie in [2, n) with n = {self.n}, "
-                              f"got {self.j_max}")
+        # every case's weight scheme needs two lags per axis, and the last
+        # lag must stay inside the estimation grid
+        least = 2 * max((STUDY_CASES[c][1] for c in self.cases), default=1)
+        if not least <= self.j_max < self.n:
+            raise ConfigError(f"the lag count per axis must lie in [{least}, n) with "
+                              f"n = {self.n} for cases {list(self.cases)}, got {self.j_max}")
         estimate.FitConfig(p=self.spec.p, q=self.spec.q, generations=self.generations,
                            population_factor=self.population_factor)
 
@@ -296,8 +300,9 @@ def _study_replication(args):
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(rep, 977)).generate_state(1)[0]
     )
     for case in cfg.cases:
-        j_case, scheme = STUDY_CASES[case]
-        keep = np.concatenate([rows[steps <= j_case] for rows, steps in emp_full.axes[0].values()])
+        scheme, share = STUDY_CASES[case]
+        keep = np.concatenate([rows[steps <= cfg.j_max // share]
+                               for rows, steps in emp_full.axes[0].values()])
         emp = estimate.EmpiricalVariogram(
             lags=emp_full.lags[keep],
             ordinates=emp_full.ordinates[keep],

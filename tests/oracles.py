@@ -128,21 +128,23 @@ def _gauss_panels(breaks, order):
 def mse_discretization_quadrature(spec, delta, m_steps, order=12):
     """Quadrature oracle for ``simulate.mse_discretization``.
 
-    kappa2 * integral of (g - g_step)^2 by per-cell Gauss-Legendre.
+    kappa2 * integral of (g - g_step)^2 by per-cell Gauss-Legendre, with
+    one spacing per axis (a scalar serves every axis).
 
     Inside the kernel box the integrand is smooth per cell; beyond the
     box the step function vanishes and the integrand is g^2, integrated
     on geometrically growing panels out to the decay horizon.
     """
     d = spec.d
-    box_edge = (m_steps + 1) * delta
-    kernel = model.kernel_on_grid(spec, [delta * np.arange(m_steps + 1)] * d)
+    deltas = np.broadcast_to(np.asarray(delta, dtype=float), (d,))
+    kernel = model.kernel_on_grid(spec, [dl * np.arange(m_steps + 1) for dl in deltas])
     per_axis_nodes, per_axis_weights, per_axis_cells = [], [], []
     slowest = abs(spec.max_real_part())
-    horizon = box_edge + 0.5 * math.log(1e18) / slowest
-    for _ in range(d):
-        breaks = list(delta * np.arange(m_steps + 2))
-        step = max(delta, 0.25 / slowest)
+    for dl in deltas:
+        box_edge = (m_steps + 1) * dl
+        horizon = box_edge + 0.5 * math.log(1e18) / slowest
+        breaks = list(dl * np.arange(m_steps + 2))
+        step = max(dl, 0.25 / slowest)
         edge = box_edge
         while edge < horizon:
             edge = min(edge + step, horizon)
@@ -151,7 +153,7 @@ def mse_discretization_quadrature(spec, delta, m_steps, order=12):
         nodes, weights = _gauss_panels(np.asarray(breaks), order)
         per_axis_nodes.append(nodes)
         per_axis_weights.append(weights)
-        idx = np.floor(nodes / delta).astype(int)
+        idx = np.floor(nodes / dl).astype(int)
         idx[nodes >= box_edge] = -1  # outside the kernel box
         per_axis_cells.append(idx)
     gvals = model.kernel_on_grid(spec, per_axis_nodes)

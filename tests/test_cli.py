@@ -82,6 +82,8 @@ class TestGridIO:
             assert gridio.ingest_grid(path).delta == field.delta
             with pytest.raises(ValidationError, match="carries its own spacing"):
                 gridio.ingest_grid(path, delta=0.5)
+        with pytest.raises(ValidationError, match="carries its own spacing"):
+            gridio.read_field_csv(headed, default_delta=5.0)
         back = gridio.ingest_grid(bare, delta=(0.5, 0.25))
         assert back.delta == field.delta
         assert np.array_equal(back.values, field.values)
@@ -457,6 +459,17 @@ class TestCliCommands:
                         "--output-dir", tmp_path / "bare"]) == 0
         emp = estimate.EmpiricalVariogram.from_csv(tmp_path / "bare" / "variogram.csv")
         assert emp.delta == (0.1, 0.1)
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--noise", "vg", "--vg-shape", "inf"], "shape"),
+        (["--sigma2", "inf"], "sigma2"),
+    ])
+    def test_an_infinite_noise_setting_exits_1_before_simulating(self, tmp_path, capsys,
+                                                                 flags, name):
+        out = tmp_path / "sim"
+        assert run_cli(self.SIMULATE + flags + ["--output-dir", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite and positive")
+        assert not (out / "field.carf").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_fit_at_an_extreme_kappa2_reports_b_in_its_unit(self, tmp_path):
@@ -893,12 +906,31 @@ class TestStudySmall:
     @pytest.mark.parametrize("change, message", [
         (dict(n=6, j_max=6), "must lie in"),  # lag 6 leaves a 6-cell grid
         (dict(j_max=1), "must lie in"),  # a named weight scheme needs two lags
+        (dict(cases=(2,), j_max=3), r"must lie in \[4, n\)"),  # case 2 fits 3 // 2 lags
         (dict(n=(40, 40)), "one n for every axis"),  # the fine grid would repeat the tuple
         (dict(delta=(0.1, 0.1)), "one delta for every axis"),  # a tuple has no fine spacing
     ])
     def test_settings_every_replication_rejects_are_refused(self, change, message):
         with pytest.raises(ConfigError, match=message):
             dataclasses.replace(self.two_replications(), **change)
+
+    def test_each_case_fits_its_share_of_the_lags(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CARMA_FIELD_THREADS", "1")
+        fit, per_axis = estimate.fit, {}
+
+        def record(emp, config):
+            per_axis[config.seed] = {axis: steps.tolist() for axis, (_, steps)
+                                     in emp.axes[0].items()}
+            return fit(emp, config)
+
+        monkeypatch.setattr(estimate, "fit", record)
+        assert run_cli(["study", "--b", "1.0", "--eigenvalues", "-1;-1.5", "--n", 40,
+                        "--delta", 0.1, "--m", 20, "--fine-factor", 1, "--lags", 10,
+                        "--cases", "1,2", "--replications", 1, "--generations", 5,
+                        "--output-dir", tmp_path]) == 0
+        case1, case2 = (per_axis[seed] for seed in sorted(per_axis))
+        assert case1 == {0: list(range(1, 11)), 1: list(range(1, 11))}
+        assert case2 == {0: list(range(1, 6)), 1: list(range(1, 6))}
 
     def test_study_with_lags_past_the_grid_exits_1_before_any_replication(self, tmp_path,
                                                                          capsys):

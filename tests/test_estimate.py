@@ -199,6 +199,15 @@ class TestEmpiricalVariogram:
         with pytest.raises(ValidationError):
             estimate.EmpiricalVariogram.from_csv(path, delta=(0.2, 0.2, 0.2))
 
+    # a spacing of 0 used to reach the lag layout and warn there
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta", [(-0.1, 0.1), (0.0, 0.1), (np.nan, 0.1), (0.1,)])
+    def test_spacing_is_checked_when_made(self, delta):
+        lags = estimate.axis_lag_set(2, 0.1, 2)
+        with pytest.raises(ValidationError, match="delta"):
+            estimate.EmpiricalVariogram(lags=lags, ordinates=np.ones(4),
+                                        pair_counts=np.full(4, 100), delta=delta)
+
     def test_one_ordinate_and_pair_count_per_lag(self, tmp_path):
         lags = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
         ok = dict(lags=lags, ordinates=[1.0, 2.0, 3.0], pair_counts=[4, 5, 6],
@@ -616,6 +625,14 @@ class TestFit:
         assert diag["polish_evaluations"] > diag["polish_iterations"] > 0
         assert diag["de_evaluations"] + diag["polish_evaluations"] == sum(scored)
         assert diag["polish_converged"] is True
+
+    def test_params_file_reads_converged_when_both_stages_converge(self, tmp_path):
+        spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,), (-1.4,)))
+        emp = oracles.synthetic_variogram(spec, 0.1, 10)
+        result = estimate.fit(emp, estimate.FitConfig(p=1, q=0, seed=2))
+        assert result.diagnostics["polish_converged"] is True
+        result.to_kv(tmp_path / "fit.txt")
+        assert "converged = True" in (tmp_path / "fit.txt").read_text().splitlines()
 
     def test_reported_wss_is_exact_at_a_double_root(self):
         # criterion 7's Gaussian replication 5 with the study's own DE

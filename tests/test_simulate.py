@@ -56,6 +56,17 @@ class TestIncrements:
         basis = simulate.GaussianBasis(sigma2=2.0)
         assert basis.kappa4 - 3.0 * basis.kappa2 ** 2 == 0.0
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: simulate.GaussianBasis(sigma2=np.inf), "sigma2"),
+        (lambda: simulate.VarianceGammaBasis(variance=np.inf), "variance"),
+        (lambda: simulate.VarianceGammaBasis(shape=np.inf), "shape"),
+        (lambda: simulate.sample_increments(simulate.GaussianBasis(), np.inf, (4,),
+                                            simulate.substream(1)), "cell_volume"),
+    ], ids=["sigma2", "vg-variance", "vg-shape", "cell-volume"])
+    def test_an_infinite_setting_is_refused(self, make, name):
+        with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
+            make()
+
 
 # (spec, basis, m_radius, n, delta, seed): real CAR(1) and complex
 # CAR(2) on R^2, a CARMA(2,1) on R^1 and a CARMA(2,1) on R^3 with
@@ -318,6 +329,19 @@ class TestDiscretizationError:
         closed = simulate.mse_discretization(spec, delta, m)
         quad = oracles.mse_discretization_quadrature(spec, delta, m)
         assert closed == pytest.approx(quad, rel=1e-10)
+
+    def test_one_spacing_per_axis(self):
+        spec = model.CarmaSpec(
+            b=(1.3, -0.6), eigenvalues=((-0.9 + 2.1j, -0.9 - 2.1j), (-1.4, -2.6))
+        )
+        assert (simulate.mse_discretization(spec, (0.1, 0.1), 40)
+                == simulate.mse_discretization(spec, 0.1, 40))
+        closed = simulate.mse_discretization(spec, (0.1, 0.2), 40)
+        quad = oracles.mse_discretization_quadrature(spec, (0.1, 0.2), 40)
+        assert closed == pytest.approx(quad, rel=1e-10)
+        for delta in ((0.1,), (0.1, 0.1, 0.1), np.inf, (0.1, -0.2)):
+            with pytest.raises(ValidationError, match="delta"):
+                simulate.mse_discretization(spec, delta, 40)
 
     def test_m_limit_reaches_pure_discretization_floor(self):
         spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,),))

@@ -13,7 +13,7 @@ simulate``), then fits it three times with ``carma-field fit``: with
 the default model menu, with ``--models car1`` and with the p = 3
 models ``--models car3,carma31``.  It also runs a small ``carma-field
 study`` of the reference spec with the seed as master seed (``STUDY``:
-two replications of cases 1 and 3 on a 60 x 60 grid), whose fits take
+two replications of cases 1, 2 and 3 on a 60 x 60 grid), whose fits take
 kappa2 from the noise.  Every flag it passes is one that both older and
 newer trees accept.  Standard output gets one JSON object that maps
 ``seed<s>/<run>/<file>`` to the file's sha256, for the field and for
@@ -41,7 +41,7 @@ REF_B = "4.8940,-1.1432"
 REF_EIGENVALUES = "-1.7776,-2.0948;-1.3057,-2.5142"
 FITS = {"default": [], "car1": ["--models", "car1"], "p3": ["--models", "car3,carma31"]}
 STUDY = ["--n", 60, "--delta", 0.08, "--m", 40, "--lags", 8, "--replications", 2,
-         "--cases", "1,3", "--generations", 40]
+         "--cases", "1,2,3", "--generations", 40]
 
 
 def carma_field(checkout, args):
