@@ -906,9 +906,9 @@ class TestStudySmall:
     @pytest.mark.parametrize("change, message", [
         (dict(n=6, j_max=6), "must lie in"),  # lag 6 leaves a 6-cell grid
         (dict(j_max=1), "must lie in"),  # a named weight scheme needs two lags
-        (dict(cases=(2,), j_max=3), r"must lie in \[4, n\)"),  # case 2 fits 3 // 2 lags
         (dict(n=(40, 40)), "one n for every axis"),  # the fine grid would repeat the tuple
         (dict(delta=(0.1, 0.1)), "one delta for every axis"),  # a tuple has no fine spacing
+        (dict(cases=(2,), j_max=3), r"must lie in \[4, n\)"),  # case 2 fits 3 // 2 lags
     ])
     def test_settings_every_replication_rejects_are_refused(self, change, message):
         with pytest.raises(ConfigError, match=message):
