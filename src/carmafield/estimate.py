@@ -437,18 +437,15 @@ class ThetaCodec:
     blocks.  A real block contributes one coordinate; a complex block
     contributes (real part, imaginary part) and expands to a conjugate
     pair, so conjugacy is structural and the optimizer never sees an
-    invalid configuration.  ``kappa2`` is checked when the codec is
-    made, so a bad noise variance fails before any search.
+    invalid configuration.  ``to_spec`` gives specs at unit kappa2.
     """
 
     p: int
     q: int
     d: int
-    kappa2: float = 1.0
     blocks: tuple = None  # per axis, e.g. ("r", "r") or ("c",)
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa2", model._positive(self.kappa2, "kappa2", InvalidSpec))
         if self.blocks is None:
             blocks = tuple(("r",) * self.p for _ in range(self.d))
             object.__setattr__(self, "blocks", blocks)
@@ -502,8 +499,7 @@ class ThetaCodec:
     def to_spec(self, theta):
         b, lam = self.expand(np.reshape(theta, (1, -1)))
         eigenvalues = tuple(tuple(complex(v) for v in axis) for axis in lam[0])
-        return model.CarmaSpec(b=tuple(b[0, : self.q + 1]), eigenvalues=eigenvalues,
-                               kappa2=self.kappa2)
+        return model.CarmaSpec(b=tuple(b[0, : self.q + 1]), eigenvalues=eigenvalues)
 
     def from_spec(self, spec):
         """The theta of ``spec``: per axis, in the spec's order, its real
@@ -543,7 +539,7 @@ def _spec_codec(spec):
                     for lam in axis]
         blocks.append(tuple("r" if partner == i else "c"
                             for i, partner in enumerate(partners) if partner >= i))
-    return ThetaCodec(p=spec.p, q=spec.q, d=spec.d, kappa2=spec.kappa2, blocks=tuple(blocks))
+    return ThetaCodec(p=spec.p, q=spec.q, d=spec.d, blocks=tuple(blocks))
 
 
 def parameter_names(spec):
@@ -583,7 +579,7 @@ def _columns(rows):
 
 
 class _Ordinates:
-    """Model variogram ordinates at fixed lags, for S parameter rows at once.
+    """Model variogram ordinates at fixed lags and unit kappa2, for S rows at once.
 
     Calling it with an (S, dim) array of theta returns the (S, k)
     ordinates and a mask of the rows where the model is undefined, whose
@@ -618,17 +614,16 @@ class _Ordinates:
 
     def __call__(self, thetas):
         b, lam = self.codec.expand(thetas)
-        kappa2 = self.codec.kappa2
         tensor, lam, ok = model._spec_rows(b, lam)
         out = np.empty((b.shape[0], self.k))
         if self.axis_groups:
             dstar = model._axis_weights(tensor, lam)
         for axis, columns, spans in self.axis_groups:
-            vals = model._axis_sums(dstar[axis], lam[:, axis], kappa2, spans)
+            vals = model._axis_sums(dstar[axis], lam[:, axis], spans)
             out[:, columns], row_ok = model._real_rows(vals)
             ok &= row_ok
         if self.general is not None:
-            vals = model._gammas(tensor, lam, kappa2, self.gamma_lags)
+            vals = model._gammas(tensor, lam, self.gamma_lags)
             gam, row_ok = model._real_rows(vals)
             out[:, self.general] = 2.0 * (gam[:, :1] - gam[:, 1:])
             ok &= row_ok
@@ -755,13 +750,13 @@ class _WlsProblem:
         return np.clip(thetas[0], *self.box)
 
 
-def wls_objective(theta, emp, weights, p, q, kappa2=1.0, blocks=None):
-    """Weighted sum of squared variogram gaps at one parameter vector.
+def wls_objective(theta, emp, weights, p, q, blocks=None):
+    """Weighted sum of squared variogram gaps at one parameter vector, unit kappa2.
 
     Model evaluation failures (for instance coincident eigenvalues
     proposed by an optimizer) yield +inf so search steers away.
     """
-    codec = ThetaCodec(p=p, q=q, d=emp.lags.shape[1], kappa2=kappa2, blocks=blocks)
+    codec = ThetaCodec(p=p, q=q, d=emp.lags.shape[1], blocks=blocks)
     return float(_WlsProblem(emp, weights, codec).objective(theta)[0])
 
 
@@ -989,13 +984,12 @@ def fit(emp, config):
         side inside the model's domain.
     """
     d = emp.lags.shape[1]
-    codec = ThetaCodec(p=config.p, q=config.q, d=d, kappa2=config.kappa2,
-                       blocks=config.blocks)
+    codec = ThetaCodec(p=config.p, q=config.q, d=d, blocks=config.blocks)
     lag_status = _check_lag_menu(emp, config.p, config.q)
     weights = resolve_weights(emp, config.weights)
     if not np.any(emp.ordinates):
         raise ZeroVariance("cannot fit an all-zero variogram: the field has no variance")
-    problem = _WlsProblem(emp, weights, replace(codec, kappa2=1.0))
+    problem = _WlsProblem(emp, weights, codec)
     best, de_generations, de_converged, de_evaluations = _differential_evolution(
         problem.profiled, problem.bounds, config)
     # residuals sqrt(w) (gamma_hat - gamma(theta)) are NaN where the model
@@ -1010,8 +1004,8 @@ def fit(emp, config):
         method="trf",
     )
     theta = polish.x.copy()
-    theta[: codec.q + 1] /= math.sqrt(codec.kappa2)
-    spec = codec.to_spec(theta).canonical()
+    theta[: codec.q + 1] /= math.sqrt(config.kappa2)
+    spec = replace(codec.to_spec(theta).canonical(), kappa2=config.kappa2)
     theta = codec.from_spec(spec)
     wss = 2.0 * float(polish.cost)
     p_params = codec.dim
@@ -1111,7 +1105,8 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     single ten-index einsum at p = 2, d = 2.
     """
     delta = model._per_axis(lattice_delta, spec.d, "lattice_delta")
-    return _v_matrix(spec, _lag_steps(delta, tlist), basis, delta)
+    # kappa2 twice, not kappa2^2, so V stays where kappa2^2 underflows
+    return spec.kappa2 * (spec.kappa2 * _v_matrix(spec, _lag_steps(delta, tlist), basis, delta))
 
 
 def _check_noise_variance(spec, basis, error=ValidationError):
@@ -1121,11 +1116,15 @@ def _check_noise_variance(spec, basis, error=ValidationError):
 
 
 def _v_matrix(spec, steps, basis, delta):
-    """``covariance_v_matrix`` at lags of integer ``steps`` on the spacing ``delta``."""
+    """``covariance_v_matrix`` / kappa2^2 at lags of integer ``steps`` on the spacing
+    ``delta``: the Gaussian sums plus the quartic sums times the weight
+    (kappa4 - 3 kappa2^2) / kappa2^2, 0 for Gaussian noise at any kappa2."""
     _check_noise_variance(spec, basis)
     rows, cols = np.triu_indices(len(steps))
-    excess = basis.kappa4 - 3.0 * basis.kappa2 ** 2
-    quartic = abs(excess) > 1e-12 * max(1.0, basis.kappa2 ** 2)
+    square = basis.kappa2 ** 2
+    excess = basis.kappa4 - 3.0 * square
+    weight = excess / square if square else excess / basis.kappa2 / basis.kappa2
+    quartic = abs(weight) > 1e-12
     tensor, lams = model._expansion(spec)
     factors = []
     for lam, dl, si, sj in zip(lams, delta, steps[rows].T, steps[cols].T):
@@ -1139,12 +1138,11 @@ def _v_matrix(spec, steps, basis, delta):
         if quartic:
             blocks.append(_quartic_lattice_sums(m, dl, si, sj))
         factors.append(np.concatenate(blocks, axis=-1))
-    # the quartic integral uses the bare kernel (no kappa2 factor)
     sums = model._contract(tensor, factors, copies=4, pointwise=True)
     sums = sums.reshape(-1, rows.size)
-    total = spec.kappa2 ** 2 * (sums[0] + sums[1])
+    total = sums[0] + sums[1]
     if quartic:
-        total = total + excess * sums[2]
+        total = total + weight * sums[2]
     vmat = np.empty((len(steps), len(steps)))
     vmat[rows, cols] = vmat[cols, rows] = model._real(total, "estimator covariance")
     return vmat
@@ -1160,7 +1158,8 @@ def asymptotic_covariance(spec, lags, weights, basis, lattice_delta):
     ``lattice_delta``, in the theta layout of the spec's own eigenvalue
     order (``_spec_codec``).  F V F' = 4 (V_00 - V_0j - V_i0 + V_ij) is
     the covariance of the variogram estimator 2 (g_0 - g_i), from V of
-    the autocovariance estimator g at the zero lag and the lags.
+    the autocovariance estimator g at the zero lag and the lags.  J and
+    V are taken at unit kappa2, so kappa2 does not enter Sigma.
 
     Sigma inherits the conditioning of the weighted normal matrix
     J' W J, whose inverse enters it twice.  At the ref spec with 5 axis

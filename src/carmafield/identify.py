@@ -167,7 +167,7 @@ def _monomials(q):
     return [(i, j) for i in range(q + 1) for j in range(i, q + 1)]
 
 
-def _quadratic_form_rows(eigenvalues_per_axis, kappa2, q):
+def _quadratic_form_rows(eigenvalues_per_axis, q):
     """Real system mapping the monomials b_i b_j (i <= j) to the axis weights.
 
     The axis weights are quadratic forms in b.  Column (i, i) is probed
@@ -175,9 +175,9 @@ def _quadratic_form_rows(eigenvalues_per_axis, kappa2, q):
     unit probes; the probes are scored as one batch of parameter rows.
     Real and imaginary parts of the d * p complex weights are stacked,
     so the monomials solve a real least-squares problem.  Eigenvalues
-    or a kappa2 that ``CarmaSpec`` rejects raise its errors.
+    that ``CarmaSpec`` rejects raise its errors.
     """
-    _, eigs, _ = model._check_spec((1.0,), eigenvalues_per_axis, kappa2)
+    _, eigs, _ = model._check_spec((1.0,), eigenvalues_per_axis, 1.0)
     d, p = len(eigs), len(eigs[0])
     if not 0 <= q < p:
         raise ValidationError(f"need 0 <= q < p, got q = {q} for p = {p}")
@@ -202,7 +202,7 @@ def _rank(rows):
     return int(np.linalg.matrix_rank(rows, tol=tol))
 
 
-def recover_b(dstar_per_axis, eigenvalues_per_axis, kappa2, q):
+def recover_b(dstar_per_axis, eigenvalues_per_axis, q):
     """Recover (b_0, ..., b_q) from the axis weights of every axis.
 
     The d * p axis weights are linear in the monomials b_i b_j
@@ -225,7 +225,7 @@ def recover_b(dstar_per_axis, eigenvalues_per_axis, kappa2, q):
         The weights are not fitted by any monomials, or the monomials
         are not those of one vector b.
     """
-    rows = _quadratic_form_rows(eigenvalues_per_axis, kappa2, q)
+    rows = _quadratic_form_rows(eigenvalues_per_axis, q)
     rank = _rank(rows)
     if rank < rows.shape[1]:
         raise RankDeficient(
@@ -278,7 +278,7 @@ def recover_spec(ordinates_per_axis, p, q, kappa2):
         recover_axis_weights(ords, ax_eigs, kappa2)
         for ords, ax_eigs in zip(ordinates_per_axis, eigs)
     ]
-    b = recover_b(dstar, eigs, kappa2, q)
+    b = recover_b(dstar, eigs, q)
     return model.CarmaSpec(b=b, eigenvalues=eigs, kappa2=kappa2)
 
 
@@ -309,7 +309,7 @@ def check_identifiability(spec, delta):
                 for weights in dstar]
     band_ok = [all(-np.pi / step <= lam.imag < np.pi / step for lam in axis)
                for axis, step in zip(spec.eigenvalues, deltas)]
-    rows = _quadratic_form_rows(spec.eigenvalues, spec.kappa2, spec.q)
+    rows = _quadratic_form_rows(spec.eigenvalues, spec.q)
     product_ok = _rank(rows) == rows.shape[1]
     ok = all(dstar_ok) and all(band_ok) and product_ok
     return IdentifiabilityReport(

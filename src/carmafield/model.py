@@ -414,7 +414,10 @@ def _pairwise_steps(subs, shapes):
     intermediate keeps, in label order, the labels still needed later.
     Greedy, not einsum's optimal search: the covariance takes as long
     either way, and the optimal search grows the heap by about 3.5 MiB
-    on its first call.
+    on its first call.  The steps are a determinism guard: ``np.einsum``
+    on this path takes as long, but runs some steps through BLAS
+    (``tensordot``), so V of a complex p = 3 spec changes bytes with
+    OPENBLAS_NUM_THREADS; numpy's own einsum loop does not.
     """
     dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
     path = np.einsum_path(subs, *dummies, optimize="greedy")[0][1:]
@@ -556,14 +559,14 @@ def _rows_of(spec):
     return tensor[None], lam[None]
 
 
-def _gammas(tensor, lam, kappa2, lags):
-    """gamma of S rows at (k, d) lags, shape (S, k), in the tensor's dtype.
+def _gammas(tensor, lam, lags):
+    """gamma at unit kappa2 of S rows at (k, d) lags, shape (S, k), in the tensor's dtype.
 
     ``tensor`` holds the rows' coefficient tensors and ``lam`` their
     (S, d, p) eigenvalues.
     """
     mats = [_gamma_factors(lam[:, i], col) for i, col in enumerate(lags.T)]
-    return kappa2 * _contract(tensor, mats, copies=2, pointwise=True, batch=True)
+    return _contract(tensor, mats, copies=2, pointwise=True, batch=True)
 
 
 def _axis_weights(tensor, lam):
@@ -577,8 +580,8 @@ def _axis_weights(tensor, lam):
             for i in range(lam.shape[1])]
 
 
-def _axis_sums(dstar, lam, kappa2, spans):
-    """2 kappa2 sum_k dstar_k (1 - exp(lam_k |tau|)) for S rows, shape (S, k).
+def _axis_sums(dstar, lam, spans):
+    """2 sum_k dstar_k (1 - exp(lam_k |tau|)) (kappa2 = 1) for S rows, shape (S, k).
 
     ``dstar`` and ``lam`` are one axis's (S, p) weights and eigenvalues,
     ``spans`` the k distances |tau| as a (k, 1) column.  The p products
@@ -593,7 +596,7 @@ def _axis_sums(dstar, lam, kappa2, spans):
     total = growth[..., 0] * dstar[:, None, 0]
     for k in range(1, lam.shape[-1]):
         total += growth[..., k] * dstar[:, None, k]
-    return 2.0 * kappa2 * total
+    return 2.0 * total
 
 
 def autocovariance(spec, t):
@@ -610,7 +613,7 @@ def autocovariance(spec, t):
     (a float comes back) or a (k, d) array of lags (k values come back).
     """
     rows, single = _lag_rows(spec, t)
-    vals = _real(_gammas(*_rows_of(spec), spec.kappa2, rows)[0], "autocovariance")
+    vals = spec.kappa2 * _real(_gammas(*_rows_of(spec), rows)[0], "autocovariance")
     return float(vals[0]) if single else vals
 
 
@@ -666,7 +669,7 @@ def axis_variogram(spec, axis, taus):
     tensor, lam = _rows_of(spec)
     dstar = _axis_weights(tensor, lam)[axis]
     spans = np.abs(np.atleast_1d(np.asarray(taus, dtype=float)))[:, None]
-    return _real(_axis_sums(dstar, lam[:, axis], spec.kappa2, spans)[0], "axis variogram")
+    return spec.kappa2 * _real(_axis_sums(dstar, lam[:, axis], spans)[0], "axis variogram")
 
 
 def spectral_density(spec, omega):

@@ -568,11 +568,8 @@ def mse_truncation_cp(spec, m_radius):
         s = lam[:, None] + lam[None, :]
         full.append(1.0 / (-s))
         boxed.append(-np.expm1(s * m_radius) / (-s))
-    full_mass, boxed_mass = (
-        spec.kappa2 * model._contract(tensor, mats, copies=2)
-        for mats in (full, boxed)
-    )
-    return max(model._real(full_mass - boxed_mass, "truncation error"), 0.0)
+    full_mass, boxed_mass = (model._contract(tensor, mats, copies=2) for mats in (full, boxed))
+    return spec.kappa2 * max(model._real(full_mass - boxed_mass, "truncation error"), 0.0)
 
 
 def mse_discretization(spec, delta, m_steps):
@@ -599,8 +596,5 @@ def mse_discretization(spec, delta, m_steps):
         # lam rows: kernel factor; columns: step-function factor
         term_b.append(geom * (np.expm1(lam[:, None] * dl) / lam[:, None]))
         term_c.append(dl * geom)
-    a, b, c = (
-        spec.kappa2 * model._contract(tensor, mats, copies=2)
-        for mats in (term_a, term_b, term_c)
-    )
-    return max(model._real(a - 2.0 * b + c, "discretization error"), 0.0)
+    a, b, c = (model._contract(tensor, mats, copies=2) for mats in (term_a, term_b, term_c))
+    return spec.kappa2 * max(model._real(a - 2.0 * b + c, "discretization error"), 0.0)

@@ -149,8 +149,8 @@ def run_fit_workflow(emp, models, **options):
     -------
     (fits, ranked) : dict name -> FitResult, list of (name, FitResult)
     """
-    if not models:
-        raise ConfigError("empty model menu")
+    if not models or len(set(models)) != len(models):
+        raise ConfigError(f"need one or more distinct models, got {list(models)}")
     unknown = [m for m in models if m not in MODEL_MENU]
     if unknown:
         raise ConfigError(f"unknown models {unknown}; menu: {sorted(MODEL_MENU)}")
@@ -234,6 +234,8 @@ class StudyConfig:
         bad = [c for c in self.cases if c not in STUDY_CASES]
         if bad:
             raise ConfigError(f"unknown study cases {bad}")
+        if not self.cases or len(set(self.cases)) != len(self.cases):
+            raise ConfigError(f"need one or more distinct study cases, got {list(self.cases)}")
         # the fits use real blocks, one table row per eigenvalue
         if np.any(np.abs(np.imag(self.spec.eigenvalues)) > model.CONJUGATE_TOL):
             raise ConfigError("the study fits real eigenvalues; the truth has complex ones")
@@ -250,7 +252,7 @@ class StudyConfig:
         estimate.axis_lag_set(self.spec.d, self.delta, self.j_max)
         # every case's weight scheme needs two lags per axis, and the last
         # lag must stay inside the estimation grid
-        least = 2 * max((STUDY_CASES[c][1] for c in self.cases), default=1)
+        least = 2 * max(STUDY_CASES[c][1] for c in self.cases)
         if not least <= self.j_max < self.n:
             raise ConfigError(f"the lag count per axis must lie in [{least}, n) with "
                               f"n = {self.n} for cases {list(self.cases)}, got {self.j_max}")

@@ -909,6 +909,8 @@ class TestStudySmall:
         (dict(n=(40, 40)), "one n for every axis"),  # the fine grid would repeat the tuple
         (dict(delta=(0.1, 0.1)), "one delta for every axis"),  # a tuple has no fine spacing
         (dict(cases=(2,), j_max=3), r"must lie in \[4, n\)"),  # case 2 fits 3 // 2 lags
+        (dict(cases=()), "one or more distinct study cases"),  # would simulate and fit nothing
+        (dict(cases=(1, 1)), "one or more distinct study cases"),  # would fit case 1 twice
     ])
     def test_settings_every_replication_rejects_are_refused(self, change, message):
         with pytest.raises(ConfigError, match=message):
@@ -938,6 +940,27 @@ class TestStudySmall:
                         "--n", 20, "--lags", 30] + TestCliCommands.MODEL_FLAGS) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "replication" not in err
+
+    @pytest.mark.parametrize("command, flag, menu", [
+        ("study", "--cases", ""),
+        ("study", "--cases", "1,1"),
+        ("fit", "--models", "car1,car1"),
+    ], ids=["no-case", "repeated-case", "repeated-model"])
+    def test_an_empty_or_repeated_menu_exits_1_before_any_fit(self, tmp_path, capsys,
+                                                               monkeypatch, command, flag, menu):
+        fits = []
+        monkeypatch.setattr(estimate, "fit", lambda *args: fits.append(args))
+        if command == "study":
+            argv = ["study", "--replications", 2] + TestCliCommands.MODEL_FLAGS
+        else:
+            vario = tmp_path / "v.csv"
+            spec = model.CarmaSpec(b=(1.3,), eigenvalues=((-0.8,), (-1.4,)))
+            oracles.synthetic_variogram(spec, 0.1, 8).to_csv(vario)
+            argv = ["fit", "--from-variogram", vario]
+        assert run_cli(argv + [flag, menu, "--output-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need one or more distinct") and "replication" not in err
+        assert fits == []
 
     def test_estimates_do_not_depend_on_the_noise_variance(self, tmp_path):
         # the fits take kappa2 from the noise, so b is in the noise's unit:

@@ -709,8 +709,6 @@ class TestFit:
         emp = oracles.synthetic_variogram(spec, 0.1, 10)
         with pytest.raises(InvalidSpec):
             estimate.fit(emp, estimate.FitConfig(p=1, q=0, kappa2=kappa2))
-        with pytest.raises(InvalidSpec):
-            estimate.ThetaCodec(p=1, q=0, d=2, kappa2=kappa2)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p, q", [(1, 0), (2, 1)], ids=["car1", "carma21"])
@@ -1226,6 +1224,48 @@ class TestEstimatorCovariance:
         assert np.all(np.isfinite(sigma))
         np.testing.assert_allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * scale)
         assert np.min(np.linalg.eigvalsh(sigma)) > -1e-10 * scale
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("noise, kappa2s", [
+        (simulate.GaussianBasis, (1e-300, 1e-8, 5.0, 1e20, 1e100)),
+        (simulate.VarianceGammaBasis, (1e-100, 1e-8, 5.0, 1e100)),
+    ], ids=["gaussian", "variance-gamma"])
+    def test_sigma_does_not_depend_on_kappa2(self, noise, kappa2s):
+        # J and V are taken at unit kappa2, so kappa2 does not enter Sigma
+        def sigma(kappa2):
+            spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS, kappa2=kappa2)
+            return estimate.asymptotic_covariance(
+                spec, estimate.axis_lag_set(2, 0.04, 5), np.tile(estimate.weights_quadratic(5), 2),
+                noise(kappa2), 0.04)
+
+        unit = sigma(1.0)
+        for kappa2 in kappa2s:
+            np.testing.assert_allclose(sigma(kappa2), unit, rtol=1e-12, atol=0.0)
+
+    def test_v_matrix_keeps_the_quartic_term_at_a_small_kappa2(self):
+        # V scales by kappa2^2 at a fixed noise shape, however small kappa2
+        tlist = np.vstack([np.zeros((1, 2)), estimate.axis_lag_set(2, 0.04, 5)])
+
+        def vmat(kappa2):
+            spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS, kappa2=kappa2)
+            return estimate.covariance_v_matrix(
+                spec, tlist, simulate.VarianceGammaBasis(kappa2), 0.04)
+
+        np.testing.assert_allclose(vmat(1e-7), 1e-14 * vmat(1.0), rtol=1e-12, atol=0.0)
+
+    def test_v_matrix_keeps_the_quartic_term_where_kappa2_squared_underflows(self):
+        # Rademacher jumps at intensity r: V = r^2 G + r Q, with G the
+        # Gaussian sums and Q the quartic ones; at r = 1e-300, r^2
+        # underflows and V is r Q
+        tlist = [[0.0], [0.5], [1.0]]
+
+        def vmat(basis):
+            spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,),), kappa2=basis.kappa2)
+            return estimate.covariance_v_matrix(spec, tlist, basis, 0.5)
+
+        quartic = vmat(simulate.CompoundPoissonBasis(1.0)) - vmat(simulate.GaussianBasis())
+        np.testing.assert_allclose(vmat(simulate.CompoundPoissonBasis(1e-300)),
+                                   1e-300 * quartic, rtol=1e-9, atol=0.0)
 
     def test_sigma_shape_and_symmetry(self):
         # two lags: the weighted design needs K >= number of parameters

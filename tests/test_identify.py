@@ -123,7 +123,7 @@ class TestBRecovery:
         spec = model.CarmaSpec(b=(2.0,), eigenvalues=((-1.0,),))
         ords = identify.exact_axis_ordinates(spec, 0.1, 3)
         eigs = [identify.recover_axis_eigenvalues(o, 1) for o in ords]
-        (b0,) = identify.recover_b(axis_weights(ords, eigs, 1.0), eigs, 1.0, 0)
+        (b0,) = identify.recover_b(axis_weights(ords, eigs, 1.0), eigs, 0)
         assert b0 == pytest.approx(2.0, abs=1e-10)
 
     def test_car2_round_trip(self, rng):
@@ -132,7 +132,7 @@ class TestBRecovery:
             ords = identify.exact_axis_ordinates(spec, 0.15, 5)
             eigs = [identify.recover_axis_eigenvalues(o, 2) for o in ords]
             (b0,) = identify.recover_b(
-                axis_weights(ords, eigs, spec.kappa2), eigs, spec.kappa2, 0
+                axis_weights(ords, eigs, spec.kappa2), eigs, 0
             )
             assert b0 == pytest.approx(abs(spec.b[0]), abs=1e-8)
 
@@ -144,13 +144,13 @@ class TestBRecovery:
         ords = identify.AxisOrdinates(axis=0, delta=1.0, values=tuple(values))
         eigs = [(-0.05, -2.0)]
         with pytest.raises(NegativeVarianceEstimate):
-            identify.recover_b(axis_weights([ords], eigs, 1.0), eigs, 1.0, 0)
+            identify.recover_b(axis_weights([ords], eigs, 1.0), eigs, 0)
 
     def test_carma21_reference_round_trip(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
         ords = identify.exact_axis_ordinates(spec, 0.2, 5)
         eigs = [identify.recover_axis_eigenvalues(o, 2) for o in ords]
-        b0, b1 = identify.recover_b(axis_weights(ords, eigs, 1.0), eigs, 1.0, 1)
+        b0, b1 = identify.recover_b(axis_weights(ords, eigs, 1.0), eigs, 1)
         assert b0 == pytest.approx(4.8940, abs=1e-8)
         assert b1 == pytest.approx(-1.1432, abs=1e-8)
 
@@ -158,7 +158,7 @@ class TestBRecovery:
         eigs = [(-2.0, -6.0), (-2.0, -6.0)]
         dstar = [(1.0, 1.0), (1.0, 1.0)]
         with pytest.raises(RankDeficient):
-            identify.recover_b(dstar, eigs, 1.0, 1)
+            identify.recover_b(dstar, eigs, 1)
 
     def test_carma21_corrupted_weights_rejected(self):
         spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS)
@@ -168,7 +168,7 @@ class TestBRecovery:
         ]
         dstar[0] = dstar[0] * np.array([1.0, -1.0])  # flip one weight
         with pytest.raises(InconsistentMonomials):
-            identify.recover_b(dstar, REF_EIGS, 1.0, 1)
+            identify.recover_b(dstar, REF_EIGS, 1)
 
     def test_carma31_round_trip(self, rng):
         for _ in range(4):
@@ -181,7 +181,7 @@ class TestBRecovery:
                 for a in range(2)
             ]
             b0, b1 = identify.recover_b(
-                dstar, spec.eigenvalues, spec.kappa2, 1
+                dstar, spec.eigenvalues, 1
             )
             assert b0 == pytest.approx(spec.b[0], abs=1e-7)
             assert b1 == pytest.approx(spec.b[1], abs=1e-7)
@@ -308,7 +308,7 @@ class TestMonomialSystem:
         # applied to the monomials b_i b_j gives back the spec's weights
         for _ in range(30):
             spec = oracles.random_spec(rng, d=int(rng.integers(1, 4)))
-            rows = identify._quadratic_form_rows(spec.eigenvalues, spec.kappa2, spec.q)
+            rows = identify._quadratic_form_rows(spec.eigenvalues, spec.q)
             mono = [spec.b[i] * spec.b[j] for i, j in identify._monomials(spec.q)]
             weights = np.concatenate([
                 [w for _, w in model.axis_variogram_coefficients(spec, axis)]
@@ -328,8 +328,9 @@ class TestMonomialSystem:
     def test_rejects_what_the_spec_rejects(self, eigs, kappa2, error):
         with pytest.raises(error):
             model.CarmaSpec(b=(1.0,), eigenvalues=eigs, kappa2=kappa2)
-        with pytest.raises(error):
-            identify.recover_b([(0.1, 0.2)], eigs, kappa2, 0)
+        if kappa2 == 1.0:  # recover_b takes no kappa2
+            with pytest.raises(error):
+                identify.recover_b([(0.1, 0.2)], eigs, 0)
 
 
 class TestIdentifiabilityReport:

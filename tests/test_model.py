@@ -410,11 +410,11 @@ class TestAxisVariogram:
         dstar = rng.normal(size=(60, p))
         lam = -rng.uniform(0.2, 5.0, size=(60, p))
         spans = 0.04 * np.arange(1.0, 51.0)[:, None]
-        batch = model._axis_sums(dstar, lam, 1.3, spans)
-        fortran = model._axis_sums(np.asfortranarray(dstar), np.asfortranarray(lam), 1.3, spans)
+        batch = model._axis_sums(dstar, lam, spans)
+        fortran = model._axis_sums(np.asfortranarray(dstar), np.asfortranarray(lam), spans)
         assert fortran.tobytes() == batch.tobytes()
         for row in (0, 17, 59):
-            alone = model._axis_sums(dstar[row:row + 1], lam[row:row + 1], 1.3, spans)
+            alone = model._axis_sums(dstar[row:row + 1], lam[row:row + 1], spans)
             assert alone.tobytes() == batch[row:row + 1].tobytes()
 
 

@@ -9,12 +9,14 @@ Usage (from anywhere):
 of the commit to check); its ``src`` is the ``PYTHONPATH`` of every run.
 For every seed the script simulates a truncated-discretized ("TD")
 field of the reference spec with Gaussian noise (``carma-field
-simulate``), then fits it three times with ``carma-field fit``: with
-the default model menu, with ``--models car1`` and with the p = 3
-models ``--models car3,carma31``.  It also runs a small ``carma-field
-study`` of the reference spec with the seed as master seed (``STUDY``:
-two replications of cases 1, 2 and 3 on a 60 x 60 grid), whose fits take
-kappa2 from the noise.  Every flag it passes is one that both older and
+simulate``), then fits it four times with ``carma-field fit``: with
+the default model menu, with ``--models car1``, with the p = 3
+models ``--models car3,carma31`` and with the default menu at
+``--kappa2 4``.  It also runs a small ``carma-field study`` of the
+reference spec with the seed as master seed (``STUDY``: two replications
+of cases 1, 2 and 3 on a 60 x 60 grid), whose fits take kappa2 from the
+noise, twice: at unit noise variance and at ``--sigma2 4``.  The runs at
+kappa2 = 4 show a change that moves the unit b is reported in.  Every flag it passes is one that both older and
 newer trees accept.  Standard output gets one JSON object that maps
 ``seed<s>/<run>/<file>`` to the file's sha256, for the field and for
 every fit and study output the run's manifest lists; the manifests
@@ -39,7 +41,9 @@ from bench_pairs import seed_list
 # the reference spec of the package's tests and benchmarks
 REF_B = "4.8940,-1.1432"
 REF_EIGENVALUES = "-1.7776,-2.0948;-1.3057,-2.5142"
-FITS = {"default": [], "car1": ["--models", "car1"], "p3": ["--models", "car3,carma31"]}
+FITS = {"default": [], "car1": ["--models", "car1"], "p3": ["--models", "car3,carma31"],
+        "kappa2": ["--kappa2", 4]}
+STUDIES = {"study": [], "study_sigma2": ["--sigma2", 4]}
 STUDY = ["--n", 60, "--delta", 0.08, "--m", 40, "--lags", 8, "--replications", 2,
          "--cases", "1,2,3", "--generations", 40]
 
@@ -89,9 +93,10 @@ def main(argv=None):
                 carma_field(checkout, ["fit", "--input", base / "sim" / "field.carf",
                                        "--output-dir", base / run] + extra)
                 table.update(digests(base / run, f"seed{seed}/{run}"))
-            carma_field(checkout, ["study", "--b", REF_B, "--eigenvalues", REF_EIGENVALUES,
-                                   "--seed", seed, "--output-dir", base / "study"] + STUDY)
-            table.update(digests(base / "study", f"seed{seed}/study"))
+            for run, extra in STUDIES.items():
+                carma_field(checkout, ["study", "--b", REF_B, "--eigenvalues", REF_EIGENVALUES,
+                                       "--seed", seed, "--output-dir", base / run] + STUDY + extra)
+                table.update(digests(base / run, f"seed{seed}/{run}"))
             print(f"seed {seed} done", file=sys.stderr, flush=True)
     print(json.dumps(table, indent=1, sort_keys=True))
     return 0
