@@ -254,6 +254,8 @@ def _cmd_variogram(cfg):
 def _cmd_fit(cfg):
     if cfg.get("from_variogram"):
         cfg.refuse(_FIELD_KEYS, "with from_variogram")
+    models = cfg.get_list("models", str, "car1,car2,carma21")
+    workflows.check_menu(models)
     out = cfg.output_dir()
     facts = ()
     if cfg.get("from_variogram"):
@@ -269,7 +271,6 @@ def _cmd_fit(cfg):
         lags = estimate.axis_lag_set(field.d, field.delta, j_max)
         emp = estimate.empirical_variogram(field, lags)
         emp.to_csv(out / "variogram.csv")
-    models = cfg.get_list("models", str, "car1,car2,carma21")
     fits, ranked = workflows.run_fit_workflow(
         emp,
         models,

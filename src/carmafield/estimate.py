@@ -1103,10 +1103,20 @@ def covariance_v_matrix(spec, tlist, basis, lattice_delta):
     order, computed once per layout and operand shapes and cached
     (``model._contract``): about five times fewer products than the
     single ten-index einsum at p = 2, d = 2.
+
+    Raises
+    ------
+    NumericError
+        If V, finite at unit kappa2, overflows when scaled by kappa2^2.
     """
     delta = model._per_axis(lattice_delta, spec.d, "lattice_delta")
+    vmat = _v_matrix(spec, _lag_steps(delta, tlist), basis, delta)
     # kappa2 twice, not kappa2^2, so V stays where kappa2^2 underflows
-    return spec.kappa2 * (spec.kappa2 * _v_matrix(spec, _lag_steps(delta, tlist), basis, delta))
+    with np.errstate(over="ignore"):
+        vmat = spec.kappa2 * (spec.kappa2 * vmat)
+    if not np.all(np.isfinite(vmat)):
+        raise NumericError(f"estimator covariance V overflows at kappa2 = {spec.kappa2:.3e}")
+    return vmat
 
 
 def _check_noise_variance(spec, basis, error=ValidationError):
@@ -1117,13 +1127,12 @@ def _check_noise_variance(spec, basis, error=ValidationError):
 
 def _v_matrix(spec, steps, basis, delta):
     """``covariance_v_matrix`` / kappa2^2 at lags of integer ``steps`` on the spacing
-    ``delta``: the Gaussian sums plus the quartic sums times the weight
-    (kappa4 - 3 kappa2^2) / kappa2^2, 0 for Gaussian noise at any kappa2."""
+    ``delta``: the Gaussian sums plus the quartic sums times the basis's
+    ``quartic_weight`` (kappa4 - 3 kappa2^2) / kappa2^2, 0 for Gaussian
+    noise; no basis forms kappa2^2 for it."""
     _check_noise_variance(spec, basis)
     rows, cols = np.triu_indices(len(steps))
-    square = basis.kappa2 ** 2
-    excess = basis.kappa4 - 3.0 * square
-    weight = excess / square if square else excess / basis.kappa2 / basis.kappa2
+    weight = basis.quartic_weight
     quartic = abs(weight) > 1e-12
     tensor, lams = model._expansion(spec)
     factors = []

@@ -515,12 +515,8 @@ def kernel_on_grid(spec, axes_points):
     factors = []
     for lam, pts in zip(lams, axes_points):
         pts = np.asarray(pts, dtype=float)
-        # negative coordinates are zeroed below; exp(0) cannot overflow.
-        # complex exp: truncated-discretized fields are pinned to its bits,
-        # and numpy's float64 exp rounds some entries differently
-        emat = np.exp(np.outer(lam, np.maximum(pts, 0.0)).astype(complex))
-        if not np.iscomplexobj(lam):
-            emat = emat.real
+        # negative coordinates are zeroed below; exp(0) cannot overflow
+        emat = np.exp(np.outer(lam, np.maximum(pts, 0.0)))
         emat[:, pts < 0] = 0.0
         factors.append(emat)
     return _real(_contract(tensor, factors), "kernel grid")

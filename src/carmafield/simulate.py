@@ -19,8 +19,10 @@ recursion, so it checks the lattice field independently.
 For general noise the moving average integral is truncated and
 discretized, turning the field into a finite-order moving average of
 i.i.d. cell increments, evaluated as a d-dimensional FFT convolution of
-the kernel array with the noise array, with error
-``mse_discretization``.  Both errors have closed forms.
+the sampled kernel with the noise array, with error
+``mse_discretization``.  The kernel's spectrum comes from its separable
+eigen-expansion, and the inverse transform computes only the retained
+window's rows.  Both errors have closed forms.
 
 The compound-Poisson sums run in the dtype of the spec's eigenvalues
 (``model._eigenvalue_array``): real arithmetic for a real spectrum, and
@@ -43,6 +45,7 @@ from scipy import fft as sfft
 from . import model
 from .errors import (
     GridOutsideTruncation,
+    IllConditionedVandermonde,
     KernelArrayOverflow,
     NonFiniteValue,
     ValidationError,
@@ -65,8 +68,9 @@ __all__ = [
     "mse_discretization",
 ]
 
-# cells of the truncated-discretized kernel array (the noise array may
-# hold four times as many) and expected compound-Poisson jumps
+# cells of the truncated-discretized kernel's support {0, ..., M}^d (the
+# noise array may hold four times as many) and expected compound-Poisson
+# jumps
 MAX_KERNEL_CELLS = 1 << 26
 
 # point evaluation: point-jump pairs per mask tile, and the largest
@@ -179,9 +183,11 @@ class GaussianBasis:
 
     @property
     def kappa4(self):
-        # fourth moment of a unit-volume increment; the excess
-        # kappa4 - 3 kappa2^2 vanishes for Gaussian noise
-        return 3.0 * self.sigma2 ** 2
+        # fourth moment of a unit-volume increment
+        return 3.0 * (self.sigma2 * self.sigma2)
+
+    # (kappa4 - 3 kappa2^2) / kappa2^2: no excess for Gaussian noise
+    quartic_weight = 0.0
 
     def sample_increments(self, cell_volume, shape, rng):
         return rng.normal(0.0, math.sqrt(cell_volume * self.sigma2), size=shape)
@@ -209,7 +215,12 @@ class CompoundPoissonBasis:
 
     @property
     def kappa4(self):
-        return self.intensity * self.jumps.fourth_moment + 3.0 * self.kappa2 ** 2
+        return self.intensity * self.jumps.fourth_moment + 3.0 * (self.kappa2 * self.kappa2)
+
+    @property
+    def quartic_weight(self):
+        # intensity E[W^4] / kappa2^2, with no kappa2^2 to overflow or underflow
+        return self.jumps.fourth_moment / self.jumps.second_moment / self.kappa2
 
     def sample_increments(self, cell_volume, shape, rng):
         lam = self.intensity * cell_volume
@@ -253,7 +264,11 @@ class VarianceGammaBasis:
 
     @property
     def kappa4(self):
-        return 3.0 * self.variance ** 2 * (1.0 + self.shape)
+        return 3.0 * (self.variance * self.variance) * (1.0 + self.shape)
+
+    @property
+    def quartic_weight(self):
+        return 3.0 * self.shape
 
     def sample_increments(self, cell_volume, shape, rng):
         subord = rng.gamma(cell_volume / self.shape, self.shape, size=shape)
@@ -508,6 +523,14 @@ def simulate_truncated_discretized(
     window) with i.i.d. increments carrying the basis characteristics
     scaled by the cell volume.
 
+    The sampled kernel is a sum of p^d separable exponentials, so its
+    spectrum is formed from p short 1-D transforms per axis contracted
+    with the coefficient tensor (``_kernel_spectrum``); the kernel grid
+    itself is never built.  The inverse transform runs the complex
+    inverse along each leading axis and keeps only the window's rows
+    [M, M + n_i) before the next, then the real inverse along the last
+    axis on those rows alone, cut to [M, M + n_last).
+
     The lattice field is a finite moving average, so its variance is
     kappa2 * delta^d * sum_K g(K delta)^2 over the retained kernel cells.
     The left-endpoint samples make this larger than gamma(0) at first
@@ -532,17 +555,19 @@ def simulate_truncated_discretized(
         )
     if int(np.prod([ni + m_steps for ni in n])) > 4 * MAX_KERNEL_CELLS:
         raise KernelArrayOverflow("noise array exceeds the memory budget")
-    kernel = model.kernel_on_grid(
-        spec, [di * np.arange(m_steps + 1) for di in delta]
-    )
     rng = substream(seed, stream)
     volume = float(np.prod(delta))
     noise_shape = tuple(ni + m_steps for ni in n)
     noise = sample_increments(basis, volume, noise_shape, rng)
     fshape = [sfft.next_fast_len(ni + m_steps) for ni in n]
-    spectrum = sfft.rfftn(kernel, fshape) * sfft.rfftn(noise, fshape)
-    conv = sfft.irfftn(spectrum, fshape)
-    window = tuple(slice(m_steps, m_steps + ni) for ni in n)
+    spectrum = sfft.rfftn(noise, fshape, overwrite_x=True)
+    tensor, lams = model._expansion(spec)
+    spectrum *= _kernel_spectrum(tensor, lams, delta, m_steps, fshape)
+    # the window's rows [M, M + n_i) of each leading axis, then its last axis
+    for axis, ni in enumerate(n[:-1]):
+        spectrum = sfft.ifft(spectrum, axis=axis, overwrite_x=True)
+        spectrum = spectrum[(slice(None),) * axis + (slice(m_steps, m_steps + ni),)]
+    values = sfft.irfft(spectrum, fshape[-1])[..., m_steps:m_steps + n[-1]]
     prov = {
         "algorithm": "truncated-discretized",
         "seed": int(seed),
@@ -550,8 +575,56 @@ def simulate_truncated_discretized(
         "m_steps": m_steps,
         "basis": repr(basis),
     }
-    return LatticeField(delta=delta, values=np.ascontiguousarray(conv[window]),
+    return LatticeField(delta=delta, values=np.ascontiguousarray(values),
                         provenance=prov)
+
+
+def _kernel_spectrum(tensor, lams, delta, m_steps, fshape):
+    """The kernel grid's ``rfftn`` to ``fshape``, from the separable expansion.
+
+    The grid g[k] = sum_K C[K] prod_i exp(lam_{i,K_i} k_i delta_i), k_i =
+    0..M, is never formed: its transform is sum_K C[K] prod_i F_i[K_i],
+    F_i holding the p 1-D transforms of axis i's samples, zero-padded to
+    ``fshape[i]`` (``rfft`` on the last axis of a real spectrum).
+
+    A complex spectrum's grid is real only up to rounding, so its
+    transform X is contracted in full and split into the Hermitian part
+    (X[f] + conj X[-f]) / 2, the transform of the grid's real part, and
+    the defect (X[f] - conj X[-f]) / 2, that of i times its imaginary
+    part.  By Parseval each part's 2-norm is sqrt(N) times the 2-norm of
+    its grid (N cells in ``fshape``), so the guard is ``model._real``'s
+    with 2-norms for maxima: the imaginary residue may reach
+    ``IMAG_TOL`` times the real part's norm (at least 1).  The Hermitian
+    part's first L // 2 + 1 entries on the last axis are returned.
+
+    Raises
+    ------
+    IllConditionedVandermonde
+        If the imaginary residue exceeds that tolerance.
+    """
+    steps = np.arange(m_steps + 1)
+    real = not np.iscomplexobj(lams)
+    last = len(fshape) - 1
+    # one axis at a time, p products per cell: one einsum over every
+    # label (model._contract) would take p^d
+    spectrum = tensor
+    for i, (lam, di, size) in enumerate(zip(lams, delta, fshape)):
+        transform = sfft.rfft if real and i == last else sfft.fft
+        factor = transform(np.exp(np.outer(lam, di * steps)), size)
+        spectrum = np.einsum("A...,Af->...f", spectrum, factor)
+    if real:
+        return spectrum
+    mirror = np.conj(np.roll(np.flip(spectrum), 1, axis=tuple(range(last + 1))))
+    resid = np.linalg.norm(spectrum - mirror) / 2
+    spectrum += mirror
+    spectrum *= 0.5
+    scale = max(math.sqrt(math.prod(fshape)), np.linalg.norm(spectrum))
+    if resid > model.IMAG_TOL * scale:
+        raise IllConditionedVandermonde(
+            f"kernel grid has imaginary residue {resid / scale:.3e} (2-norm, "
+            f"relative) above {model.IMAG_TOL:.0e}"
+        )
+    return spectrum[..., :fshape[last] // 2 + 1]
 
 
 # -- mean squared errors ---------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "normalize",
     "diagnose",
     "MODEL_MENU",
+    "check_menu",
     "run_fit_workflow",
     "StudyConfig",
     "run_simulation_study",
@@ -136,6 +137,16 @@ def diagnose(field, bins=100):
     }
 
 
+def check_menu(models):
+    """Raise ``ConfigError`` unless ``models`` names one or more distinct
+    entries of ``MODEL_MENU``."""
+    if not models or len(set(models)) != len(models):
+        raise ConfigError(f"need one or more distinct models, got {list(models)}")
+    unknown = [m for m in models if m not in MODEL_MENU]
+    if unknown:
+        raise ConfigError(f"unknown models {unknown}; menu: {sorted(MODEL_MENU)}")
+
+
 def run_fit_workflow(emp, models, **options):
     """Fit every model of the menu to one empirical variogram and rank.
 
@@ -149,11 +160,7 @@ def run_fit_workflow(emp, models, **options):
     -------
     (fits, ranked) : dict name -> FitResult, list of (name, FitResult)
     """
-    if not models or len(set(models)) != len(models):
-        raise ConfigError(f"need one or more distinct models, got {list(models)}")
-    unknown = [m for m in models if m not in MODEL_MENU]
-    if unknown:
-        raise ConfigError(f"unknown models {unknown}; menu: {sorted(MODEL_MENU)}")
+    check_menu(models)
     fits = {}
     for name in models:
         p, q = MODEL_MENU[name]

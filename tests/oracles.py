@@ -319,6 +319,31 @@ def direct_convolution(kernel, noise, n_out):
     return out
 
 
+def td_field_kernel_grid(spec, basis, m_steps, n, delta, seed, stream=0):
+    """Truncated-discretized field through the sampled kernel grid.
+
+    Redraws the noise of ``simulate.simulate_truncated_discretized`` and
+    convolves it with ``model.kernel_on_grid`` on {0, ..., M}^d spacings:
+    both arrays' zero-padded ``rfftn``, one full ``irfftn``, then the
+    window [M, M + n_i) on every axis.  No separable spectrum and no cut
+    inverse transform enter.
+    """
+    from scipy import fft as sfft
+
+    from carmafield import simulate
+
+    n = (n,) * spec.d if np.ndim(n) == 0 else tuple(n)
+    delta = (delta,) * spec.d if np.ndim(delta) == 0 else tuple(delta)
+    kernel = model.kernel_on_grid(spec, [dl * np.arange(m_steps + 1) for dl in delta])
+    noise = simulate.sample_increments(
+        basis, math.prod(delta), tuple(ni + m_steps for ni in n),
+        simulate.substream(seed, stream),
+    )
+    fshape = [sfft.next_fast_len(ni + m_steps) for ni in n]
+    conv = sfft.irfftn(sfft.rfftn(kernel, fshape) * sfft.rfftn(noise, fshape), fshape)
+    return conv[tuple(slice(m_steps, m_steps + ni) for ni in n)]
+
+
 # -- explicit CARMA(2,1) second-order formulas (d = 2, real eigenvalues) -----
 
 def carma21_variogram_reference(b0, b1, l11, l12, l21, l22, t1, t2, kappa2=1.0):

@@ -962,6 +962,21 @@ class TestStudySmall:
         assert err.startswith("error: need one or more distinct") and "replication" not in err
         assert fits == []
 
+    @pytest.mark.parametrize("menu", ["car9", "car1,car1"], ids=["unknown", "repeated"])
+    def test_a_refused_menu_writes_no_file(self, tmp_path, capsys, menu):
+        # the menu is checked before the field's variogram is computed
+        field = simulate.simulate_truncated_discretized(
+            model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,), (-1.5,))),
+            simulate.GaussianBasis(), 20, 30, 0.1, seed=3,
+        )
+        data = tmp_path / "data.carf"
+        gridio.write_carf(field, data)
+        out = tmp_path / "out"
+        assert run_cli(["fit", "--input", data, "--output-dir", out, "--lags", 5,
+                        "--models", menu]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_estimates_do_not_depend_on_the_noise_variance(self, tmp_path):
         # the fits take kappa2 from the noise, so b is in the noise's unit:
         # sigma2 = 4 doubles the field and leaves every estimate in place

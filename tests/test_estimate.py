@@ -1242,6 +1242,30 @@ class TestEstimatorCovariance:
         for kappa2 in kappa2s:
             np.testing.assert_allclose(sigma(kappa2), unit, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("noise", [simulate.GaussianBasis, simulate.VarianceGammaBasis],
+                             ids=["gaussian", "variance-gamma"])
+    def test_sigma_is_bit_identical_where_kappa2_squared_overflows(self, noise):
+        # the quartic weight (kappa4 - 3 kappa2^2) / kappa2^2 is taken
+        # without forming kappa2^2, so Sigma is its unit-kappa2 value
+        def sigma(kappa2):
+            spec = model.CarmaSpec(b=REF_B, eigenvalues=REF_EIGS, kappa2=kappa2)
+            return estimate.asymptotic_covariance(
+                spec, estimate.axis_lag_set(2, 0.04, 5), np.tile(estimate.weights_quadratic(5), 2),
+                noise(kappa2), 0.04)
+
+        unit = sigma(1.0)
+        for kappa2 in (1e-300, 2e154, 1e300):
+            assert np.array_equal(sigma(kappa2), unit)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("noise", [simulate.GaussianBasis, simulate.VarianceGammaBasis],
+                             ids=["gaussian", "variance-gamma"])
+    def test_v_matrix_that_overflows_raises_a_typed_error(self, noise):
+        spec = model.CarmaSpec(b=(1.0,), eigenvalues=((-1.0,),), kappa2=2e154)
+        with pytest.raises(NumericError, match="overflows"):
+            estimate.covariance_v_matrix(spec, [[0.1], [0.2]], noise(2e154), 0.1)
+
     def test_v_matrix_keeps_the_quartic_term_at_a_small_kappa2(self):
         # V scales by kappa2^2 at a fixed noise shape, however small kappa2
         tlist = np.vstack([np.zeros((1, 2)), estimate.axis_lag_set(2, 0.04, 5)])

@@ -6,6 +6,7 @@ import pytest
 from carmafield import model, simulate
 from carmafield.errors import (
     GridOutsideTruncation,
+    IllConditionedVandermonde,
     KernelArrayOverflow,
     ValidationError,
 )
@@ -252,6 +253,46 @@ class TestTruncatedDiscretized:
         noise = simulate.sample_increments(basis, delta ** 3, (n + m,) * 3, rng)
         direct = oracles.direct_convolution(kernel, noise, (n, n, n))
         np.testing.assert_allclose(out.values, direct, atol=1e-8)
+
+    # (b, eigenvalues per axis, n, delta, M): real and complex spectra at
+    # d = 1, 2, 3, with non-square n, per-axis delta, M > n and n = 1
+    ORACLE_CASES = {
+        "d1-real": ((1.0, 0.4), ((-0.8, -2.1),), (37,), (0.1,), 50),
+        "d1-complex-n1": ((1.0, -0.3), ((-1.0 + 2.0j, -1.0 - 2.0j),), (1,), (0.15,), 20),
+        "d2-real": ((4.894, -1.1432), ((-1.7776, -2.0948), (-1.3057, -2.5142)),
+                    (30, 17), (0.1, 0.25), 40),
+        "d2-complex": ((1.0, 0.6), ((-0.9 + 1.5j, -0.9 - 1.5j), (-1.2, -0.4)),
+                       (12, 25), (0.3, 0.2), 10),
+        "d3-real": ((1.0, 0.5), ((-1.1, -0.6), (-0.9, -2.0), (-1.5, -0.7)),
+                    (5, 7, 1), (0.2, 0.3, 0.25), 6),
+        "d3-complex": ((1.0, -0.2), ((-1.0 + 2.0j, -1.0 - 2.0j), (-0.5 + 1.0j, -0.5 - 1.0j),
+                                     (-2.0, -0.7)), (4, 6, 5), (0.2, 0.3, 0.25), 8),
+    }
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_the_kernel_grid_path(self, case):
+        # the separable spectrum and the cut inverse against the kernel
+        # grid's full zero-padded transforms (tests/oracles.py)
+        b, eigs, n, delta, m = self.ORACLE_CASES[case]
+        spec = model.CarmaSpec(b=b, eigenvalues=eigs)
+        basis = simulate.GaussianBasis()
+        out = simulate.simulate_truncated_discretized(spec, basis, m, n, delta, seed=31, stream=2)
+        ref = oracles.td_field_kernel_grid(spec, basis, m, n, delta, seed=31, stream=2)
+        assert out.values.shape == n
+        scale = float(np.std(ref)) if ref.size > 1 else abs(float(ref.ravel()[0]))
+        assert np.max(np.abs(out.values - ref)) <= 1e-12 * scale
+
+    def test_complex_spectrum_residue_is_refused(self, monkeypatch):
+        spec = model.CarmaSpec(b=(1.0, 0.6), eigenvalues=((-0.9 + 1.5j, -0.9 - 1.5j), (-1.2, -0.4)))
+        tensor, lams = model._expansion(spec)
+        # a coefficient off its conjugate partner: the kernel is no longer real
+        bad = tensor.copy()
+        bad[0, 0] += 1e-3j * np.abs(tensor).max()
+        monkeypatch.setattr(model, "_expansion", lambda _: (bad, lams))
+        with pytest.raises(IllConditionedVandermonde, match="imaginary residue"):
+            simulate.simulate_truncated_discretized(spec, simulate.GaussianBasis(), 10, 12, 0.3, seed=1)
+        with pytest.raises(IllConditionedVandermonde, match="imaginary residue"):
+            model.kernel_on_grid(spec, [0.3 * np.arange(11)] * 2)
 
     def test_kernel_budget_guard(self):
         spec = car1_2d()

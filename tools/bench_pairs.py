@@ -10,7 +10,8 @@ Each checkout is a carmafield tree with its own ``perfbench/run.py``
 every workload and seed, the script runs ``perfbench/run.py --workload
 <w> --seed <s> --seconds <S> --trace 0`` once in each checkout, one
 process at a time: the parent first on even pair indices, the change
-first on odd ones.  Progress goes to standard error; standard output
+first on odd ones.  Progress goes to standard error, one line per run
+with every end-to-end metric, then each metric's verdict; standard output
 gets one JSON object, the ``workloads`` block of a ``BENCH_<n>.json``:
 per workload the seeds, and per end-to-end metric both sides' runs,
 medians, quartiles (``statistics.quantiles(n=4)``), the parent's
@@ -128,8 +129,9 @@ def main(argv=None):
             for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
                 result = run_once(checkouts[side], workload, seed, args.seconds)
                 results[side].append(result)
-                op_s = result["metrics"]["op_s"]["value"]
-                print(f"{workload} seed {seed} {side}: op_s {op_s:.6g}", file=sys.stderr, flush=True)
+                values = ", ".join(f"{metric} {result['metrics'][metric]['value']:.6g}"
+                                   for metric in metrics)
+                print(f"{workload} seed {seed} {side}: {values}", file=sys.stderr, flush=True)
         workloads[workload] = summarize(args.seeds, results, metrics)
         for metric, (_, bound) in metrics.items():
             print(f"{workload} {metric}: {workloads[workload][metric]['verdict']} "
