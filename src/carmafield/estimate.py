@@ -268,18 +268,22 @@ def empirical_variogram(field, lags):
     one inverse transform gives the cross term of every lag in the
     group, a negative step at its wrapped index.  The two Q of a lag
     are corner lookups in a summed-area table of Y^2 summed over the
-    other axes, which for axis lags is one cumulative sum.  When the
-    group leaves some axis out, its transforms run over slabs of the
-    other axes, of about ``FFT_SLAB_CELLS`` spectrum cells each, so the
-    transient memory stays bounded; a group that moves on every axis
-    (any lag in d = 1, mixed lags on all axes) transforms the whole
-    zero-padded field at once, with transients of up to about 16 times
-    the field's bytes at d = 2.  No step calls BLAS, so the bytes do not
-    depend on its thread count.  The field is first shifted by its own
-    cell value nearest its mean: the variogram is shift-invariant, the
-    shift keeps the squares near the field's spread, and a constant
-    field becomes exactly zero.  The expansion cancels where increments
-    are small against that spread, so ordinates agree with the direct
+    other axes, which for axis lags is one cumulative sum.  Y is the
+    field shifted by its own cell value nearest its mean (the first in
+    row-major order): the variogram is shift-invariant, the shift keeps
+    the squares near the field's spread, and a constant field becomes
+    exactly zero.  The nearest cell is found slab by slab, and each
+    slab is shifted as it is squared and transformed, so no shifted
+    copy of the field is kept.  When the group leaves some axis out,
+    its transforms run over slabs of the other axes, of about
+    ``FFT_SLAB_CELLS`` spectrum cells each, so the transients stay
+    bounded: axis lags of a 500^2 field hold about half the field's
+    bytes above the field.  A group that moves on every axis (any lag
+    in d = 1, mixed lags on all axes) transforms the whole zero-padded
+    field at once, with transients of up to about 11 times the field's
+    bytes at d = 2.  No step calls BLAS, so the bytes do not depend on
+    its thread count.  The expansion cancels where increments
+    are small against the field's spread, so ordinates agree with the direct
     sum of squared differences to about 1e-13 relative rather than to
     the last bit.
     After rounding each ordinate is clamped at 0, and the zero lag is
@@ -297,18 +301,15 @@ def empirical_variogram(field, lags):
     outside = np.any(np.abs(steps) >= shape, axis=1)
     if np.any(outside):
         raise LagOutOfRange(f"lag {lags[np.argmax(outside)]} exceeds the lattice extent")
-    # shift by the cell value nearest the mean, in one field-sized buffer
-    y = values - values.mean()
-    np.abs(y, out=y)
-    np.subtract(values, values.flat[np.argmin(y)], out=y)
+    shift = _value_nearest_mean(values)
     # group code: bit i set when the lag moves on axis i; code 0 (the
     # zero lag) keeps its sum of 0
-    codes = np.sum((steps != 0) << np.arange(y.ndim), axis=1)
+    codes = np.sum((steps != 0) << np.arange(values.ndim), axis=1)
     sums = np.zeros(steps.shape[0])
     for code in np.unique(codes[codes > 0]).tolist():
         rows = np.flatnonzero(codes == code)
-        axes = tuple(i for i in range(y.ndim) if code >> i & 1)
-        sums[rows] = _group_square_sums(y, axes, steps[np.ix_(rows, axes)])
+        axes = tuple(i for i in range(values.ndim) if code >> i & 1)
+        sums[rows] = _group_square_sums(values, shift, axes, steps[np.ix_(rows, axes)])
     counts = np.prod(shape - np.abs(steps), axis=1).astype(np.int64)
     return EmpiricalVariogram(
         lags=lags,
@@ -318,36 +319,63 @@ def empirical_variogram(field, lags):
     )
 
 
-def _group_square_sums(y, axes, steps):
+def _value_nearest_mean(values):
+    """The first cell value, in row-major order, nearest the field's mean.
+
+    The distances are taken over slabs of leading-axis rows of about
+    ``FFT_SLAB_CELLS`` cells, so no field-sized buffer is made.
+    """
+    mean = values.mean()
+    rows = max(1, FFT_SLAB_CELLS * values.shape[0] // values.size)
+    best = nearest = None
+    for k in range(0, values.shape[0], rows):
+        slab = values[k:k + rows]
+        gap = slab - mean
+        np.abs(gap, out=gap)
+        i = np.argmin(gap)
+        if best is None or gap.flat[i] < best:
+            best, nearest = gap.flat[i], slab.flat[i]
+    return nearest
+
+
+def _group_square_sums(values, shift, axes, steps):
     """Sum of (Y(s+t) - Y(s))^2 over all pairs, for lags moving on ``axes``.
 
-    ``steps`` holds one row per lag: its nonzero steps on ``axes``.
+    Y is ``values - shift``, formed one slab at a time.  ``steps`` holds
+    one row per lag: its nonzero steps on ``axes``.
     """
-    others = tuple(i for i in range(y.ndim) if i not in axes)
-    sizes = np.array([y.shape[a] for a in axes])
+    others = tuple(i for i in range(values.ndim) if i not in axes)
+    sizes = np.array([values.shape[a] for a in axes])
     # zero padding past the widest step keeps each product clear of the wrap
     lengths = [next_fast_len(int(n + w), real=True)
                for n, w in zip(sizes, np.abs(steps).max(axis=0))]
-    slabs = [y]
+    slabs = [values]
     if others:
         cells = math.prod(lengths[:-1]) * (lengths[-1] // 2 + 1)
-        cells *= math.prod(y.shape[i] for i in others[1:])
+        cells *= math.prod(values.shape[i] for i in others[1:])
         width = max(1, FFT_SLAB_CELLS // cells)
-        slabs = [y[(slice(None),) * others[0] + (slice(k, k + width),)]
-                 for k in range(0, y.shape[others[0]], width)]
-    # power spectrum along axes and Y^2, each summed over the other axes;
-    # the spectrum's float view holds (real, imaginary) pairs on its last
-    # axis, squared in place (no temporaries) and added after the sum over
-    # the other axes.  numpy 1.x returns a transform along a leading axis
-    # as a strided view, which has no float view until made contiguous.
+        slabs = [values[(slice(None),) * others[0] + (slice(k, k + width),)]
+                 for k in range(0, values.shape[others[0]], width)]
+    # power spectrum along axes and Y^2, each summed over the other axes
+    # (taken as they are when there is none); the spectrum's float view
+    # holds (real, imaginary) pairs on its last axis, squared in place
+    # (no temporaries) and added after the sum over the other axes.
+    # numpy 1.x returns a transform along a leading axis as a strided
+    # view, which has no float view until made contiguous.  A slab's
+    # buffers are released before the next slab's are made.
     power = marginal = 0.0
     for slab in slabs:
-        marginal = marginal + np.sum(np.square(slab), axis=others)
-        spectrum = np.ascontiguousarray(np.fft.rfftn(slab, lengths, axes=axes))
+        y = slab - shift
+        spectrum = np.ascontiguousarray(np.fft.rfftn(y, lengths, axes=axes))
         squares = spectrum.view(np.float64)
         np.square(squares, out=squares)
         half = tuple(spectrum.shape[a] for a in axes)
-        power = power + np.sum(squares, axis=others).reshape(half + (-1,)).sum(axis=-1)
+        if others:
+            squares = np.sum(squares, axis=others)
+        power = power + squares.reshape(half + (-1,)).sum(axis=-1)
+        np.square(y, out=y)
+        marginal = marginal + np.sum(y, axis=others) if others else y
+        del y, spectrum, squares
     products = np.fft.irfftn(power, lengths, axes=range(len(axes)))
     cross = products[tuple((steps % lengths).T)]
     # table[k] = sum of the marginal over the box [0, k_1) x ... x [0, k_m)

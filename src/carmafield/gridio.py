@@ -4,7 +4,9 @@ Binary format ("CARF"): magic bytes ``CARF``, one version byte, one
 byte for the dimension d, then per axis an 8-byte little-endian IEEE
 double (spacing) and an 8-byte little-endian unsigned integer (points),
 followed by the row-major field values as 8-byte doubles.  Round-trips
-are bit exact.
+are bit exact.  The reader checks the declared size against the file's
+before it allocates anything, then reads the values straight into the
+field's array.
 
 CSV format: one header row with the axis sizes then the spacings
 (``n1,...,nd,delta1,...,deltad``), then one value per line in row-major
@@ -16,6 +18,8 @@ d = 2 ingestion, with the spacing supplied by the caller.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -42,7 +46,7 @@ def write_carf(field, path):
         fh.write(struct.pack("<BB", VERSION, field.d))
         for delta, n in zip(field.delta, field.n):
             fh.write(struct.pack("<dQ", float(delta), int(n)))
-        fh.write(values.tobytes(order="C"))
+        fh.write(values.data)
 
 
 def read_carf(path):
@@ -63,20 +67,23 @@ def read_carf(path):
             delta, n = struct.unpack("<dQ", raw)
             deltas.append(delta)
             ns.append(int(n))
-        count = int(np.prod(ns))
-        payload = fh.read()
-    values = np.frombuffer(payload, dtype="<f8")
-    if values.size != count:
-        raise LengthMismatch(
-            f"{path} declares {count} values but holds {values.size}"
+        count = math.prod(ns)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count * 8 != payload:
+            raise LengthMismatch(
+                f"{path} declares {count} values but holds {payload} bytes of values"
+            )
+        values = np.empty(ns, dtype="<f8")
+        if fh.readinto(values.data) != payload:
+            raise LengthMismatch(f"{path} changed size while it was read")
+    try:
+        return LatticeField(
+            delta=tuple(deltas),
+            values=values,
+            provenance={"source": str(path), "format": "carf"},
         )
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue(f"{path} contains non-finite values")
-    return LatticeField(
-        delta=tuple(deltas),
-        values=values.reshape(ns).copy(),
-        provenance={"source": str(path), "format": "carf"},
-    )
+    except NonFiniteValue:
+        raise NonFiniteValue(f"{path} contains non-finite values") from None
 
 
 def write_field_csv(field, path):

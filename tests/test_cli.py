@@ -16,6 +16,7 @@ from carmafield.errors import (
     ConfigError,
     LengthMismatch,
     MalformedHeader,
+    NonFiniteValue,
     SingularDesign,
     ValidationError,
     ZeroVariance,
@@ -53,6 +54,63 @@ class TestGridIO:
         path.write_bytes(data[:-16])
         with pytest.raises(LengthMismatch):
             gridio.read_carf(path)
+
+    @staticmethod
+    def _resized_carf(path, rng, how):
+        """A 6 x 6 CARF file whose payload disagrees with its header."""
+        field = simulate.LatticeField(delta=0.1, values=rng.normal(size=(6, 6)))
+        gridio.write_carf(field, path)
+        data = path.read_bytes()
+        if how == "cut-3":
+            data = data[:-3]
+        elif how == "extra-3":
+            data += bytes(3)
+        elif how == "extra-8":
+            data += bytes(8)
+        else:  # n = 2^40 on each axis, far more than the file holds
+            data = data[:6] + struct.pack("<dQ", 0.1, 2**40) * 2 + data[38:]
+        path.write_bytes(data)
+
+    @pytest.mark.parametrize("how", ["cut-3", "extra-3", "extra-8", "huge-header"])
+    def test_carf_payload_of_the_wrong_size_rejected(self, tmp_path, rng, traced_peak, how):
+        path = tmp_path / "field.carf"
+        self._resized_carf(path, rng, how)
+
+        def read():
+            with pytest.raises(LengthMismatch, match="declares"):
+                gridio.read_carf(path)
+
+        # the size is checked before the values are allocated
+        assert traced_peak(read) < 64 * 1024
+
+    def test_carf_payload_of_the_wrong_size_exits_1(self, tmp_path, rng, capsys):
+        path = tmp_path / "field.carf"
+        self._resized_carf(path, rng, "cut-3")
+        assert run_cli(["variogram", "--input", path, "--output-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "declares 36 values" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_carf_rejected_naming_the_file(self, tmp_path):
+        values = np.ones((4, 5))
+        values[2, 3] = np.nan
+        path = tmp_path / "field.carf"
+        with open(path, "wb") as fh:
+            fh.write(gridio.MAGIC + struct.pack("<BB", gridio.VERSION, 2))
+            fh.write(struct.pack("<dQ", 0.1, 4) + struct.pack("<dQ", 0.1, 5))
+            fh.write(values.astype("<f8").tobytes())
+        with pytest.raises(NonFiniteValue, match="field.carf contains non-finite values"):
+            gridio.read_carf(path)
+
+    def test_carf_io_holds_no_second_copy(self, tmp_path, rng, traced_peak):
+        # 500^2 at spacing 0.04; the bounds were fixed before the first
+        # run: reading holds the field and its finiteness mask (1/8),
+        # writing holds no copy
+        field = simulate.LatticeField(delta=0.04, values=rng.normal(size=(500, 500)))
+        path = tmp_path / "field.carf"
+        assert traced_peak(lambda: gridio.write_carf(field, path)) <= 0.25 * field.values.nbytes
+        assert traced_peak(lambda: gridio.read_carf(path)) <= 1.25 * field.values.nbytes
+        assert np.array_equal(gridio.read_carf(path).values, field.values)
 
     def test_truncated_csv_rejected(self, tmp_path, rng):
         field = simulate.LatticeField(delta=0.1, values=rng.normal(size=(5, 5)))

@@ -152,6 +152,27 @@ class TestEmpiricalVariogram:
         want = oracles.empirical_variogram_direct(field, lags, dtype=np.longdouble)
         np.testing.assert_allclose(got.ordinates, want.ordinates, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("budget", [1, 5, estimate.FFT_SLAB_CELLS])
+    def test_shift_is_the_first_cell_nearest_the_mean(self, monkeypatch, budget):
+        # as np.argmin of the distances over the whole field: ties keep
+        # the first cell in row-major order, whatever the slabs
+        monkeypatch.setattr(estimate, "FFT_SLAB_CELLS", budget)
+        values = np.array([[3.0, 0.0, 2.0], [1.0, 3.0, 0.0]])  # mean 1.5
+        assert estimate._value_nearest_mean(values) == 2.0
+        for grid in (values[::-1], values.T, np.random.default_rng(11).normal(size=(7, 9, 5))):
+            want = grid.flat[np.argmin(np.abs(grid - grid.mean()))]
+            assert estimate._value_nearest_mean(grid) == want
+
+    @pytest.mark.parametrize("case, bound", [("axis", 0.8), ("mixed", 5.5)])
+    def test_transient_memory(self, rng, traced_peak, case, bound):
+        # 500^2 at spacing 0.04: bytes held above the field, as a multiple
+        # of the field's; the bounds were fixed before the first run
+        field = simulate.LatticeField(delta=0.04, values=rng.normal(size=(500, 500)))
+        lags = (estimate.axis_lag_set(2, field.delta, 50) if case == "axis"
+                else [(49 * 0.04, -49 * 0.04)])
+        peak = traced_peak(lambda: estimate.empirical_variogram(field, lags))
+        assert peak <= bound * field.values.nbytes
+
     def test_near_constant_field(self, rng):
         # increments at the last bits of the values: the expansion may
         # round below zero, the ordinates must not
